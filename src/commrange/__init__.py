@@ -3,7 +3,6 @@ verification harnesses for commutator preserver maps on Hermitian matrices.
 """
 
 from .matcore import (
-    ConvergenceError,
     EigenDecomposition,
     MatrixError,
     commutator,
@@ -36,6 +35,7 @@ from .structure import (
     RadiusEquivalenceVerdict,
     TwoLevelDecomposition,
     WitnessSearchError,
+    affine_sign_match,
     asymmetry_witness,
     classify_two_level,
     find_rank3_probe,
@@ -61,7 +61,6 @@ from .maps import (
     MapConfigError,
     MapSpec,
     PreservationReport,
-    affine_sign_match,
     apply_map,
     check_preservation,
     identity_map,

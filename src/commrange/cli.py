@@ -14,7 +14,7 @@ suite     the full acceptance battery
 All randomness is seeded (--seed, or the COMMRANGE_SEED environment
 variable); identical invocations produce byte-identical reports.  Exit
 codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
-falsification event.
+falsification event, 4 internal error (a crash, never a verdict).
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .matcore import MatrixError, load_matrix, matrix_to_json, substream
 from .nrange import range_boundary
 from .structure import (
+    GAP_TOL,
+    WITNESS_ASYMMETRY_TOL,
     WitnessSearchError,
     asymmetry_witness,
     classify_two_level,
@@ -52,15 +55,15 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_FALSIFICATION = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 2026
 
+# Mode tolerances are named after their modes.
 TOLERANCE_NAMES = {
-    "radius": DEFAULT_TOLERANCES[MODE_RADIUS],
-    "range": DEFAULT_TOLERANCES[MODE_RANGE],
-    "spectrum": DEFAULT_TOLERANCES[MODE_SPECTRUM],
-    "gap": 1e-6,
-    "witness": 1e-6,
+    **DEFAULT_TOLERANCES,
+    "gap": GAP_TOL,
+    "witness": WITNESS_ASYMMETRY_TOL,
 }
 
 _DAGGER_FLAGS = {"id": DAGGER_IDENTITY, "transpose": DAGGER_TRANSPOSE}
@@ -236,10 +239,7 @@ def _cmd_verify(args, tol_overrides) -> int:
         raise UsageError("--sset applies to the range form only")
     m = MapSpec(**kwargs)
 
-    tol = tol_overrides.get(
-        {"radius": "radius", "range": "range", "spectrum": "spectrum"}[mode],
-        DEFAULT_TOLERANCES[mode],
-    )
+    tol = tol_overrides.get(mode, DEFAULT_TOLERANCES[mode])
     report = check_preservation(
         m, mode, args.trials, dim, seed, tol=tol, workers=args.workers
     )
@@ -349,6 +349,10 @@ def main(argv=None) -> int:
     except (MatrixError, MapConfigError, ValueError, OSError) as exc:
         print(f"commrange: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"commrange: internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

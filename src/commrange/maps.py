@@ -70,8 +70,10 @@ DEFAULT_TOLERANCES = {
 }
 
 # Hash rules quantize entries at 1e-9 before digesting, so the rule value
-# is stable under symmetrization-level noise in the input.
+# is stable under symmetrization-level noise in the input.  Quantized parts
+# are int64, so hash rules accept entries up to 2**63 quanta (about 9.2e9).
 _QUANTUM = 1e-9
+_QUANTA_LIMIT = 2.0**63
 
 
 class MapConfigError(ValueError):
@@ -79,13 +81,16 @@ class MapConfigError(ValueError):
 
 
 def _quantized_digest(a: np.ndarray, seed: int, salt: str) -> bytes:
-    q_re = np.round(np.ascontiguousarray(a.real) / _QUANTUM).astype(np.int64)
-    q_im = np.round(np.ascontiguousarray(a.imag) / _QUANTUM).astype(np.int64)
+    parts = np.stack([a.real, a.imag]) / _QUANTUM
+    if np.abs(parts).max() >= _QUANTA_LIMIT:
+        raise MatrixError(
+            f"hash rules need entries below {_QUANTA_LIMIT * _QUANTUM:.3e} "
+            f"in real and imaginary part, got {max_abs(a):.3e}"
+        )
     h = hashlib.blake2b(digest_size=16)
     h.update(salt.encode("ascii"))
     h.update(int(seed % (1 << 64)).to_bytes(8, "little"))
-    h.update(q_re.tobytes())
-    h.update(q_im.tobytes())
+    h.update(np.round(parts).astype(np.int64).tobytes())
     return h.digest()
 
 
@@ -249,6 +254,19 @@ def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
     return hermitian(a), hermitian(b)
 
 
+def metric_violation(base: np.ndarray, image: np.ndarray, mode: str) -> float:
+    """Distance between two ascending skew spectra t_k (sigma = {i t_k}) in
+    the mode's metric: the whole sorted spectrum ("spectrum"), the interval
+    endpoints ("range") or the numerical radius ("radius")."""
+    if mode == MODE_SPECTRUM:
+        return float(np.abs(base - image).max())
+    if mode == MODE_RANGE:
+        return float(max(abs(base[0] - image[0]), abs(base[-1] - image[-1])))
+    w_base = max(abs(base[0]), abs(base[-1]))
+    w_image = max(abs(image[0]), abs(image[-1]))
+    return float(abs(w_base - w_image))
+
+
 def _trial_violation(m: MapSpec, mode: str, n: int, seed: int, index: int) -> float:
     rng = substream(seed, index)
     a, b = sample_trial_pair(n, rng, index)
@@ -256,15 +274,7 @@ def _trial_violation(m: MapSpec, mode: str, n: int, seed: int, index: int) -> fl
     fa = apply_map(m, a)
     fb = apply_map(m, b)
     image = skew_hermitian_eigenvalues(commutator(fa, fb))
-    if mode == MODE_SPECTRUM:
-        return float(np.abs(base - image).max())
-    if mode == MODE_RANGE:
-        return float(
-            max(abs(base[0] - image[0]), abs(base[-1] - image[-1]))
-        )
-    w_base = max(abs(base[0]), abs(base[-1]))
-    w_image = max(abs(image[0]), abs(image[-1]))
-    return float(abs(w_base - w_image))
+    return metric_violation(base, image, mode)
 
 
 def _run_chunk(args):
@@ -405,19 +415,3 @@ def sign_flip_invisibility(
         if not intervals_equal(iv_plus, iv_minus, tol):
             return False
     return True
-
-
-def affine_sign_match(a, b, tol: float = 1e-8) -> Optional[tuple[int, float]]:
-    """(alpha, beta) with B = alpha*A + beta*I for alpha in {+1, -1}, or
-    None; +1 is preferred when both match (A scalar)."""
-    a = hermitian(a)
-    b = hermitian(b)
-    if a.shape != b.shape:
-        raise MatrixError("dimension mismatch")
-    n = a.shape[0]
-    scale = max(1.0, max_abs(a))
-    for alpha in (1, -1):
-        beta = float(np.trace(b - alpha * a).real) / n
-        if max_abs(b - alpha * a - beta * np.eye(n)) <= tol * scale:
-            return alpha, beta
-    return None

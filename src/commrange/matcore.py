@@ -1,9 +1,10 @@
 """Dense complex matrix core for small (n <= 16) operator computations.
 
 Provides validated constructors for general and Hermitian matrices, the
-commutator, a cyclic Jacobi eigensolver for complex Hermitian matrices,
-numeric rank, seeded random sampling (GUE / Haar unitary / low rank), and
-the JSON wire format shared by the whole package.
+commutator, the package's one eigen route (LAPACK through ``numpy.linalg``)
+for Hermitian and skew-Hermitian matrices, numeric rank, seeded random
+sampling (GUE / Haar unitary / low rank), and the JSON wire format shared
+by the whole package.
 
 All functions are pure: inputs are never mutated and every sampler draws
 from an explicitly supplied generator, so results are reproducible and
@@ -19,25 +20,14 @@ import numpy as np
 
 MAX_DIM = 16
 
-# Tolerance ladder: construction 1e-12, eigen residual 1e-10, rank 1e-9.
-# One decade apart so a pass at one level cannot trip the next.
+# Tolerance ladder: construction (Hermitian or skew-Hermitian defect) 1e-12,
+# rank 1e-9.  Decades apart so a pass at one level cannot trip the next.
 HERMITIAN_TOL = 1e-12
-SKEW_TOL = 1e-10
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 60
 RANK_TOL = 1e-9
 
 
 class MatrixError(ValueError):
     """Raised for malformed matrix input (shape, finiteness, symmetry)."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the Jacobi iteration fails to converge.
-
-    Should not occur for valid Hermitian input at the supported sizes;
-    seeing it signals a pathological or corrupted matrix.
-    """
 
 
 def max_abs(a) -> float:
@@ -60,6 +50,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def is_hermitian(m: np.ndarray, skew: bool = False) -> bool:
+    """True iff ||M - M*||_max (||M + M*||_max when skew) is at most
+    1e-12 * max(1, ||M||_max); the package's one symmetry test."""
+    defect = max_abs(m + m.conj().T if skew else m - m.conj().T)
+    return defect <= HERMITIAN_TOL * max(1.0, max_abs(m))
+
+
 def hermitian(a) -> np.ndarray:
     """Validate near-self-adjointness and return the exact symmetrization.
 
@@ -68,9 +65,10 @@ def hermitian(a) -> np.ndarray:
     Hermitian matrix bitwise unchanged.
     """
     m = as_matrix(a)
-    gap = max_abs(m - m.conj().T)
-    if gap > HERMITIAN_TOL * max(1.0, max_abs(m)):
-        raise MatrixError(f"matrix is not self-adjoint (asymmetry {gap:.3e})")
+    if not is_hermitian(m):
+        raise MatrixError(
+            f"matrix is not self-adjoint (asymmetry {max_abs(m - m.conj().T):.3e})"
+        )
     return (m + m.conj().T) / 2
 
 
@@ -93,97 +91,40 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def hermitian_eigen(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Sweeps the strict upper triangle in row order, annihilating each pivot
-    with a complex rotation (a phase times a real Givens rotation), until
-    the largest off-diagonal modulus drops below 1e-13 * ||A||_F.  The
-    iteration is deterministic for a fixed input.
-    """
-    m = hermitian(a)
+def _within_max_dim(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if n > MAX_DIM:
         raise MatrixError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    w = m.copy()
-    vecs = np.eye(n, dtype=complex)
-    norm_f = float(np.linalg.norm(m))
-    tol = JACOBI_TOL * norm_f
-    if n == 1 or norm_f == 0.0:
-        order = np.argsort(w.diagonal().real, kind="stable")
-        return EigenDecomposition(w.diagonal().real[order].copy(), vecs[:, order])
+    return m
 
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.abs(w - np.diag(w.diagonal()))
-        if off.max() <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = w[p, q]
-                absb = abs(beta)
-                if absb <= tol:
-                    continue
-                # Phase out the pivot, then apply the real Jacobi rotation.
-                phase = beta / absb
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * absb)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array(
-                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]],
-                    dtype=complex,
-                )
-                idx = [p, q]
-                w[:, idx] = w[:, idx] @ rot
-                w[idx, :] = rot.conj().T @ w[idx, :]
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-                vecs[:, idx] = vecs[:, idx] @ rot
-    if not converged and max_abs(w - np.diag(w.diagonal())) > tol:
-        raise ConvergenceError(
-            f"Jacobi did not converge in {max_sweeps} sweeps (n={n})"
-        )
 
-    eigs = w.diagonal().real.copy()
-    order = np.argsort(eigs, kind="stable")
-    return EigenDecomposition(eigs[order], vecs[:, order])
+def hermitian_eigen(a) -> EigenDecomposition:
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK
+    (``numpy.linalg.eigh``), eigenvalues ascending."""
+    return EigenDecomposition(*np.linalg.eigh(_within_max_dim(hermitian(a))))
 
 
 def skew_hermitian_eigenvalues(c) -> np.ndarray:
     """Ascending t_k with sigma(C) = {i t_k} for skew-Hermitian C.
 
-    Computed as the spectrum of the Hermitian matrix -iC.
+    Computed as the spectrum of the Hermitian matrix -iC; C must pass the
+    same 1e-12 defect test as :func:`hermitian`.
     """
     m = as_matrix(c)
-    gap = max_abs(m + m.conj().T)
-    if gap > SKEW_TOL * max(1.0, max_abs(m)):
-        raise MatrixError(f"matrix is not skew-Hermitian (defect {gap:.3e})")
-    return hermitian_eigen(-1j * m).eigenvalues
+    if not is_hermitian(m, skew=True):
+        raise MatrixError(
+            f"matrix is not skew-Hermitian (defect {max_abs(m + m.conj().T):.3e})"
+        )
+    h = -1j * m
+    return np.linalg.eigvalsh(_within_max_dim((h + h.conj().T) / 2))
 
 
 def rank_numeric(a, tol: float = RANK_TOL) -> int:
-    """Numeric rank: singular values above tol * max(1, s_max).
-
-    Singular values come from the Hermitian eigensolver applied to A*A.
-    The Gram route cannot resolve singular values below about
-    sqrt(n * eps) * s_max; Gram eigenvalues under that floor read as exact
-    zeros so that rank-deficient inputs are not inflated by rounding noise.
-    """
+    """Numeric rank: singular values above tol * max(1, s_max)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = as_matrix(a)
-    n = m.shape[0]
-    gram = m.conj().T @ m
-    eigs = hermitian_eigen((gram + gram.conj().T) / 2).eigenvalues
-    eigs = np.clip(eigs, 0.0, None)
-    floor = 16.0 * n * np.finfo(float).eps * float(eigs[-1])
-    svals = np.sqrt(np.where(eigs > floor, eigs, 0.0))
-    s_max = float(svals[-1])
-    return int(np.count_nonzero(svals > tol * max(1.0, s_max)))
+    svals = np.linalg.svd(_within_max_dim(as_matrix(a)), compute_uv=False)
+    return int(np.count_nonzero(svals > tol * max(1.0, float(svals[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,8 @@ package's main consumers deal in commutators of Hermitian matrices, which
 are skew-Hermitian and hence normal, so their range is the exact segment
 i[t_min, t_max] spanned by the spectrum.  That interval is always computed
 from the spectrum, never from the sweep; the sweep exists for general
-matrices, for oracle duty and for boundary export.
-
-The sweep's eigenvalue evaluations deliberately go through LAPACK
-(``numpy.linalg``) rather than the package's own Jacobi solver, keeping the
-two routes independent of each other where one is used to check the other.
+matrices, for oracle duty and for boundary export.  Every eigenvalue, on
+either path, comes from LAPACK through ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from .matcore import (
     commutator,
     hermitian,
     hermitian_eigen,
-    max_abs,
+    is_hermitian,
     skew_hermitian_eigenvalues,
 )
 
@@ -64,14 +61,6 @@ def support_value(a, theta: float) -> float:
     return float(np.linalg.eigvalsh(_support_hermitian(a, theta))[-1])
 
 
-def _is_hermitian(a) -> bool:
-    return max_abs(a - a.conj().T) <= 1e-12 * max(1.0, max_abs(a))
-
-
-def _is_skew_hermitian(a) -> bool:
-    return max_abs(a + a.conj().T) <= 1e-12 * max(1.0, max_abs(a))
-
-
 def numerical_radius(a) -> float:
     """Numerical radius w(A) = sup |lambda| over lambda in W(A).
 
@@ -81,10 +70,10 @@ def numerical_radius(a) -> float:
     both stages are deterministic.
     """
     a = as_matrix(a)
-    if _is_hermitian(a):
+    if is_hermitian(a):
         eigs = hermitian_eigen(a).eigenvalues
         return float(np.abs(eigs).max())
-    if _is_skew_hermitian(a):
+    if is_hermitian(a, skew=True):
         ts = skew_hermitian_eigenvalues(a)
         return float(np.abs(ts).max())
 

@@ -256,6 +256,28 @@ class RadiusEquivalenceVerdict:
         }
 
 
+def affine_sign_match(
+    a, b, tol: float = EQUIV_RESIDUAL_TOL
+) -> Optional[tuple[int, float]]:
+    """(alpha, beta) with B = alpha*A + beta*I for alpha in {+1, -1}, or
+    None; +1 is preferred when both match (A scalar).
+
+    The residual B - alpha*A - beta*I, with beta = tr(B - alpha*A)/n, is
+    measured against tol * max(1, ||A||_max, ||B||_max).
+    """
+    a = hermitian(a)
+    b = hermitian(b)
+    if a.shape != b.shape:
+        raise MatrixError("dimension mismatch")
+    n = a.shape[0]
+    scale = max(1.0, max_abs(a), max_abs(b))
+    for alpha in (1, -1):
+        beta = float(np.trace(b - alpha * a).real) / n
+        if max_abs(b - alpha * a - beta * np.eye(n)) <= tol * scale:
+            return alpha, beta
+    return None
+
+
 def radius_equivalence_check(
     a, b, n_projections: int, rng: np.random.Generator
 ) -> RadiusEquivalenceVerdict:
@@ -269,21 +291,10 @@ def radius_equivalence_check(
     """
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
+    match = affine_sign_match(a, b)
     a = hermitian(a)
     b = hermitian(b)
-    if a.shape != b.shape:
-        raise MatrixError("dimension mismatch")
     n = a.shape[0]
-    scale = max(1.0, max_abs(a), max_abs(b))
-    eye = np.eye(n)
-
-    related_alpha = None
-    related_beta = None
-    for alpha in (1, -1):
-        beta = float(np.trace(b - alpha * a).real) / n
-        if max_abs(b - alpha * a - beta * eye) <= EQUIV_RESIDUAL_TOL * scale:
-            related_alpha, related_beta = alpha, beta
-            break
 
     worst_gap = 0.0
     worst_x = None
@@ -293,12 +304,12 @@ def radius_equivalence_check(
         if gap > worst_gap:
             worst_gap, worst_x = gap, x
 
-    if related_alpha is not None:
+    if match is not None:
         return RadiusEquivalenceVerdict(
             status="related",
             related=True,
-            alpha=related_alpha,
-            beta=related_beta,
+            alpha=match[0],
+            beta=match[1],
             worst_gap=worst_gap,
             n_projections=n_projections,
         )

@@ -50,6 +50,7 @@ from .maps import (
     MODE_RADIUS,
     MODE_RANGE,
     MODE_SPECTRUM,
+    MODES,
     SHIFT_HASH,
     SHIFT_TRACELESS,
     SHIFT_ZERO,
@@ -61,6 +62,7 @@ from .maps import (
     MapSpec,
     _random_two_level,
     check_preservation,
+    metric_violation,
     sample_trial_pair,
 )
 
@@ -477,17 +479,10 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
         a, b = sample_trial_pair(2, rng, i)
         base = skew_hermitian_eigenvalues(commutator(a, b))
         image = skew_hermitian_eigenvalues(commutator(2.0 * a, 2.0 * b))
-        v_spec = float(np.abs(base - image).max())
-        v_range = float(max(abs(base[0] - image[0]), abs(base[-1] - image[-1])))
-        v_rad = float(
-            abs(
-                max(abs(base[0]), abs(base[-1]))
-                - max(abs(image[0]), abs(image[-1]))
-            )
-        )
-        if max(v_spec, v_range, v_rad) - min(v_spec, v_range, v_rad) > 1e-12:
+        violations = [metric_violation(base, image, mode) for mode in MODES]
+        if max(violations) - min(violations) > 1e-12:
             agreement_ok = False
-        if min(v_spec, v_range, v_rad) > 1e-10:
+        if min(violations) > 1e-10:
             caught += 1
     agreement_ok = agreement_ok and caught > agree_trials // 2
 

@@ -216,6 +216,20 @@ def test_classify_falsification_exit_code(matrix_file, monkeypatch):
     assert main(["classify", path]) == 3
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a crash outside the known error set is exit 4, never a verdict (exit 1)
+    import commrange.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced for exit-code test")
+
+    monkeypatch.setattr(cli_mod, "check_preservation", boom)
+    assert main(["verify", "radius", "--trials", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("commrange: internal error: ")
+    assert "forced for exit-code test" in err
+
+
 def test_suite_smoke(tmp_path):
     out = tmp_path / "suite.json"
     code = main(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from commrange.matcore import (
+    MatrixError,
     hermitian,
     max_abs,
     random_hermitian,
@@ -23,13 +24,13 @@ from commrange.maps import (
     SSET_RANDOM,
     MapConfigError,
     MapSpec,
-    affine_sign_match,
     apply_map,
     check_preservation,
     identity_map,
     sign_flip_invisibility,
 )
 from commrange.pauli2 import psi
+from commrange.structure import affine_sign_match
 
 
 def test_identity_map_is_identity():
@@ -98,6 +99,25 @@ def test_hash_rules_deterministic_and_stable():
         for i in range(200)
     )
     assert 40 < flips < 160  # the hash rule genuinely varies
+
+
+def test_hash_rules_reject_entries_beyond_quantization_range():
+    # int64 quantization holds entries below 2**63 quanta (about 9.2e9);
+    # beyond that hash rules refuse the input rather than let digests collide
+    huge = [np.diag([1e11, 2.0, 3.0]), np.diag([5e11, 2.0, 3.0])]
+    hashed = [
+        MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=7),
+        MapSpec(dim=3, unitary=np.eye(3), shift=SHIFT_HASH, shift_seed=8),
+    ]
+    for m in hashed:
+        for a in huge:
+            with pytest.raises(MatrixError):
+                apply_map(m, a)
+    plain = identity_map(3)
+    for a in huge:
+        assert np.array_equal(apply_map(plain, a), a)
+    # just inside the range the digest is still defined
+    assert hashed[0].sign_value(np.diag([9e9, 2.0, 3.0])) in (-1, 1)
 
 
 def test_identity_map_zero_violation_each_mode():

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commrange import matcore
 from commrange.matcore import (
-    ConvergenceError,
     MatrixError,
     commutator,
     hermitian,
@@ -135,10 +136,93 @@ def test_eigen_rejects_oversize():
         hermitian_eigen(np.eye(17))
 
 
-def test_eigen_nonconvergence_raises():
-    a = random_hermitian(8, substream(5, 0))
-    with pytest.raises(ConvergenceError):
-        hermitian_eigen(a, max_sweeps=0)
+# Properties of the single (LAPACK) eigen route over Hermitian inputs
+# U diag(spectrum) U* with repeated eigenvalues, scaled from 1e-6 to 1e6.
+_PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+_DIMS = st.integers(1, 8)
+
+
+def _conjugated(spectrum, seed):
+    u = random_unitary(len(spectrum), substream(seed, 0))
+    m = (u * spectrum) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@st.composite
+def _repeated_spectrum_hermitian(draw, n):
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return _conjugated(scale * np.array(picks), draw(st.integers(0, 2**32)))
+
+
+@_PROPERTY_SETTINGS
+@given(_DIMS.flatmap(_repeated_spectrum_hermitian))
+def test_eigen_property_residual_unitary_deterministic(a):
+    ev, vecs = hermitian_eigen(a)
+    assert np.all(np.diff(ev) >= 0)
+    assert max_abs(a @ vecs - vecs * ev) <= 1e-10 * max(1.0, max_abs(a))
+    assert max_abs(vecs.conj().T @ vecs - np.eye(a.shape[0])) <= 1e-10
+    again = hermitian_eigen(a)
+    assert np.array_equal(ev, again.eigenvalues)
+    assert np.array_equal(vecs, again.vectors)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    _DIMS.flatmap(
+        lambda n: st.tuples(
+            _repeated_spectrum_hermitian(n), _repeated_spectrum_hermitian(n)
+        )
+    )
+)
+def test_skew_eigen_property_commutator_trace_zero(pair):
+    # The skew part of [A, B]: forming AB - BA leaves a skew defect of order
+    # eps * ||A|| ||B||, which the 1e-12 * max(1, ||[A, B]||) test rejects
+    # for nearly commuting pairs at large scale (pinned below).
+    k = commutator(*pair)
+    c = (k - k.conj().T) / 2
+    ts = skew_hermitian_eigenvalues(c)
+    assert abs(ts.sum()) <= 1e-10 * max(1.0, float(np.linalg.norm(c)))
+
+
+@pytest.mark.xfail(raises=MatrixError, strict=True)
+def test_skew_eigenvalues_near_commuting_large_pair():
+    # Valid Hermitian A (entries ~1e4) and B = I up to rounding: the
+    # commutator's roundoff is measured against ||[A, B]|| instead of
+    # ||A|| ||B||, so the spectrum of a valid pair is refused.
+    a = 1e4 * random_hermitian(5, substream(1, 0))
+    u = random_unitary(5, substream(2, 0))
+    b = hermitian(u @ u.conj().T)
+    skew_hermitian_eigenvalues(commutator(a, b))
+
+
+@_PROPERTY_SETTINGS
+@given(st.data(), st.integers(2, 8), st.floats(-6.0, 6.0), st.integers(0, 2**32))
+def test_rank_property_rank_k(data, n, log_scale, seed):
+    k = data.draw(st.integers(1, n))
+    # nonzero singular values lie in 10**log_scale * [0.5, 2], so every one
+    # of them clears RANK_TOL = 1e-9 relative to max(1, s_max)
+    mags = data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
+    spectrum = np.zeros(n)
+    spectrum[:k] = 10.0**log_scale * np.multiply(mags, signs)
+    assert rank_numeric(_conjugated(spectrum, seed)) == k
+
+
+def test_skew_eigenvalues_defect_bound_pinned():
+    # the enforced skew defect bound is HERMITIAN_TOL = 1e-12 relative
+    base = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    for defect, ok in ((5e-11, False), (5e-13, True)):
+        c = base.copy()
+        c[0, 1] += defect
+        if ok:
+            assert np.allclose(skew_hermitian_eigenvalues(c), [-1.0, 1.0])
+        else:
+            with pytest.raises(MatrixError):
+                skew_hermitian_eigenvalues(c)
 
 
 def test_skew_eigenvalues_pauli_commutator():
