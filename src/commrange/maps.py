@@ -17,15 +17,20 @@ functions are exercised reproducibly and specs stay serializable.
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
 pairs; every trial derives its own generator from (seed, trial index), so
 reports are identical regardless of execution order or worker count.
+Parallel calls run on a spawn process pool; ``worker_pool`` keeps one pool
+open for every call inside its block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -290,6 +295,44 @@ def _run_chunk(args):
     return worst, first_idx
 
 
+# The pool opened by the outermost open ``worker_pool`` block, if any.
+_ACTIVE_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
+    "commrange_worker_pool", default=None
+)
+
+
+def pool_size(workers: int, cpu_count: Optional[int]) -> int:
+    """Processes in a pool asked for ``workers``: at most one per CPU (an
+    unknown ``cpu_count`` counts as one)."""
+    return min(workers, cpu_count or 1)
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """Open one spawn process pool for every ``check_preservation`` call in
+    the block.
+
+    The pool has ``pool_size(workers, os.cpu_count())`` processes, started
+    on first use.  Inside an open block this yields the open pool, so
+    nested blocks share the outermost one.  The block that opened the pool
+    shuts it down and joins its workers on every way out.
+    """
+    active = _ACTIVE_POOL.get()
+    if active is not None:
+        yield active
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=pool_size(workers, os.cpu_count()),
+        mp_context=get_context("spawn"),
+    )
+    token = _ACTIVE_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _ACTIVE_POOL.reset(token)
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 @dataclass(frozen=True)
 class PreservationReport:
     """Outcome of a preservation trial run."""
@@ -341,9 +384,12 @@ def check_preservation(
     seeded trials.
 
     mode "radius" compares numerical radii, "range" the full intervals,
-    "spectrum" (dim 2 only) the sorted skew spectra.  Trials may be split
-    across processes; the fold is ordered by trial index, so the report is
-    identical for any worker count.
+    "spectrum" (dim 2 only) the sorted skew spectra.  With ``workers`` > 1
+    the trials are cut into ``workers`` chunks and run on the pool of the
+    open ``worker_pool`` block (a suite run shares one pool across all its
+    calls), or else on a pool opened for this call only.  The fold is
+    ordered by trial index, so the report is identical for any worker
+    count.
     """
     if mode not in MODES:
         raise MapConfigError(f"unknown mode {mode!r}")
@@ -353,10 +399,12 @@ def check_preservation(
         raise MapConfigError("trial dim does not match map dim")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if tol is None:
         tol = DEFAULT_TOLERANCES[mode]
 
-    if workers <= 1:
+    if workers == 1:
         worst, first_idx = _run_chunk((m, mode, n, seed, 0, trials, tol))
     else:
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
@@ -367,9 +415,8 @@ def check_preservation(
         ]
         worst = 0.0
         first_idx = None
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("spawn")
-        ) as pool:
+        # A pool opened for this call alone needs no process per empty chunk.
+        with worker_pool(len(chunks)) as pool:
             for chunk_worst, chunk_first in pool.map(_run_chunk, chunks):
                 worst = max(worst, chunk_worst)
                 if first_idx is None and chunk_first is not None:

@@ -4,7 +4,8 @@ Each criterion is a pure function of (seed, scale, workers) returning a
 JSON-able result dict.  ``scale`` multiplies the trial counts (1.0 is the
 full battery); reports contain no timing or host information, so a given
 (seed, scale) always produces byte-identical output regardless of worker
-count or execution order.
+count or execution order.  A suite run opens one process pool, which
+every parallel ``check_preservation`` call in it shares.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .maps import (
     check_preservation,
     metric_violation,
     sample_trial_pair,
+    worker_pool,
 )
 
 _STREAM_UNITARY = 1 << 62
@@ -630,11 +632,19 @@ CRITERIA = (
 
 
 def run_acceptance_suite(seed: int = 2026, scale: float = 1.0, workers: int = 1) -> dict:
-    """Run the whole battery; the report is deterministic in (seed, scale)."""
+    """Run the whole battery; the report is deterministic in (seed, scale).
+
+    Every parallel ``check_preservation`` call of the run shares one spawn
+    process pool of at most ``os.cpu_count()`` processes, shut down when
+    the run ends, also when a criterion raises.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     criteria = []
-    for cid, name, fn in CRITERIA:
-        out = fn(seed=seed, scale=scale, workers=workers)
-        criteria.append({"id": cid, "name": name, **out})
+    with worker_pool(workers):
+        for cid, name, fn in CRITERIA:
+            out = fn(seed=seed, scale=scale, workers=workers)
+            criteria.append({"id": cid, "name": name, **out})
     return {
         "seed": seed,
         "scale": scale,

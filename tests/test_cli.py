@@ -170,6 +170,13 @@ def test_verify_flag_validation():
     assert main(["nosuchcommand"]) == 2
 
 
+def test_worker_counts_below_one_exit_usage(capsys):
+    assert main(["verify", "radius", "--trials", "5", "--workers", "0"]) == 2
+    assert main(["suite", "--scale", "0.01", "--workers", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("workers must be at least 1") == 2
+
+
 def test_tolerance_overrides(matrix_file, tmp_path):
     out1 = tmp_path / "a.json"
     args = ["verify", "radius", "--trials", "40", "--seed", "2", "--out", str(out1)]

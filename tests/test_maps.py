@@ -1,8 +1,13 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from commrange import maps as maps_mod
+from commrange import suite as suite_mod
 from commrange.matcore import (
     MatrixError,
     hermitian,
@@ -27,6 +32,7 @@ from commrange.maps import (
     apply_map,
     check_preservation,
     identity_map,
+    pool_size,
     sign_flip_invisibility,
 )
 from commrange.pauli2 import psi
@@ -227,6 +233,83 @@ def test_check_preservation_worker_count_invariant():
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
         r2.to_json(), sort_keys=True
     )
+
+
+def test_worker_counts_below_one_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            check_preservation(identity_map(3), MODE_RADIUS, 10, 3, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            suite_mod.run_acceptance_suite(seed=1, scale=0.01, workers=workers)
+
+
+def test_pool_size_clamped_to_cpu_count():
+    # a pure function: asking for 10,000 workers starts no process here
+    assert pool_size(10_000, 2) == 2
+    assert pool_size(3, 8) == 3
+    assert pool_size(5, None) == 1
+
+
+@given(st.integers(1, 10**6), st.one_of(st.none(), st.integers(1, 512)))
+def test_pool_size_bounds(workers, cpu_count):
+    size = pool_size(workers, cpu_count)
+    assert 1 <= size <= workers
+    assert size <= (cpu_count or 1)
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Record every pool the maps module builds and every shutdown."""
+    log = {"max_workers": [], "shutdowns": 0}
+
+    class CountingPool(maps_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log["max_workers"].append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            log["shutdowns"] += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(maps_mod, "ProcessPoolExecutor", CountingPool)
+    return log
+
+
+def test_lone_call_pool_capped_at_chunk_count(pool_log):
+    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
+    serial = check_preservation(m, MODE_RADIUS, 1, 3, 999, workers=1)
+    split = check_preservation(m, MODE_RADIUS, 1, 3, 999, workers=64)
+    assert split.to_json() == serial.to_json()
+    assert pool_log["max_workers"] == [1]  # one trial, one non-empty chunk
+    assert pool_log["shutdowns"] == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_run_builds_one_pool(pool_log):
+    report = suite_mod.run_acceptance_suite(seed=2026, scale=0.02, workers=2)
+    assert report["passed"] is True
+    assert len(pool_log["max_workers"]) == 1
+    assert pool_log["shutdowns"] == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
+    def boom(seed, scale, workers):
+        raise RuntimeError("criterion failed mid-run")
+
+    # criteria 6 and 7 run on the pool before criterion 8 raises
+    criteria = [c if c[0] != 8 else (8, c[1], boom) for c in suite_mod.CRITERIA]
+    monkeypatch.setattr(suite_mod, "CRITERIA", tuple(criteria))
+    with pytest.raises(RuntimeError, match="criterion failed mid-run"):
+        suite_mod.run_acceptance_suite(seed=2026, scale=0.02, workers=2)
+    assert len(pool_log["max_workers"]) == 1
+    assert pool_log["shutdowns"] == 1
+    assert multiprocessing.active_children() == []
+    # the closed pool is not handed to later calls
+    m = MapSpec(dim=3, unitary=np.eye(3))
+    check_preservation(m, MODE_RADIUS, 4, 3, 1, workers=2)
+    assert len(pool_log["max_workers"]) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_sign_flip_invisible_on_projection():
