@@ -6,6 +6,7 @@ from .matcore import (
     EigenDecomposition,
     MatrixError,
     commutator,
+    commutator_spectrum,
     hermitian,
     hermitian_eigen,
     matrix_from_json,

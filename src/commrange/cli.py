@@ -12,7 +12,10 @@ pauli     scaled-Pauli coordinates of a 2x2 Hermitian matrix
 suite     the full acceptance battery
 
 All randomness is seeded (--seed, or the COMMRANGE_SEED environment
-variable); identical invocations produce byte-identical reports.  Exit
+variable); identical invocations produce byte-identical reports.  Each
+option is declared on the subcommands that read it; tolerance overrides
+are --tol.radius, --tol.range and --tol.spectrum on verify and --tol.gap
+and --tol.witness on classify.  Exit
 codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
 falsification event, 4 internal error (a crash, never a verdict).
 """
@@ -25,7 +28,15 @@ import os
 import sys
 import traceback
 
-from .matcore import MatrixError, load_matrix, matrix_to_json, substream
+from .matcore import (
+    DEFAULT_SEED,
+    MAX_DIM,
+    MatrixError,
+    load_matrix,
+    matrix_to_json,
+    random_unitary,
+    substream,
+)
 from .nrange import range_boundary
 from .structure import (
     GAP_TOL,
@@ -43,12 +54,12 @@ from .maps import (
     MODE_RADIUS,
     MODE_RANGE,
     MODE_SPECTRUM,
-    DEFAULT_TOLERANCES,
+    MODES,
+    UNITARY_STREAM,
     MapConfigError,
     MapSpec,
     check_preservation,
 )
-from .matcore import random_unitary
 from .suite import run_acceptance_suite
 
 EXIT_PASS = 0
@@ -57,54 +68,12 @@ EXIT_USAGE = 2
 EXIT_FALSIFICATION = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_SEED = 2026
-
-# Mode tolerances are named after their modes.
-TOLERANCE_NAMES = {
-    **DEFAULT_TOLERANCES,
-    "gap": GAP_TOL,
-    "witness": WITNESS_ASYMMETRY_TOL,
-}
-
 _DAGGER_FLAGS = {"id": DAGGER_IDENTITY, "transpose": DAGGER_TRANSPOSE}
 _SSET_FLAGS = {"empty": "empty", "alld": "all-two-level", "random": "random"}
 
 
 class UsageError(Exception):
     """Raised for invalid flag combinations or malformed inputs."""
-
-
-def _extract_tolerance_overrides(argv):
-    """Pull ``--tol.<name> value`` / ``--tol.<name>=value`` out of argv."""
-    overrides = {}
-    rest = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--tol."):
-            body = token[len("--tol.") :]
-            if "=" in body:
-                name, _, value = body.partition("=")
-            else:
-                name = body
-                i += 1
-                if i >= len(argv):
-                    raise UsageError(f"--tol.{name} needs a value")
-                value = argv[i]
-            if name not in TOLERANCE_NAMES:
-                raise UsageError(
-                    f"unknown tolerance {name!r}; known: {sorted(TOLERANCE_NAMES)}"
-                )
-            try:
-                overrides[name] = float(value)
-            except ValueError:
-                raise UsageError(f"--tol.{name} value {value!r} is not a number")
-            if overrides[name] <= 0:
-                raise UsageError(f"--tol.{name} must be positive")
-        else:
-            rest.append(token)
-        i += 1
-    return overrides, rest
 
 
 def _emit(text: str, out_path) -> None:
@@ -131,6 +100,14 @@ def _resolve_seed(value) -> int:
     return DEFAULT_SEED
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a float above 0 (argparse reports the ValueError)."""
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commrange",
@@ -141,12 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="rng seed (64-bit)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default=None,
-            help="output format (json unless noted)",
-        )
 
     p_verify = sub.add_parser(
         "verify", help="run preservation trials for a preserver form"
@@ -168,12 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shift", choices=("zero", "traceless", "hash"), default="zero"
     )
     p_verify.add_argument("--sset", choices=sorted(_SSET_FLAGS), default="empty")
+    # An unset mode tolerance stays None and selects the mode's default.
+    for mode in MODES:
+        p_verify.add_argument(f"--tol.{mode}", dest=f"tol_{mode}", type=positive_float)
     add_common(p_verify)
 
     p_classify = sub.add_parser(
         "classify", help="two-level classification with witness"
     )
     p_classify.add_argument("matrix_file")
+    for name, default in (("gap", GAP_TOL), ("witness", WITNESS_ASYMMETRY_TOL)):
+        p_classify.add_argument(
+            f"--tol.{name}", dest=f"tol_{name}", type=positive_float, default=default
+        )
     add_common(p_classify)
 
     p_boundary = sub.add_parser(
@@ -203,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args, tol_overrides) -> int:
+def _cmd_verify(args) -> int:
     if args.form == "dim2":
         dim = 2 if args.dim is None else args.dim
         if dim != 2:
@@ -216,13 +194,13 @@ def _cmd_verify(args, tol_overrides) -> int:
         if args.psi:
             raise UsageError("--psi applies to the dim2 form only")
         mode = MODE_RADIUS if args.form == "radius" else MODE_RANGE
-    if not 2 <= dim <= 16:
-        raise UsageError("dimension must be between 2 and 16")
+    if not 2 <= dim <= MAX_DIM:
+        raise UsageError(f"dimension must be between 2 and {MAX_DIM}")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
 
     seed = _resolve_seed(args.seed)
-    unitary = random_unitary(dim, substream(seed, 1 << 62))
+    unitary = random_unitary(dim, substream(seed, UNITARY_STREAM))
     kwargs = dict(
         dim=dim,
         unitary=unitary,
@@ -237,9 +215,12 @@ def _cmd_verify(args, tol_overrides) -> int:
         kwargs.update(epsilon=1, sset=_SSET_FLAGS[args.sset], sset_seed=seed + 3)
     elif args.sset != "empty":
         raise UsageError("--sset applies to the range form only")
+    for other in MODES:
+        if other != mode and getattr(args, f"tol_{other}") is not None:
+            raise UsageError(f"--tol.{other} does not apply to the {args.form} form")
     m = MapSpec(**kwargs)
 
-    tol = tol_overrides.get(mode, DEFAULT_TOLERANCES[mode])
+    tol = getattr(args, f"tol_{mode}")
     report = check_preservation(
         m, mode, args.trials, dim, seed, tol=tol, workers=args.workers
     )
@@ -250,19 +231,17 @@ def _cmd_verify(args, tol_overrides) -> int:
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
 
-def _cmd_classify(args, tol_overrides) -> int:
+def _cmd_classify(args) -> int:
     a = load_matrix(args.matrix_file)
-    gap_tol = tol_overrides.get("gap", TOLERANCE_NAMES["gap"])
-    witness_tol = tol_overrides.get("witness", TOLERANCE_NAMES["witness"])
-    decomp = classify_two_level(a, gap_tol)
+    decomp = classify_two_level(a, args.tol_gap)
     payload = decomp.to_json()
     if decomp.two_level:
         payload["conjugation_unitary"] = matrix_to_json(
-            symmetry_witness_unitary(a, gap_tol)
+            symmetry_witness_unitary(a, args.tol_gap)
         )
         payload["witness"] = None
     else:
-        witness, interval = asymmetry_witness(a, witness_tol)
+        witness, interval = asymmetry_witness(a, args.tol_witness)
         payload["conjugation_unitary"] = None
         payload["witness"] = {
             "matrix": matrix_to_json(witness),
@@ -272,11 +251,9 @@ def _cmd_classify(args, tol_overrides) -> int:
     return EXIT_PASS
 
 
-def _cmd_boundary(args, tol_overrides) -> int:
+def _cmd_boundary(args) -> int:
     if args.angles < 8:
         raise UsageError("--angles must be at least 8")
-    if args.format not in (None, "csv"):
-        raise UsageError("boundary output is CSV only")
     a = load_matrix(args.matrix_file)
     boundary = range_boundary(a, args.angles)
     lines = ["theta,re,im"]
@@ -288,7 +265,7 @@ def _cmd_boundary(args, tol_overrides) -> int:
     return EXIT_PASS
 
 
-def _cmd_equiv(args, tol_overrides) -> int:
+def _cmd_equiv(args) -> int:
     a = load_matrix(args.matrix_file_a)
     b = load_matrix(args.matrix_file_b)
     if args.trials < 1:
@@ -301,13 +278,13 @@ def _cmd_equiv(args, tol_overrides) -> int:
     return EXIT_PASS
 
 
-def _cmd_pauli(args, tol_overrides) -> int:
+def _cmd_pauli(args) -> int:
     a = load_matrix(args.matrix_file)
     _emit(_dump(to_pauli(a).to_json()), args.out)
     return EXIT_PASS
 
 
-def _cmd_suite(args, tol_overrides) -> int:
+def _cmd_suite(args) -> int:
     if args.scale <= 0:
         raise UsageError("--scale must be positive")
     seed = _resolve_seed(args.seed)
@@ -327,19 +304,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        overrides, argv = _extract_tolerance_overrides(argv)
-    except UsageError as exc:
-        print(f"commrange: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return _COMMANDS[args.command](args, overrides)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"commrange: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,17 +35,18 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .matcore import (
+    UNITARY_TOL,
     MatrixError,
     as_matrix,
-    commutator,
+    commutator_spectrum,
     hermitian,
+    is_unitary,
     matrix_from_json,
     matrix_to_json,
     max_abs,
     random_hermitian,
     random_rank_k_hermitian,
     random_unitary,
-    skew_hermitian_eigenvalues,
     substream,
 )
 from .nrange import commutator_interval, intervals_equal
@@ -67,6 +68,10 @@ MODE_RADIUS = "radius"
 MODE_RANGE = "range"
 MODE_SPECTRUM = "spectrum"
 MODES = (MODE_RADIUS, MODE_RANGE, MODE_SPECTRUM)
+
+# Map unitaries are drawn from this stream index of their seed; trials use
+# the indices 0 .. trials-1, so the two never share a stream.
+UNITARY_STREAM = 1 << 62
 
 DEFAULT_TOLERANCES = {
     MODE_RADIUS: 1e-9,
@@ -126,8 +131,8 @@ class MapSpec:
         u = as_matrix(self.unitary)
         if u.shape != (self.dim, self.dim):
             raise MapConfigError("unitary shape does not match dim")
-        if max_abs(u @ u.conj().T - np.eye(self.dim)) > 1e-10:
-            raise MapConfigError("matrix is not unitary to 1e-10")
+        if not is_unitary(u):
+            raise MapConfigError(f"matrix is not unitary to {UNITARY_TOL}")
         object.__setattr__(self, "unitary", u)
         if self.dagger not in (DAGGER_IDENTITY, DAGGER_TRANSPOSE):
             raise MapConfigError(f"unknown dagger {self.dagger!r}")
@@ -275,10 +280,8 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str) -> float:
 def _trial_violation(m: MapSpec, mode: str, n: int, seed: int, index: int) -> float:
     rng = substream(seed, index)
     a, b = sample_trial_pair(n, rng, index)
-    base = skew_hermitian_eigenvalues(commutator(a, b))
-    fa = apply_map(m, a)
-    fb = apply_map(m, b)
-    image = skew_hermitian_eigenvalues(commutator(fa, fb))
+    base = commutator_spectrum(a, b)
+    image = commutator_spectrum(apply_map(m, a), apply_map(m, b))
     return metric_violation(base, image, mode)
 
 

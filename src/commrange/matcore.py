@@ -1,10 +1,11 @@
 """Dense complex matrix core for small (n <= 16) operator computations.
 
 Provides validated constructors for general and Hermitian matrices, the
-commutator, the package's one eigen route (LAPACK through ``numpy.linalg``)
-for Hermitian and skew-Hermitian matrices, numeric rank, seeded random
-sampling (GUE / Haar unitary / low rank), and the JSON wire format shared
-by the whole package.
+symmetry and unitarity tests, the commutator, the package's one eigen route
+(LAPACK through ``numpy.linalg``) for Hermitian and skew-Hermitian matrices
+and for the commutator spectrum of a Hermitian pair, numeric rank, seeded
+random sampling (GUE / Haar unitary / low rank), and the JSON wire format
+shared by the whole package.
 
 All functions are pure: inputs are never mutated and every sampler draws
 from an explicitly supplied generator, so results are reproducible and
@@ -24,6 +25,8 @@ MAX_DIM = 16
 # rank 1e-9.  Decades apart so a pass at one level cannot trip the next.
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-9
+# ||U U* - I||_max bound for a matrix accepted as unitary.
+UNITARY_TOL = 1e-10
 
 
 class MatrixError(ValueError):
@@ -55,6 +58,12 @@ def is_hermitian(m: np.ndarray, skew: bool = False) -> bool:
     1e-12 * max(1, ||M||_max); the package's one symmetry test."""
     defect = max_abs(m + m.conj().T if skew else m - m.conj().T)
     return defect <= HERMITIAN_TOL * max(1.0, max_abs(m))
+
+
+def is_unitary(u: np.ndarray) -> bool:
+    """True iff ||U U* - I||_max is at most 1e-10; the package's one
+    unitarity test."""
+    return max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= UNITARY_TOL
 
 
 def hermitian(a) -> np.ndarray:
@@ -119,6 +128,22 @@ def skew_hermitian_eigenvalues(c) -> np.ndarray:
     return np.linalg.eigvalsh(_within_max_dim((h + h.conj().T) / 2))
 
 
+def commutator_spectrum(a, b) -> np.ndarray:
+    """Ascending t_k with sigma([A, B]) = {i t_k} for Hermitian A, B.
+
+    A and B are validated once with :func:`hermitian`.  For Hermitian
+    inputs BA = (AB)*, so -i[A, B] is formed as -i(P - P*) with P = AB,
+    which is exactly Hermitian: no roundoff of order eps * ||A|| ||B|| is
+    left to test against the size of the commutator.
+    """
+    a = hermitian(a)
+    b = hermitian(b)
+    if a.shape != b.shape:
+        raise MatrixError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    p = _within_max_dim(a) @ b
+    return np.linalg.eigvalsh(-1j * (p - p.conj().T))
+
+
 def rank_numeric(a, tol: float = RANK_TOL) -> int:
     """Numeric rank: singular values above tol * max(1, s_max)."""
     if tol <= 0:
@@ -132,6 +157,9 @@ def rank_numeric(a, tol: float = RANK_TOL) -> int:
 # (seed, index), so any (seed, index) pair can be opened independently and
 # in any order without affecting other streams.
 # ---------------------------------------------------------------------------
+
+# The seed of a run that names none.
+DEFAULT_SEED = 2026
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:

@@ -1,12 +1,15 @@
 """Numerical range W(A) and numerical radius w(A) for small matrices.
 
-The general path is a support-function sweep over directions theta; the
-package's main consumers deal in commutators of Hermitian matrices, which
-are skew-Hermitian and hence normal, so their range is the exact segment
-i[t_min, t_max] spanned by the spectrum.  That interval is always computed
-from the spectrum, never from the sweep; the sweep exists for general
-matrices, for oracle duty and for boundary export.  Every eigenvalue, on
-either path, comes from LAPACK through ``numpy.linalg``.
+The general path is a support-function sweep over directions theta: one
+builder forms the support matrices H_theta for an array of angles, and
+``support_value``, the ``numerical_radius`` grid and ``range_boundary``
+each make one stacked LAPACK call on them.  The package's main consumers
+deal in commutators of Hermitian matrices, which are skew-Hermitian and
+hence normal, so their range is the exact segment i[t_min, t_max] spanned
+by ``matcore.commutator_spectrum``, never the sweep; the sweep exists for
+general matrices, for oracle duty and for boundary export.  Radii of
+commutators against rank-1 projections, w([A, x x*]), come from one
+closed-form kernel over a stack of unit vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .matcore import (
     MatrixError,
     as_matrix,
-    commutator,
+    commutator_spectrum,
     hermitian,
     hermitian_eigen,
     is_hermitian,
@@ -48,8 +51,15 @@ class RangeBoundary:
     vectors: np.ndarray
 
 
-def _support_hermitian(a, theta: float) -> np.ndarray:
-    return (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
+def _support_matrices(a: np.ndarray, thetas) -> np.ndarray:
+    """H_theta = (e^{-i theta} A + e^{i theta} A*)/2 for a validated A,
+    stacked over the shape of ``thetas`` (a scalar angle gives one matrix)."""
+    t = np.asarray(thetas, dtype=float)[..., None, None]
+    return (np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2
+
+
+def _top_support(a: np.ndarray, thetas) -> np.ndarray:
+    return np.linalg.eigvalsh(_support_matrices(a, thetas))[..., -1]
 
 
 def support_value(a, theta: float) -> float:
@@ -57,8 +67,7 @@ def support_value(a, theta: float) -> float:
 
     Equals the top eigenvalue of H_theta = (e^{-i theta} A + e^{i theta} A*)/2.
     """
-    a = as_matrix(a)
-    return float(np.linalg.eigvalsh(_support_hermitian(a, theta))[-1])
+    return float(_top_support(as_matrix(a), theta))
 
 
 def numerical_radius(a) -> float:
@@ -78,11 +87,7 @@ def numerical_radius(a) -> float:
         return float(np.abs(ts).max())
 
     thetas = np.linspace(0.0, 2.0 * np.pi, SWEEP_ANGLES, endpoint=False)
-    batch = (
-        np.exp(-1j * thetas)[:, None, None] * a
-        + np.exp(1j * thetas)[:, None, None] * a.conj().T
-    ) / 2
-    vals = np.linalg.eigvalsh(batch)[:, -1]
+    vals = _top_support(a, thetas)
     k = int(np.argmax(vals))
     best = float(vals[k])
 
@@ -90,18 +95,18 @@ def numerical_radius(a) -> float:
     lo, hi = thetas[k] - step, thetas[k] + step
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc = support_value(a, c)
-    fd = support_value(a, d)
+    fc = float(_top_support(a, c))
+    fd = float(_top_support(a, d))
     best = max(best, fc, fd)
     while hi - lo > SWEEP_REFINE_WIDTH:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
-            fc = support_value(a, c)
+            fc = float(_top_support(a, c))
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
-            fd = support_value(a, d)
+            fd = float(_top_support(a, d))
         best = max(best, fc, fd)
     return best
 
@@ -109,7 +114,7 @@ def numerical_radius(a) -> float:
 def commutator_interval(a, b) -> CommutatorInterval:
     """W([A, B]) = i[t_min, t_max] for Hermitian A, B, exactly from the
     spectrum of the (skew-Hermitian, hence normal) commutator."""
-    ts = skew_hermitian_eigenvalues(commutator(hermitian(a), hermitian(b)))
+    ts = commutator_spectrum(a, b)
     return CommutatorInterval(float(ts[0]), float(ts[-1]))
 
 
@@ -132,6 +137,15 @@ def intervals_equal(
     )
 
 
+def _rank1_radii(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """w([A, x x*]) for a validated Hermitian A and each row x of ``xs``,
+    a stack of unit vectors; see :func:`rank1_commutator_radius`."""
+    axs = xs @ a.T
+    mean = np.einsum("kj,kj->k", xs.conj(), axs).real
+    second = np.einsum("kj,kj->k", axs.conj(), axs).real
+    return np.sqrt(np.maximum(0.0, second - mean * mean))
+
+
 def rank1_commutator_radius(a, x) -> float:
     """w([A, x (x)* ]) for Hermitian A and a unit vector x, in closed form.
 
@@ -144,10 +158,7 @@ def rank1_commutator_radius(a, x) -> float:
         raise MatrixError("vector length does not match matrix dimension")
     if abs(np.linalg.norm(x) - 1.0) > 1e-12:
         raise MatrixError("x must be a unit vector")
-    ax = a @ x
-    mean = np.vdot(x, ax).real
-    second = np.vdot(ax, ax).real
-    return float(np.sqrt(max(0.0, second - mean * mean)))
+    return float(_rank1_radii(a, x[None, :])[0])
 
 
 def range_boundary(a, n_angles: int) -> RangeBoundary:
@@ -157,11 +168,7 @@ def range_boundary(a, n_angles: int) -> RangeBoundary:
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    points = np.empty(n_angles, dtype=complex)
-    vectors = np.empty((n_angles, a.shape[0]), dtype=complex)
-    for i, theta in enumerate(angles):
-        _, vecs = np.linalg.eigh(_support_hermitian(a, theta))
-        v = vecs[:, -1]
-        points[i] = np.vdot(v, a @ v)
-        vectors[i] = v
+    _, vecs = np.linalg.eigh(_support_matrices(a, angles))
+    vectors = np.ascontiguousarray(vecs[..., -1])
+    points = np.einsum("kj,kj->k", vectors.conj(), vectors @ a.T)
     return RangeBoundary(points=points, angles=angles, vectors=vectors)

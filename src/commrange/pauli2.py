@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import MatrixError, as_matrix, hermitian, max_abs
+from .matcore import MatrixError, as_matrix, hermitian, is_unitary
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -101,14 +101,14 @@ def unitary_to_rotation(u) -> Rotation3:
     u = as_matrix(u)
     if u.shape != (2, 2):
         raise MatrixError("expected a 2x2 unitary")
-    if max_abs(u @ u.conj().T - np.eye(2)) > 1e-10:
+    if not is_unitary(u):
         raise MatrixError("matrix is not unitary")
     cols = []
     for basis in PAULI_BASIS:
         v = to_pauli(u @ basis @ u.conj().T)
         cols.append(v.coords)
     t = np.stack(cols, axis=1)
-    if max_abs(t.T @ t - np.eye(3)) > 1e-10:
+    if not is_unitary(t):
         raise MatrixError("induced coordinate map failed orthogonality")
     det = float(np.linalg.det(t))
     return Rotation3(matrix=t, det_sign=int(round(det)))

@@ -30,11 +30,7 @@ from .matcore import (
     max_abs,
     random_unit_vector,
 )
-from .nrange import (
-    CommutatorInterval,
-    commutator_interval,
-    rank1_commutator_radius,
-)
+from .nrange import CommutatorInterval, _rank1_radii, commutator_interval
 
 GAP_TOL = 1e-6
 WITNESS_ASYMMETRY_TOL = 1e-6
@@ -287,22 +283,22 @@ def radius_equivalence_check(
     so the closed form is tried first (sampling alone could only ever
     falsify a universally quantified statement, not verify it).  When no
     algebraic relation holds, Haar-sampled projections hunt for a
-    separating gap; "not-related" requires a gap above 1e-6.
+    separating gap; "not-related" requires a gap above 1e-6.  The vectors
+    are drawn one by one with ``random_unit_vector``; the witness vector is
+    the first of them attaining ``worst_gap``.
     """
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
-    match = affine_sign_match(a, b)
     a = hermitian(a)
     b = hermitian(b)
+    match = affine_sign_match(a, b)
     n = a.shape[0]
 
-    worst_gap = 0.0
-    worst_x = None
-    for _ in range(n_projections):
-        x = random_unit_vector(n, rng)
-        gap = abs(rank1_commutator_radius(a, x) - rank1_commutator_radius(b, x))
-        if gap > worst_gap:
-            worst_gap, worst_x = gap, x
+    xs = np.stack([random_unit_vector(n, rng) for _ in range(n_projections)])
+    gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
+    k = int(np.argmax(gaps))
+    worst_gap = float(gaps[k])
+    worst_x = xs[k].copy() if worst_gap > 0.0 else None
 
     if match is not None:
         return RadiusEquivalenceVerdict(

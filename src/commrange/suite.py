@@ -16,14 +16,15 @@ import json
 import numpy as np
 
 from .matcore import (
+    DEFAULT_SEED,
     commutator,
+    commutator_spectrum,
     hermitian,
     max_abs,
     random_hermitian,
     random_unit_vector,
     random_unitary,
     rank_numeric,
-    skew_hermitian_eigenvalues,
     substream,
 )
 from .nrange import (
@@ -60,6 +61,7 @@ from .maps import (
     SSET_ALL,
     SSET_EMPTY,
     SSET_RANDOM,
+    UNITARY_STREAM,
     MapSpec,
     _random_two_level,
     check_preservation,
@@ -67,8 +69,6 @@ from .maps import (
     sample_trial_pair,
     worker_pool,
 )
-
-_STREAM_UNITARY = 1 << 62
 
 
 def _derived_seed(seed: int, label: str) -> int:
@@ -82,8 +82,19 @@ def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
 
 
-def _haar_unitary_for(seed: int, label: str, n: int) -> np.ndarray:
-    return random_unitary(n, substream(_derived_seed(seed, label), _STREAM_UNITARY))
+def _seeded_spec(seed: int, label: str, n: int, **rules) -> MapSpec:
+    """The map with ``rules`` whose Haar unitary is derived from ``label``
+    and whose sign, shift and set seeds from ``label`` plus ":h", ":f" and
+    ":s"; a seed its rules do not use is never read."""
+    unitary_rng = substream(_derived_seed(seed, label), UNITARY_STREAM)
+    return MapSpec(
+        dim=n,
+        unitary=random_unitary(n, unitary_rng),
+        sign_seed=_derived_seed(seed, label + ":h"),
+        shift_seed=_derived_seed(seed, label + ":f"),
+        sset_seed=_derived_seed(seed, label + ":s"),
+        **rules,
+    )
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -315,14 +326,8 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
             for sign in (SIGN_PLUS, SIGN_HASH):
                 for shift in (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH):
                     label = f"radius:{n}:{dagger}:{sign}:{shift}"
-                    m = MapSpec(
-                        dim=n,
-                        unitary=_haar_unitary_for(seed, label, n),
-                        dagger=dagger,
-                        sign=sign,
-                        sign_seed=_derived_seed(seed, label + ":h"),
-                        shift=shift,
-                        shift_seed=_derived_seed(seed, label + ":f"),
+                    m = _seeded_spec(
+                        seed, label, n, dagger=dagger, sign=sign, shift=shift
                     )
                     report = check_preservation(
                         m,
@@ -369,14 +374,8 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     for epsilon in (1, -1):
         for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM):
             label = f"range:{n}:{epsilon}:{sset}"
-            m = MapSpec(
-                dim=n,
-                unitary=_haar_unitary_for(seed, label, n),
-                epsilon=epsilon,
-                sset=sset,
-                sset_seed=_derived_seed(seed, label + ":s"),
-                shift=SHIFT_HASH,
-                shift_seed=_derived_seed(seed, label + ":f"),
+            m = _seeded_spec(
+                seed, label, n, epsilon=epsilon, sset=sset, shift=SHIFT_HASH
             )
             report = check_preservation(
                 m,
@@ -398,12 +397,7 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
             )
 
     label = "range-transpose"
-    m_t = MapSpec(
-        dim=n,
-        unitary=_haar_unitary_for(seed, label, n),
-        dagger=DAGGER_TRANSPOSE,
-        epsilon=1,
-    )
+    m_t = _seeded_spec(seed, label, n, dagger=DAGGER_TRANSPOSE, epsilon=1)
     refute = check_preservation(
         m_t,
         MODE_RANGE,
@@ -437,16 +431,8 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     for dagger in (DAGGER_IDENTITY, DAGGER_TRANSPOSE):
         for mirror in (False, True):
             label = f"dim2:{dagger}:{mirror}"
-            m = MapSpec(
-                dim=2,
-                unitary=_haar_unitary_for(seed, label, 2),
-                dagger=dagger,
-                psi=mirror,
-                sign=SIGN_HASH,
-                sign_seed=_derived_seed(seed, label + ":h"),
-                shift=SHIFT_HASH,
-                shift_seed=_derived_seed(seed, label + ":f"),
-            )
+            rules = dict(dagger=dagger, psi=mirror, sign=SIGN_HASH, shift=SHIFT_HASH)
+            m = _seeded_spec(seed, label, 2, **rules)
             mode_violations = {}
             run_seed = _derived_seed(seed, label + ":trials")
             for mode, tol in (
@@ -479,8 +465,8 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     for i in range(agree_trials):
         rng = substream(agree_seed, i)
         a, b = sample_trial_pair(2, rng, i)
-        base = skew_hermitian_eigenvalues(commutator(a, b))
-        image = skew_hermitian_eigenvalues(commutator(2.0 * a, 2.0 * b))
+        base = commutator_spectrum(a, b)
+        image = commutator_spectrum(2.0 * a, 2.0 * b)
         violations = [metric_violation(base, image, mode) for mode in MODES]
         if max(violations) - min(violations) > 1e-12:
             agreement_ok = False
@@ -593,14 +579,7 @@ def crit_determinism_probe(seed: int, scale: float, workers: int) -> dict:
     """Identical seeds reproduce identical serialized reports, including
     across worker counts."""
     label = "determinism"
-    m = MapSpec(
-        dim=3,
-        unitary=_haar_unitary_for(seed, label, 3),
-        sign=SIGN_HASH,
-        sign_seed=_derived_seed(seed, label + ":h"),
-        shift=SHIFT_HASH,
-        shift_seed=_derived_seed(seed, label + ":f"),
-    )
+    m = _seeded_spec(seed, label, 3, sign=SIGN_HASH, shift=SHIFT_HASH)
     run_seed = _derived_seed(seed, label + ":trials")
     trials = _count(40, scale)
     blobs = []
@@ -631,7 +610,9 @@ CRITERIA = (
 )
 
 
-def run_acceptance_suite(seed: int = 2026, scale: float = 1.0, workers: int = 1) -> dict:
+def run_acceptance_suite(
+    seed: int = DEFAULT_SEED, scale: float = 1.0, workers: int = 1
+) -> dict:
     """Run the whole battery; the report is deterministic in (seed, scale).
 
     Every parallel ``check_preservation`` call of the run shares one spawn

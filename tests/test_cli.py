@@ -189,6 +189,27 @@ def test_tolerance_overrides(matrix_file, tmp_path):
     assert main(args + ["--tol.radius"]) == 2
 
 
+def test_tolerance_options_belong_to_their_subcommand(matrix_file, capsys):
+    assert main(["suite", "--scale", "0.01", "--tol.radius", "1e-3"]) == 2
+    assert main(["verify", "radius", "--trials", "5", "--tol.range", "1e-3"]) == 2
+    assert main(["verify", "dim2", "--trials", "5", "--tol.radius", "1e-3"]) == 2
+    path = matrix_file("a.json", np.diag([1.0, 1.1, 3.0]))
+    assert main(["classify", path, "--tol.radius", "1e-3"]) == 2
+    capsys.readouterr()
+    assert main(["classify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["two_level"] is False
+    assert main(["classify", path, "--tol.gap", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["two_level"] is True
+    assert main(["classify", path, "--tol.gap", "-0.5"]) == 2
+
+
+def test_format_option_removed(matrix_file):
+    # boundary writes CSV and every other report is JSON; nothing to select
+    assert main(["verify", "dim2", "--trials", "5", "--format", "csv"]) == 2
+    path = matrix_file("m.json", np.eye(2))
+    assert main(["boundary", path, "--format", "csv"]) == 2
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commrange import matcore
+from commrange.maps import MapConfigError, MapSpec
 from commrange.matcore import (
+    MAX_DIM,
     MatrixError,
     commutator,
+    commutator_spectrum,
     hermitian,
     hermitian_eigen,
+    is_unitary,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -22,7 +26,8 @@ from commrange.matcore import (
     skew_hermitian_eigenvalues,
     substream,
 )
-from commrange.pauli2 import PAULI_X, PAULI_Y, PAULI_Z
+from commrange.nrange import commutator_interval
+from commrange.pauli2 import PAULI_X, PAULI_Y, PAULI_Z, unitary_to_rotation
 
 
 def test_as_matrix_rejects_bad_input():
@@ -197,6 +202,79 @@ def test_skew_eigenvalues_near_commuting_large_pair():
     u = random_unitary(5, substream(2, 0))
     b = hermitian(u @ u.conj().T)
     skew_hermitian_eigenvalues(commutator(a, b))
+
+
+def _near_commuting_large_pair(i):
+    # A with entries ~1e4 and B = I up to rounding: the pairs on which the
+    # skew test of a formed commutator refuses valid input.
+    a = 1e4 * random_hermitian(5, substream(1, i))
+    u = random_unitary(5, substream(2, i))
+    return a, hermitian(u @ u.conj().T)
+
+
+def test_commutator_spectrum_near_commuting_large_pairs():
+    for i in range(200):
+        a, b = _near_commuting_large_pair(i)
+        ts = commutator_spectrum(a, b)
+        iv = commutator_interval(a, b)
+        assert (iv.t_min, iv.t_max) == (ts[0], ts[-1])
+        ref = np.sort(np.linalg.eigvals(a @ b - b @ a).imag)
+        bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        assert np.abs(ts - ref).max() <= bound
+
+
+def test_commutator_spectrum_matches_general_eigensolver():
+    for i in range(200):
+        rng = substream(15, i)
+        n = 1 + i % MAX_DIM
+        a = random_hermitian(n, rng)
+        b = random_rank_k_hermitian(n, 1 + i % n, rng)
+        ref = np.sort(np.linalg.eigvals(a @ b - b @ a).imag)
+        bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        assert np.abs(commutator_spectrum(a, b) - ref).max() <= bound
+
+
+def test_commutator_spectrum_rejects_bad_input():
+    with pytest.raises(MatrixError):
+        commutator_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(MatrixError):
+        commutator_spectrum(np.eye(2), np.eye(3))
+    with pytest.raises(MatrixError):
+        commutator_spectrum(np.eye(MAX_DIM + 1), np.eye(MAX_DIM + 1))
+
+
+@_PROPERTY_SETTINGS
+@given(
+    _DIMS.flatmap(
+        lambda n: st.tuples(
+            _repeated_spectrum_hermitian(n), _repeated_spectrum_hermitian(n)
+        )
+    )
+)
+def test_commutator_spectrum_property_antisymmetric(pair):
+    # sigma([B, A]) = -sigma([A, B]); the two sides round differently, by
+    # a few eps * ||A|| ||B||
+    a, b = pair
+    ab = commutator_spectrum(a, b)
+    ba = commutator_spectrum(b, a)
+    bound = 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    assert np.abs(ba + ab[::-1]).max() <= bound
+
+
+def test_is_unitary_bound_pinned():
+    # one bound, UNITARY_TOL = 1e-10 on ||U U* - I||_max, for every caller
+    for defect, ok in ((5e-11, True), (5e-10, False)):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = defect
+        assert is_unitary(u) == ok
+        if ok:
+            MapSpec(dim=2, unitary=u)
+            unitary_to_rotation(u)
+        else:
+            with pytest.raises(MapConfigError):
+                MapSpec(dim=2, unitary=u)
+            with pytest.raises(MatrixError):
+                unitary_to_rotation(u)
 
 
 @_PROPERTY_SETTINGS

@@ -269,6 +269,30 @@ def test_boundary_hull_contains_samples():
         assert np.all((phases * q).real <= support + 1e-6)
 
 
+def _boundary_per_angle(a, n_angles):
+    # reference: one eigh call per support angle
+    points, vectors = [], []
+    for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+        h = (np.exp(-1j * theta) * a + np.exp(1j * theta) * a.conj().T) / 2
+        v = np.linalg.eigh(h)[1][:, -1]
+        points.append(np.vdot(v, a @ v))
+        vectors.append(v)
+    return np.array(points), np.array(vectors)
+
+
+def test_boundary_matches_per_angle_reference():
+    for i in range(60):
+        rng = substream(33, i)
+        n = 1 + i % 8
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        boundary = range_boundary(a, 96)
+        points, vectors = _boundary_per_angle(a, 96)
+        scale = max(1.0, np.abs(a).max())
+        assert np.abs(boundary.points - points).max() <= 1e-12 * scale
+        overlaps = np.abs(np.einsum("kj,kj->k", vectors.conj(), boundary.vectors))
+        assert np.abs(overlaps - 1.0).max() <= 1e-12
+
+
 def test_boundary_rejects_few_angles():
     with pytest.raises(ValueError):
         range_boundary(np.eye(2), 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from commrange import matcore
 from commrange.matcore import (
     MatrixError,
     commutator,
@@ -174,6 +175,52 @@ def test_equivalence_squared_form_consequence():
             lhs = np.vdot(z, b @ y) ** 2
             rhs = np.vdot(z, a @ y) ** 2
             assert abs(lhs - rhs) <= 1e-9
+
+
+def test_equivalence_validates_once(monkeypatch):
+    # input validation is per call, not per sampled projection
+    calls = []
+
+    def counting_as_matrix(a):
+        calls.append(1)
+        return as_matrix(a)
+
+    as_matrix = matcore.as_matrix
+    monkeypatch.setattr(matcore, "as_matrix", counting_as_matrix)
+    a = random_hermitian(4, substream(48, 0))
+    b = hermitian(a + np.diag([0.0, 0.0, 0.0, 1.0]))
+    counts = []
+    for n_projections in (1, 200):
+        calls.clear()
+        radius_equivalence_check(a, b, n_projections, substream(48, 1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _rank1_radius_reference(a, x):
+    ax = a @ x
+    return np.sqrt(max(0.0, np.vdot(ax, ax).real - np.vdot(x, ax).real ** 2))
+
+
+def test_equivalence_matches_per_vector_reference():
+    # worst_gap and its witness against the closed form, one vector at a time
+    for i in range(100):
+        rng = substream(49, i)
+        n = 2 + i % 5
+        a = random_hermitian(n, rng)
+        x = random_unit_vector(n, rng)
+        b = hermitian(a + float(rng.uniform(-1.0, 1.0)) * np.outer(x, x.conj()))
+        verdict = radius_equivalence_check(a, b, 200, substream(50, i))
+        draws = substream(50, i)
+        gaps = []
+        for _ in range(200):
+            y = random_unit_vector(n, draws)
+            ref_a, ref_b = _rank1_radius_reference(a, y), _rank1_radius_reference(b, y)
+            gaps.append(abs(ref_a - ref_b))
+        assert abs(verdict.worst_gap - max(gaps)) <= 1e-12
+        w = verdict.witness_vector
+        w_gap = abs(_rank1_radius_reference(a, w) - _rank1_radius_reference(b, w))
+        assert abs(w_gap - max(gaps)) <= 1e-12
 
 
 def test_probe_entries_exact():
