@@ -32,16 +32,13 @@ from .nrange import (
     support_value,
 )
 from .structure import (
-    OffDiagProbe,
     RadiusEquivalenceVerdict,
     TwoLevelDecomposition,
     WitnessSearchError,
     affine_sign_match,
     asymmetry_witness,
     classify_two_level,
-    find_rank3_probe,
     independence_vector,
-    probe_matrix,
     radius_equivalence_check,
     symmetry_witness_unitary,
 )
@@ -53,7 +50,6 @@ from .pauli2 import (
     Rotation3,
     cross_commutator,
     from_pauli,
-    pauli_probe_radius_match,
     psi,
     to_pauli,
     unitary_to_rotation,
@@ -64,8 +60,6 @@ from .maps import (
     PreservationReport,
     apply_map,
     check_preservation,
-    identity_map,
-    sign_flip_invisibility,
 )
 
 __version__ = "0.1.0"

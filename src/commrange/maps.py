@@ -37,8 +37,8 @@ import numpy as np
 from .matcore import (
     UNITARY_TOL,
     MatrixError,
+    _commutator_spectrum,
     as_matrix,
-    commutator_spectrum,
     hermitian,
     is_unitary,
     matrix_from_json,
@@ -49,9 +49,8 @@ from .matcore import (
     random_unitary,
     substream,
 )
-from .nrange import commutator_interval, intervals_equal
-from .structure import asymmetry_witness, classify_two_level
-from .pauli2 import psi
+from .structure import GAP_TOL, _two_level
+from .pauli2 import _psi
 
 DAGGER_IDENTITY = "identity"
 DAGGER_TRANSPOSE = "transpose"
@@ -112,7 +111,8 @@ class MapSpec:
     sign rule applies; when +/-1 the map is a range-mode form whose sign is
     epsilon, flipped on members of the exceptional set.  Exceptional-set
     presets only ever admit two-level matrices, so the required inclusion
-    holds by construction.
+    holds by construction.  The rule methods take a Hermitian matrix that
+    ``apply_map`` has already validated.
     """
 
     dim: int
@@ -164,7 +164,7 @@ class MapSpec:
     def sset_member(self, a: np.ndarray) -> bool:
         if self.sset == SSET_EMPTY:
             return False
-        if not classify_two_level(a).two_level:
+        if not _two_level(a, GAP_TOL).two_level:
             return False
         if self.sset == SSET_ALL:
             return True
@@ -201,15 +201,23 @@ class MapSpec:
 
 
 def apply_map(m: MapSpec, a) -> np.ndarray:
-    """Evaluate the map on a Hermitian matrix; output re-validated Hermitian.
+    """Evaluate the map on a Hermitian matrix.
 
-    Sign, shift and set rules are evaluated on the input matrix, not on the
-    conjugated core.
+    A is validated here, once, with ``hermitian``, and its dimension is
+    checked against the map's; ``check_preservation`` skips this step for
+    its sampled pairs, which are exactly Hermitian already.  Sign, shift
+    and set rules are evaluated on A, not on the conjugated core.  The
+    image s * U core U* + f * I is formed inexactly, so it is validated
+    with ``hermitian`` before it is returned.
     """
     a = hermitian(a)
     if a.shape[0] != m.dim:
         raise MatrixError(f"matrix dim {a.shape[0]} does not match map dim {m.dim}")
-    core = psi(a) if m.psi else a
+    return _apply_map(m, a)
+
+
+def _apply_map(m: MapSpec, a: np.ndarray) -> np.ndarray:
+    core = _psi(a) if m.psi else a
     if m.dagger == DAGGER_TRANSPOSE:
         core = core.T
     core = m.unitary @ core @ m.unitary.conj().T
@@ -219,11 +227,6 @@ def apply_map(m: MapSpec, a) -> np.ndarray:
         s = m.epsilon * (-1 if m.sset_member(a) else 1)
     f = m.shift_value(a)
     return hermitian(s * core + f * np.eye(m.dim))
-
-
-def identity_map(dim: int) -> MapSpec:
-    """The identity as a map spec (handy baseline)."""
-    return MapSpec(dim=dim, unitary=np.eye(dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +283,8 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str) -> float:
 def _trial_violation(m: MapSpec, mode: str, n: int, seed: int, index: int) -> float:
     rng = substream(seed, index)
     a, b = sample_trial_pair(n, rng, index)
-    base = commutator_spectrum(a, b)
-    image = commutator_spectrum(apply_map(m, a), apply_map(m, b))
+    base = _commutator_spectrum(a, b)
+    image = _commutator_spectrum(_apply_map(m, a), _apply_map(m, b))
     return metric_violation(base, image, mode)
 
 
@@ -439,29 +442,3 @@ def check_preservation(
         first_violation_index=first_idx,
         first_counterexample=counterexample,
     )
-
-
-def sign_flip_invisibility(
-    m: MapSpec, a, trials: int, rng: np.random.Generator, tol: float = 1e-8
-) -> bool:
-    """True iff flipping the sign of the map on the single input A leaves
-    every sampled commutator interval unchanged.
-
-    Guaranteed True for two-level A.  For other A the asymmetry witness of
-    Phi(A) (when the dimension admits one) is tried first, making the
-    False verdict deterministic rather than sampling luck.
-    """
-    phi_a = apply_map(m, a)
-    probes = []
-    if m.dim >= 3:
-        witness = asymmetry_witness(phi_a)
-        if witness is not None:
-            probes.append(witness[0])
-    for _ in range(trials):
-        probes.append(apply_map(m, random_hermitian(m.dim, rng)))
-    for b in probes:
-        iv_plus = commutator_interval(phi_a, b)
-        iv_minus = commutator_interval(-phi_a, b)
-        if not intervals_equal(iv_plus, iv_minus, tol):
-            return False
-    return True

@@ -7,6 +7,11 @@ and for the commutator spectrum of a Hermitian pair, numeric rank, seeded
 random sampling (GUE / Haar unitary / low rank), and the JSON wire format
 shared by the whole package.
 
+``as_matrix`` is the one home of the dimension limit ``MAX_DIM``: every
+public function that takes a matrix validates it there (through
+``hermitian`` for Hermitian input) once, and private kernels (leading
+underscore) trust the matrices they are given.
+
 All functions are pure: inputs are never mutated and every sampler draws
 from an explicitly supplied generator, so results are reproducible and
 independent of call order.
@@ -42,12 +47,17 @@ def max_abs(a) -> float:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate a as a square complex matrix with finite entries."""
+    """Validate a as a square complex matrix with finite entries and
+    dimension 1 to ``MAX_DIM``."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise MatrixError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise MatrixError("matrix must have positive dimension")
+    if m.shape[0] > MAX_DIM:
+        raise MatrixError(
+            f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}"
+        )
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise MatrixError("matrix entries must be finite")
     return m
@@ -100,17 +110,15 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def _within_max_dim(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    if n > MAX_DIM:
-        raise MatrixError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    return m
-
-
 def hermitian_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a complex Hermitian matrix by LAPACK
     (``numpy.linalg.eigh``), eigenvalues ascending."""
-    return EigenDecomposition(*np.linalg.eigh(_within_max_dim(hermitian(a))))
+    return EigenDecomposition(*np.linalg.eigh(hermitian(a)))
+
+
+def _skew_eigenvalues(m: np.ndarray) -> np.ndarray:
+    h = -1j * m
+    return np.linalg.eigvalsh((h + h.conj().T) / 2)
 
 
 def skew_hermitian_eigenvalues(c) -> np.ndarray:
@@ -124,8 +132,21 @@ def skew_hermitian_eigenvalues(c) -> np.ndarray:
         raise MatrixError(
             f"matrix is not skew-Hermitian (defect {max_abs(m + m.conj().T):.3e})"
         )
-    h = -1j * m
-    return np.linalg.eigvalsh(_within_max_dim((h + h.conj().T) / 2))
+    return _skew_eigenvalues(m)
+
+
+def _hermitian_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and B validated with :func:`hermitian` and of equal dimension."""
+    a = hermitian(a)
+    b = hermitian(b)
+    if a.shape != b.shape:
+        raise MatrixError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
+
+
+def _commutator_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    p = a @ b
+    return np.linalg.eigvalsh(-1j * (p - p.conj().T))
 
 
 def commutator_spectrum(a, b) -> np.ndarray:
@@ -136,19 +157,14 @@ def commutator_spectrum(a, b) -> np.ndarray:
     which is exactly Hermitian: no roundoff of order eps * ||A|| ||B|| is
     left to test against the size of the commutator.
     """
-    a = hermitian(a)
-    b = hermitian(b)
-    if a.shape != b.shape:
-        raise MatrixError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    p = _within_max_dim(a) @ b
-    return np.linalg.eigvalsh(-1j * (p - p.conj().T))
+    return _commutator_spectrum(*_hermitian_pair(a, b))
 
 
 def rank_numeric(a, tol: float = RANK_TOL) -> int:
     """Numeric rank: singular values above tol * max(1, s_max)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    svals = np.linalg.svd(_within_max_dim(as_matrix(a)), compute_uv=False)
+    svals = np.linalg.svd(as_matrix(a), compute_uv=False)
     return int(np.count_nonzero(svals > tol * max(1.0, float(svals[0]))))
 
 

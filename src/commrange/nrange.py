@@ -21,12 +21,11 @@ import numpy as np
 
 from .matcore import (
     MatrixError,
+    _skew_eigenvalues,
     as_matrix,
     commutator_spectrum,
     hermitian,
-    hermitian_eigen,
     is_hermitian,
-    skew_hermitian_eigenvalues,
 )
 
 SWEEP_ANGLES = 720
@@ -80,11 +79,10 @@ def numerical_radius(a) -> float:
     """
     a = as_matrix(a)
     if is_hermitian(a):
-        eigs = hermitian_eigen(a).eigenvalues
+        eigs = np.linalg.eigh((a + a.conj().T) / 2)[0]
         return float(np.abs(eigs).max())
     if is_hermitian(a, skew=True):
-        ts = skew_hermitian_eigenvalues(a)
-        return float(np.abs(ts).max())
+        return float(np.abs(_skew_eigenvalues(a)).max())
 
     thetas = np.linspace(0.0, 2.0 * np.pi, SWEEP_ANGLES, endpoint=False)
     vals = _top_support(a, thetas)

@@ -120,38 +120,12 @@ def psi(a) -> np.ndarray:
     [[a, c+id], [c-id, b]] -> [[a, -c+id], [-c-id, b]]; an involution, and
     the Pauli-coordinate reflection (a1, a2, a3) -> (-a1, a2, a3).
     """
-    m = _require_2x2(a)
+    return _psi(_require_2x2(a))
+
+
+def _psi(m: np.ndarray) -> np.ndarray:
     out = m.copy()
     off = m[0, 1]
     out[0, 1] = complex(-off.real, off.imag)
     out[1, 0] = np.conj(out[0, 1])
     return out
-
-
-def pauli_probe_radius_match(a, b, tol: float = 1e-9) -> bool:
-    """Entrywise constraints equivalent to w([A,C]) = w([B,C]) for C in
-    {X, Y, Z}.
-
-    With A = [[a, c+id], [c-id, b]] and B = [[x, w+iv], [w-iv, y]] the
-    three probe radii agree exactly when
-
-        4 v^2 + (x-y)^2 = 4 d^2 + (a-b)^2
-        4 w^2 - (x-y)^2 = 4 c^2 - (a-b)^2
-        w^2 + v^2       = c^2 + d^2
-
-    all hold; every valid dim-2 preserver form satisfies them.
-    """
-    ma = _require_2x2(a)
-    mb = _require_2x2(b)
-    aa, bb = ma[0, 0].real, ma[1, 1].real
-    c, d = ma[0, 1].real, ma[0, 1].imag
-    x, y = mb[0, 0].real, mb[1, 1].real
-    w, v = mb[0, 1].real, mb[0, 1].imag
-    lhs = np.array(
-        [4 * v**2 + (x - y) ** 2, 4 * w**2 - (x - y) ** 2, w**2 + v**2]
-    )
-    rhs = np.array(
-        [4 * d**2 + (aa - bb) ** 2, 4 * c**2 - (aa - bb) ** 2, c**2 + d**2]
-    )
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return bool(np.all(np.abs(lhs - rhs) <= tol * scale))

@@ -10,27 +10,27 @@ B; both directions come with constructive certificates:
 * not two-level  -> an explicit rank-2 B whose interval is asymmetric.
 
 Also houses the rank-1-projection radius test that characterizes pairs
-related by B = +/-A + beta*I, and the family of 3x3 off-diagonal probe
-matrices used to push commutators to full rank.
+related by B = +/-A + beta*I.  Each public function validates its matrices
+once with ``hermitian``; the private steps under it trust them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .matcore import (
+    EigenDecomposition,
     MatrixError,
-    commutator,
+    _commutator_spectrum,
+    _hermitian_pair,
     hermitian,
-    hermitian_eigen,
     max_abs,
     random_unit_vector,
 )
-from .nrange import CommutatorInterval, _rank1_radii, commutator_interval
+from .nrange import CommutatorInterval, _rank1_radii
 
 GAP_TOL = 1e-6
 WITNESS_ASYMMETRY_TOL = 1e-6
@@ -82,13 +82,14 @@ class TwoLevelDecomposition:
         }
 
 
-def _eigen_clusters(a, gap_tol: float):
-    """Eigendecomposition plus cluster slices under a relative gap split.
+def _eigen_clusters(a: np.ndarray, gap_tol: float):
+    """Eigendecomposition of a validated A plus cluster slices under a
+    relative gap split.
 
     Consecutive eigenvalues start a new cluster when their gap exceeds
     gap_tol times the spectral diameter.
     """
-    decomp = hermitian_eigen(a)
+    decomp = EigenDecomposition(*np.linalg.eigh(a))
     eigs = decomp.eigenvalues
     n = eigs.shape[0]
     diameter = float(eigs[-1] - eigs[0])
@@ -113,7 +114,10 @@ def classify_two_level(a, gap_tol: float = GAP_TOL) -> TwoLevelDecomposition:
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
-    a = hermitian(a)
+    return _two_level(hermitian(a), gap_tol)
+
+
+def _two_level(a: np.ndarray, gap_tol: float) -> TwoLevelDecomposition:
     decomp, slices, margin = _eigen_clusters(a, gap_tol)
     if len(slices) > 2:
         return TwoLevelDecomposition(False, None, 0.0, 0.0, margin)
@@ -139,9 +143,12 @@ def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
     value of [x | Ax | A^2 x].
     """
     a = hermitian(a)
-    n = a.shape[0]
-    if n < 3:
+    if a.shape[0] < 3:
         raise MatrixError("independence vector requires dimension >= 3")
+    return _independence_vector(a, gap_tol)
+
+
+def _independence_vector(a: np.ndarray, gap_tol: float) -> Optional[np.ndarray]:
     decomp, slices, _ = _eigen_clusters(a, gap_tol)
     k = len(slices)
     if k <= 2:
@@ -177,7 +184,7 @@ def asymmetry_witness(
     a = hermitian(a)
     if a.shape[0] < 3:
         raise MatrixError("asymmetry witness requires dimension >= 3")
-    x = independence_vector(a)
+    x = _independence_vector(a, GAP_TOL)
     if x is None:
         return None
     e1 = x
@@ -191,9 +198,9 @@ def asymmetry_witness(
             + np.conj(beta) * np.outer(e2, e1.conj())
         )
         b = hermitian(b)
-        iv = commutator_interval(a, b)
-        if abs(iv.t_min + iv.t_max) > tol:
-            return b, iv
+        ts = _commutator_spectrum(a, b)
+        if abs(ts[0] + ts[-1]) > tol:
+            return b, CommutatorInterval(float(ts[0]), float(ts[-1]))
     raise WitnessSearchError(
         "all witness phases produced a symmetric interval for a matrix "
         "with three or more spectral points"
@@ -261,10 +268,12 @@ def affine_sign_match(
     The residual B - alpha*A - beta*I, with beta = tr(B - alpha*A)/n, is
     measured against tol * max(1, ||A||_max, ||B||_max).
     """
-    a = hermitian(a)
-    b = hermitian(b)
-    if a.shape != b.shape:
-        raise MatrixError("dimension mismatch")
+    return _affine_sign_match(*_hermitian_pair(a, b), tol)
+
+
+def _affine_sign_match(
+    a: np.ndarray, b: np.ndarray, tol: float
+) -> Optional[tuple[int, float]]:
     n = a.shape[0]
     scale = max(1.0, max_abs(a), max_abs(b))
     for alpha in (1, -1):
@@ -289,9 +298,8 @@ def radius_equivalence_check(
     """
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
-    a = hermitian(a)
-    b = hermitian(b)
-    match = affine_sign_match(a, b)
+    a, b = _hermitian_pair(a, b)
+    match = _affine_sign_match(a, b, EQUIV_RESIDUAL_TOL)
     n = a.shape[0]
 
     xs = np.stack([random_unit_vector(n, rng) for _ in range(n_projections)])
@@ -319,90 +327,3 @@ def radius_equivalence_check(
         n_projections=n_projections,
         witness_vector=worst_x,
     )
-
-
-# ---------------------------------------------------------------------------
-# Off-diagonal probe matrices.  Zero diagonal, parameters on the three
-# off-diagonal positions; families differ by which entry carries the
-# imaginary unit (family "complex" takes arbitrary complex parameters).
-# ---------------------------------------------------------------------------
-
-PROBE_FAMILIES = ("imag02", "imag01", "imag12", "complex")
-
-
-@dataclass(frozen=True)
-class OffDiagProbe:
-    """A 3x3 Hermitian probe: family id plus parameter triple (t, s, p)."""
-
-    family: str
-    params: tuple
-
-    def __post_init__(self):
-        if self.family not in PROBE_FAMILIES:
-            raise ValueError(f"unknown probe family {self.family!r}")
-        if len(self.params) != 3:
-            raise ValueError("probe takes exactly three parameters")
-        if any(v == 0 for v in self.params):
-            raise ValueError("probe parameters must all be nonzero")
-        if self.family != "complex" and any(
-            isinstance(v, complex) and v.imag != 0 for v in self.params
-        ):
-            raise ValueError(f"family {self.family!r} takes real parameters")
-
-
-def probe_matrix(probe: OffDiagProbe, dim: int = 3) -> np.ndarray:
-    """Instantiate a probe, embedded as the leading 3x3 block when dim > 3."""
-    t, s, p = (complex(v) for v in probe.params)
-    if probe.family == "imag02":
-        top = np.array([[0, t, 1j * p], [t, 0, s], [-1j * p, s, 0]])
-    elif probe.family == "imag01":
-        top = np.array([[0, 1j * t, p], [-1j * t, 0, s], [p, s, 0]])
-    elif probe.family == "imag12":
-        top = np.array([[0, t, p], [t, 0, 1j * s], [p, -1j * s, 0]])
-    else:
-        top = np.array(
-            [
-                [0, t, p],
-                [np.conj(t), 0, s],
-                [np.conj(p), np.conj(s), 0],
-            ]
-        )
-    if dim < 3:
-        raise MatrixError("probe matrices require dimension >= 3")
-    if dim == 3:
-        return hermitian(top)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:3, :3] = top
-    return hermitian(out)
-
-
-def find_rank3_probe(
-    b,
-    grid=(1.0, 2.0, 3.0, -1.0),
-    families=PROBE_FAMILIES,
-) -> Optional[tuple[OffDiagProbe, np.ndarray]]:
-    """First probe whose commutator with B has nonvanishing determinant.
-
-    Searches the parameter grid cubed per family, in deterministic order,
-    and accepts when |det([B, probe])| clears a threshold scaled by
-    ||B||^3 and the largest parameter cubed.  Returns None when the grid
-    is exhausted (e.g. B scalar).
-    """
-    b = hermitian(b)
-    if b.shape[0] != 3:
-        raise MatrixError(
-            "probe search expects a 3x3 matrix (supply B in the basis of "
-            "its 3-dimensional support)"
-        )
-    norm_b = max(1e-30, max_abs(b))
-    for family in families:
-        for t, s, p in product(grid, repeat=3):
-            if t == 0 or s == 0 or p == 0:
-                continue
-            probe = OffDiagProbe(family, (t, s, p))
-            mat = probe_matrix(probe)
-            det = np.linalg.det(commutator(b, mat))
-            bound = 1e-8 * norm_b**3 * max(abs(t), abs(s), abs(p)) ** 3
-            if abs(det) > bound:
-                return probe, mat
-    return None

@@ -17,8 +17,8 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_SEED,
+    _commutator_spectrum,
     commutator,
-    commutator_spectrum,
     hermitian,
     max_abs,
     random_hermitian,
@@ -458,21 +458,30 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
 
     # A deliberately wrong transformation (A -> 2A) must be caught by all
     # three metrics at the same trials, with numerically equal violations.
+    # No map can change a commutator that is zero (to 1e-12 ||A||_2 ||B||_2),
+    # so such trials are skipped; every other trial must be caught, and at
+    # least one must exist.
     agree_seed = _derived_seed(seed, "dim2:agree")
     agree_trials = _count(200, scale)
     agreement_ok = True
     caught = 0
+    skipped = 0
     for i in range(agree_trials):
         rng = substream(agree_seed, i)
         a, b = sample_trial_pair(2, rng, i)
-        base = commutator_spectrum(a, b)
-        image = commutator_spectrum(2.0 * a, 2.0 * b)
+        base = _commutator_spectrum(a, b)
+        image = _commutator_spectrum(2.0 * a, 2.0 * b)
         violations = [metric_violation(base, image, mode) for mode in MODES]
         if max(violations) - min(violations) > 1e-12:
             agreement_ok = False
+        zero = np.abs(base).max() <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        if zero:
+            skipped += 1
         if min(violations) > 1e-10:
             caught += 1
-    agreement_ok = agreement_ok and caught > agree_trials // 2
+        elif not zero:
+            agreement_ok = False
+    agreement_ok = agreement_ok and skipped < agree_trials
 
     cross_trials = _count(1000, scale)
     cross_seed = _derived_seed(seed, "dim2:cross")
@@ -505,6 +514,7 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
             "forms": form_runs,
             "wrong_map_trials": agree_trials,
             "wrong_map_caught": caught,
+            "wrong_map_skipped": skipped,
             "metric_agreement": agreement_ok,
             "cross_identity_worst": float(cross_worst),
             "rotation_trials": rot_trials,

@@ -102,6 +102,17 @@ def test_criterion_08_dim2_forms():
     assert d["rotation_det_plus_one"] == d["rotation_trials"] == 1000
 
 
+def test_criterion_08_wrong_map_check_every_seed():
+    # at scale 0.02 (4 wrong-map trials) some draws have a zero base
+    # commutator (a commuting pair, or a scalar two-level draw); those are
+    # skipped, every other trial is caught
+    for seed in range(100, 130):
+        out = crit_dim2_forms(seed=seed, scale=0.02, workers=1)
+        d = out["details"]
+        assert out["passed"], (seed, d)
+        assert d["wrong_map_caught"] + d["wrong_map_skipped"] == d["wrong_map_trials"]
+
+
 def test_criterion_09_sweep_vs_sampling():
     out = _run(9, "sweep-vs-sampling-radius", crit_sweep_vs_sampling, 60.0)
     d = out["details"]

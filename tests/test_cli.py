@@ -170,6 +170,50 @@ def test_verify_flag_validation():
     assert main(["nosuchcommand"]) == 2
 
 
+def test_every_route_refuses_dimension_above_max(tmp_path, capsys):
+    # as_matrix holds the one dimension limit, so every public route that
+    # takes a matrix refuses a 17 x 17 one, Hermitian or not
+    import commrange as cr
+    from commrange.maps import MapSpec, apply_map
+
+    big = [np.eye(17, dtype=complex), np.triu(np.ones((17, 17)))]
+    x = np.eye(17)[0]
+    rng = cr.substream(1, 0)
+    routes = (
+        cr.hermitian, cr.hermitian_eigen, cr.skew_hermitian_eigenvalues,
+        cr.rank_numeric, cr.matrix_to_json, cr.numerical_radius,
+        cr.classify_two_level, cr.independence_vector, cr.asymmetry_witness,
+        cr.symmetry_witness_unitary, cr.to_pauli, cr.psi, cr.unitary_to_rotation,
+        lambda a: cr.commutator(a, a), lambda a: cr.commutator_spectrum(a, a),
+        lambda a: cr.commutator_interval(a, a), lambda a: cr.support_value(a, 0.0),
+        lambda a: cr.rank1_commutator_radius(a, x),
+        lambda a: cr.range_boundary(a, 16), lambda a: cr.affine_sign_match(a, a),
+        lambda a: cr.radius_equivalence_check(a, a, 5, rng),
+        lambda a: MapSpec(dim=17, unitary=a),
+        lambda a: apply_map(MapSpec(dim=2, unitary=np.eye(2)), a),
+        lambda a: cr.matrix_from_json(
+            {"dim": 17, "re": a.real.tolist(), "im": a.imag.tolist()}
+        ),
+    )
+    for a in big:
+        for route in routes:
+            with pytest.raises(cr.MatrixError):
+                route(a)
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"dim": 17, "re": a.real.tolist(), "im": a.imag.tolist()})
+        )
+        for argv in (
+            ["classify", str(path)],
+            ["boundary", str(path)],
+            ["equiv", str(path), str(path)],
+            ["pauli", str(path)],
+            ["verify", "radius", "--dim", "17", "--trials", "5"],
+        ):
+            assert main(argv) == 2
+    assert capsys.readouterr().err.count("exceeds supported maximum 16") == 8
+
+
 def test_worker_counts_below_one_exit_usage(capsys):
     assert main(["verify", "radius", "--trials", "5", "--workers", "0"]) == 2
     assert main(["suite", "--scale", "0.01", "--workers", "-1"]) == 2

@@ -31,16 +31,14 @@ from commrange.maps import (
     MapSpec,
     apply_map,
     check_preservation,
-    identity_map,
     pool_size,
-    sign_flip_invisibility,
 )
 from commrange.pauli2 import psi
-from commrange.structure import affine_sign_match
+from commrange.structure import affine_sign_match, asymmetry_witness
 
 
 def test_identity_map_is_identity():
-    m = identity_map(3)
+    m = MapSpec(dim=3, unitary=np.eye(3))
     a = random_hermitian(3, substream(80, 0))
     assert max_abs(apply_map(m, a) - a) < 1e-14
 
@@ -119,7 +117,7 @@ def test_hash_rules_reject_entries_beyond_quantization_range():
         for a in huge:
             with pytest.raises(MatrixError):
                 apply_map(m, a)
-    plain = identity_map(3)
+    plain = MapSpec(dim=3, unitary=np.eye(3))
     for a in huge:
         assert np.array_equal(apply_map(plain, a), a)
     # just inside the range the digest is still defined
@@ -127,11 +125,13 @@ def test_hash_rules_reject_entries_beyond_quantization_range():
 
 
 def test_identity_map_zero_violation_each_mode():
-    report = check_preservation(identity_map(3), MODE_RADIUS, 50, 3, 123)
+    identity3 = MapSpec(dim=3, unitary=np.eye(3))
+    report = check_preservation(identity3, MODE_RADIUS, 50, 3, 123)
     assert report.passed and report.max_violation < 1e-12
-    report = check_preservation(identity_map(3), MODE_RANGE, 50, 3, 123)
+    report = check_preservation(identity3, MODE_RANGE, 50, 3, 123)
     assert report.passed
-    report = check_preservation(identity_map(2), MODE_SPECTRUM, 50, 2, 123)
+    identity2 = MapSpec(dim=2, unitary=np.eye(2))
+    report = check_preservation(identity2, MODE_SPECTRUM, 50, 2, 123)
     assert report.passed
 
 
@@ -214,7 +214,7 @@ def test_range_pass_implies_radius_pass_same_stream():
 
 def test_spectrum_mode_requires_dim2():
     with pytest.raises(MapConfigError):
-        check_preservation(identity_map(3), MODE_SPECTRUM, 10, 3, 1)
+        check_preservation(MapSpec(dim=3, unitary=np.eye(3)), MODE_SPECTRUM, 10, 3, 1)
 
 
 def test_check_preservation_deterministic():
@@ -236,9 +236,10 @@ def test_check_preservation_worker_count_invariant():
 
 
 def test_worker_counts_below_one_rejected():
+    m = MapSpec(dim=3, unitary=np.eye(3))
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
-            check_preservation(identity_map(3), MODE_RADIUS, 10, 3, 1, workers=workers)
+            check_preservation(m, MODE_RADIUS, 10, 3, 1, workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             suite_mod.run_acceptance_suite(seed=1, scale=0.01, workers=workers)
 
@@ -312,21 +313,31 @@ def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _sign_flip_invisible(a, probes) -> bool:
+    # the sign of a range-preserver form may flip on A exactly when no
+    # commutator interval W([A, B]) can tell A from -A
+    return all(
+        intervals_equal(commutator_interval(a, b), commutator_interval(-a, b), 1e-8)
+        for b in probes
+    )
+
+
 def test_sign_flip_invisible_on_projection():
-    m = identity_map(4)
     a = np.diag([1.0, 1.0, 0.0, 0.0])
-    assert sign_flip_invisibility(m, a, 20, substream(88, 0))
+    rng = substream(88, 0)
+    assert _sign_flip_invisible(a, [random_hermitian(4, rng) for _ in range(20)])
 
 
 def test_sign_flip_visible_on_three_point_spectrum():
-    m = identity_map(3)
     a = np.diag([1.0, 2.0, 3.0])
-    assert not sign_flip_invisibility(m, a, 5, substream(89, 0))
+    witness, _ = asymmetry_witness(a)
+    assert not _sign_flip_invisible(a, [witness])
 
 
 def test_sign_flip_invisible_on_zero():
-    m = identity_map(3)
-    assert sign_flip_invisibility(m, np.zeros((3, 3)), 10, substream(90, 0))
+    rng = substream(90, 0)
+    probes = [random_hermitian(3, rng) for _ in range(10)]
+    assert _sign_flip_invisible(np.zeros((3, 3)), probes)
 
 
 def test_affine_sign_match_cases():
@@ -376,3 +387,21 @@ def test_report_embeds_counterexample_matrices():
     iv = commutator_interval(a, b)
     ivt = commutator_interval(a.T.copy(), b.T.copy())
     assert not intervals_equal(iv, ivt, report.tolerance)
+
+
+def test_trials_validate_only_inexact_matrices(hermitian_calls):
+    # per trial hermitian() runs on the two raw map images s U core U* + f I
+    # and on the sampled conjugations of pool kinds 2 and 3 (0 + 0 + 1 + 2
+    # over the four kinds): 2.75 calls per trial, for either mode
+    u = random_unitary(3, substream(94, 0))
+    radius_map = MapSpec(
+        dim=3, unitary=u, sign=SIGN_HASH, sign_seed=1, shift=SHIFT_HASH, shift_seed=2
+    )
+    range_map = MapSpec(
+        dim=3, unitary=u, epsilon=1, sset=SSET_RANDOM, sset_seed=3,
+        shift=SHIFT_HASH, shift_seed=2,
+    )
+    for m, mode in ((radius_map, MODE_RADIUS), (range_map, MODE_RANGE)):
+        hermitian_calls.clear()
+        assert check_preservation(m, mode, 100, 3, 7).passed
+        assert len(hermitian_calls) == 275

@@ -296,3 +296,14 @@ def test_boundary_matches_per_angle_reference():
 def test_boundary_rejects_few_angles():
     with pytest.raises(ValueError):
         range_boundary(np.eye(2), 4)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_radius_scale_invariant_for_tiny_matrices():
+    # is_hermitian bounds the defect by 1e-12 * max(1, ||M||), so below
+    # ||M|| ~ 1e-12 a non-Hermitian matrix takes the Hermitian branch and
+    # w(cA)/c drops from w(A) = 1.7071 to w((A + A*)/2) = 1.6180 at 1e-13.
+    a = np.array([[1.0, 2.0], [0.0, 1j]])
+    w = numerical_radius(a)
+    for c in (1.0, 1e-6, 1e-12, 1e-13):
+        assert abs(numerical_radius(c * a) / c - w) <= 1e-9 * w

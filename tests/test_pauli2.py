@@ -19,7 +19,6 @@ from commrange.pauli2 import (
     PauliVector,
     cross_commutator,
     from_pauli,
-    pauli_probe_radius_match,
     psi,
     to_pauli,
     unitary_to_rotation,
@@ -245,20 +244,33 @@ def test_entry_sign_pattern_radius_relation():
             assert (abs(image - base) < 1e-10) == relation
 
 
+def _probe_radii(a) -> np.ndarray:
+    # w([A, C]) for the Pauli probes C = X, Y, Z; the commutator is normal
+    # with spectrum i[t_min, t_max], so its radius is the larger endpoint
+    ivs = [commutator_interval(a, c) for c in PAULI_BASIS]
+    return np.array([max(-iv.t_min, iv.t_max) for iv in ivs])
+
+
+def _probe_radii_match(a, b) -> bool:
+    ra, rb = _probe_radii(a), _probe_radii(b)
+    return bool(np.abs(ra - rb).max() <= 1e-9 * max(1.0, ra.max(), rb.max()))
+
+
 def test_probe_radius_match_identity():
     a = random_hermitian(2, substream(68, 0))
-    assert pauli_probe_radius_match(a, a)
+    assert _probe_radii_match(a, a)
 
 
 def test_probe_radius_match_mirror():
+    # every dim-2 preserver form keeps the three probe radii
     for i in range(100):
         a = random_hermitian(2, substream(69, i))
-        assert pauli_probe_radius_match(a, psi(a))
-        assert pauli_probe_radius_match(a, hermitian(a.T.copy()))
-        assert pauli_probe_radius_match(a, -a)
+        assert _probe_radii_match(a, psi(a))
+        assert _probe_radii_match(a, hermitian(a.T.copy()))
+        assert _probe_radii_match(a, -a)
 
 
 def test_probe_radius_match_rejects_bump():
     a = np.array([[1.0, 2 + 1j], [2 - 1j, 0.0]])
     bumped = a + np.diag([0.1, 0.0])
-    assert not pauli_probe_radius_match(a, bumped)
+    assert not _probe_radii_match(a, bumped)

@@ -15,12 +15,9 @@ from commrange.matcore import (
 )
 from commrange.nrange import commutator_interval, interval_symmetric
 from commrange.structure import (
-    OffDiagProbe,
     classify_two_level,
     asymmetry_witness,
-    find_rank3_probe,
     independence_vector,
-    probe_matrix,
     radius_equivalence_check,
     symmetry_witness_unitary,
 )
@@ -223,83 +220,6 @@ def test_equivalence_matches_per_vector_reference():
         assert abs(w_gap - max(gaps)) <= 1e-12
 
 
-def test_probe_entries_exact():
-    c = probe_matrix(OffDiagProbe("imag02", (1, 1, 1)))
-    assert np.array_equal(
-        c, np.array([[0, 1, 1j], [1, 0, 1], [-1j, 1, 0]], dtype=complex)
-    )
-    d = probe_matrix(OffDiagProbe("imag01", (1, 1, 1)))
-    assert np.array_equal(
-        d, np.array([[0, 1j, 1], [-1j, 0, 1], [1, 1, 0]], dtype=complex)
-    )
-    e = probe_matrix(OffDiagProbe("imag12", (1, 1, 1)))
-    assert np.array_equal(
-        e, np.array([[0, 1, 1], [1, 0, 1j], [1, -1j, 0]], dtype=complex)
-    )
-    f = probe_matrix(OffDiagProbe("complex", (1 + 1j, 2, 3j)))
-    assert np.array_equal(
-        f,
-        np.array(
-            [[0, 1 + 1j, 3j], [1 - 1j, 0, 2], [-3j, 2, 0]], dtype=complex
-        ),
-    )
-
-
-def test_probe_embedding_and_validation():
-    c = probe_matrix(OffDiagProbe("imag02", (2, 3, 5)), dim=5)
-    assert c.shape == (5, 5)
-    assert max_abs(c[3:, :]) == 0.0 and max_abs(c[:, 3:]) == 0.0
-    with pytest.raises(ValueError):
-        OffDiagProbe("imag02", (0, 1, 1))
-    with pytest.raises(ValueError):
-        OffDiagProbe("bogus", (1, 1, 1))
-    with pytest.raises(ValueError):
-        OffDiagProbe("imag01", (1j, 1, 1))
-
-
-def test_probe_matrices_hermitian():
-    for family in ("imag02", "imag01", "imag12"):
-        m = probe_matrix(OffDiagProbe(family, (1.5, -2.0, 3.0)))
-        assert max_abs(m - m.conj().T) == 0.0
-
-
-def test_find_rank3_probe_on_degenerate_block():
-    # rank-2 input whose nonzero block is the all-ones pattern: the hardest
-    # case for the search, still cracked within the default grid
-    b = hermitian(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex))
-    found = find_rank3_probe(b)
-    assert found is not None
-    probe, mat = found
-    det = np.linalg.det(commutator(b, mat))
-    assert abs(det) > 1e-8
-    assert rank_numeric(commutator(b, mat)) == 3
-
-
-def test_find_rank3_probe_identity_absent():
-    assert find_rank3_probe(np.eye(3)) is None
-
-
-def test_find_rank3_probe_dense_pattern():
-    # all-ones off-diagonal: spectrum {2, -1, -1}, a two-level matrix, so
-    # every commutator has rank <= 2 and the probe at (1,2,3) cannot succeed
-    b = hermitian(
-        np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex)
-    )
-    probe = OffDiagProbe("imag02", (1, 2, 3))
-    comm = commutator(b, probe_matrix(probe))
-    assert abs(np.linalg.det(comm)) < 1e-8
-    assert rank_numeric(comm) < 3
-    assert find_rank3_probe(b) is None
-    # breaking the degeneracy restores a rank-3 probe
-    b3 = hermitian(
-        np.array([[0.3, 1, 1], [1, 0, 1], [1, 1, -0.2]], dtype=complex)
-    )
-    found = find_rank3_probe(b3)
-    assert found is not None
-    _, mat = found
-    assert rank_numeric(commutator(b3, mat)) == 3
-
-
 def test_every_dim2_hermitian_is_two_level():
     # at dim 2 the spectrum has at most two points, so the class is all of
     # the Hermitian matrices and symmetry of commutator ranges is automatic
@@ -327,3 +247,19 @@ def test_dichotomy_smoke():
         else:
             _, iv = witness
             assert abs(iv.t_min + iv.t_max) > 1e-6
+
+
+def test_public_routes_validate_once(hermitian_calls):
+    a = random_hermitian(6, substream(47, 0))
+    b = random_hermitian(6, substream(47, 1))
+    routes = (
+        # A, then the witness B, which is formed inexactly
+        (lambda: asymmetry_witness(a) is not None, 2),
+        (lambda: radius_equivalence_check(a, b, 50, substream(47, 2)), 2),
+        (lambda: classify_two_level(a), 1),
+        (lambda: symmetry_witness_unitary(np.diag([1.0, 1.0, 2.0])) is not None, 1),
+    )
+    for call, expected in routes:
+        hermitian_calls.clear()
+        assert call()
+        assert len(hermitian_calls) == expected
