@@ -459,8 +459,8 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     # A deliberately wrong transformation (A -> 2A) must be caught by all
     # three metrics at the same trials, with numerically equal violations.
     # No map can change a commutator that is zero (to 1e-12 ||A||_2 ||B||_2),
-    # so such trials are skipped; every other trial must be caught, and at
-    # least one must exist.
+    # so a trial that is not caught is skipped if its commutator is zero and
+    # fails the check otherwise; at least one trial must not be skipped.
     agree_seed = _derived_seed(seed, "dim2:agree")
     agree_trials = _count(200, scale)
     agreement_ok = True
@@ -474,12 +474,11 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
         violations = [metric_violation(base, image, mode) for mode in MODES]
         if max(violations) - min(violations) > 1e-12:
             agreement_ok = False
-        zero = np.abs(base).max() <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-        if zero:
-            skipped += 1
         if min(violations) > 1e-10:
             caught += 1
-        elif not zero:
+        elif np.abs(base).max() <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2):
+            skipped += 1
+        else:
             agreement_ok = False
     agreement_ok = agreement_ok and skipped < agree_trials
 

@@ -187,13 +187,13 @@ def test_skew_eigen_property_commutator_trace_zero(pair):
     # The skew part of [A, B]: forming AB - BA leaves a skew defect of order
     # eps * ||A|| ||B||, which the 1e-12 * max(1, ||[A, B]||) test rejects
     # for nearly commuting pairs at large scale (pinned below).  The same
-    # roundoff leaves tr(C) of that order, so it enters the bound.
-    a, b = pair
-    k = commutator(a, b)
+    # roundoff leaves tr(C) of that order, so the sum of the t_k is compared
+    # with tr(-iC) of the matrix passed in, not with the exact value 0.
+    k = commutator(*pair)
     c = (k - k.conj().T) / 2
     ts = skew_hermitian_eigenvalues(c)
-    roundoff = 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-    assert abs(ts.sum()) <= 1e-10 * max(1.0, float(np.linalg.norm(c))) + roundoff
+    trace = np.trace(-1j * c).real
+    assert abs(ts.sum() - trace) <= 1e-10 * max(1.0, float(np.linalg.norm(c)))
 
 
 @pytest.mark.xfail(raises=MatrixError, strict=True)
