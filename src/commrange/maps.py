@@ -15,8 +15,16 @@ seeded-hash rules over the quantized matrix bytes) so that "arbitrary"
 functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
-pairs; every trial derives its own generator from (seed, trial index), so
-reports are identical regardless of execution order or worker count.
+pairs through a block engine.  For each trial index i it first makes the
+draws of trial i from the (seed, i) stream; then, for a block of a few
+hundred trials at once, it forms the sampled matrices (Haar QR, products,
+validation), applies the map (one quantization per matrix shared by the
+hash rules, one stacked ``eigh`` for the exceptional set) and takes both
+commutator spectra and the violation metric, each in stacked calls.  The
+one-matrix entries ``sample_trial_pair``, ``apply_map`` and the rule
+methods run the same code on a stack of one.  No number depends on the
+position of a trial in its block, and the fold is ordered by trial index,
+so reports are identical for any worker count and any split into blocks.
 Parallel calls run on a spawn process pool; ``worker_pool`` keeps one pool
 open for every call inside its block.
 """
@@ -25,12 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -38,19 +44,24 @@ from .matcore import (
     UNITARY_TOL,
     MatrixError,
     _commutator_spectrum,
+    _gue,
+    _haar,
+    _hermitian_stack,
+    _rank_k,
+    _rank_k_coeffs,
     as_matrix,
     hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    random_hermitian,
-    random_rank_k_hermitian,
-    random_unitary,
     substream,
 )
-from .structure import GAP_TOL, _two_level
+from .structure import GAP_TOL, _two_level_mask
 from .pauli2 import _psi
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 DAGGER_IDENTITY = "identity"
 DAGGER_TRANSPOSE = "transpose"
@@ -84,23 +95,65 @@ DEFAULT_TOLERANCES = {
 _QUANTUM = 1e-9
 _QUANTA_LIMIT = 2.0**63
 
+# Trials the engine samples, maps and measures per stacked step.
+_BLOCK_TRIALS = 256
+
 
 class MapConfigError(ValueError):
     """Raised for inconsistent map specifications."""
 
 
-def _quantized_digest(a: np.ndarray, seed: int, salt: str) -> bytes:
-    parts = np.stack([a.real, a.imag]) / _QUANTUM
-    if np.abs(parts).max() >= _QUANTA_LIMIT:
-        raise MatrixError(
-            f"hash rules need entries below {_QUANTA_LIMIT * _QUANTUM:.3e} "
-            f"in real and imaginary part, got {max_abs(a):.3e}"
-        )
-    h = hashlib.blake2b(digest_size=16)
-    h.update(salt.encode("ascii"))
-    h.update(int(seed % (1 << 64)).to_bytes(8, "little"))
-    h.update(np.round(parts).astype(np.int64).tobytes())
-    return h.digest()
+class _Quanta:
+    """The 1e-9 quantization of a stack of matrices, made once on first use
+    and shared by every hash rule evaluated on the stack.
+
+    The digest of matrix k under (seed, salt) is blake2b-128 over the ASCII
+    salt, the seed as 8 little-endian bytes and the int64 bytes of the
+    rounded stack [Re A_k, Im A_k] / 1e-9.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self._blob = None
+
+    def _quantize(self) -> None:
+        parts = np.stack([self.a.real, self.a.imag], axis=-3) / _QUANTUM
+        # Out-of-range rows are zeroed so the int64 cast stays defined;
+        # ``digests`` refuses them.
+        self._refused = np.abs(parts).max(axis=(-3, -2, -1)) >= _QUANTA_LIMIT
+        parts[self._refused] = 0.0
+        self._width = parts[0].nbytes
+        self._blob = memoryview(np.round(parts).astype(np.int64).tobytes())
+
+    def digests(self, seed: int, salt: str, rows) -> list:
+        """The digests of the matrices ``rows``; a ``MatrixError`` if one
+        of them has an entry part at or beyond 2**63 quanta."""
+        if self._blob is None:
+            self._quantize()
+        refused = np.flatnonzero(self._refused[rows])
+        if refused.size:
+            bad = self.a[np.asarray(rows)[refused[0]]]
+            raise MatrixError(
+                f"hash rules need entries below {_QUANTA_LIMIT * _QUANTUM:.3e} "
+                f"in real and imaginary part, got {max_abs(bad):.3e}"
+            )
+        head = hashlib.blake2b(digest_size=16)
+        head.update(salt.encode("ascii"))
+        head.update(int(seed % (1 << 64)).to_bytes(8, "little"))
+        out = []
+        w = self._width
+        for k in rows:
+            h = head.copy()
+            h.update(self._blob[k * w : (k + 1) * w])
+            out.append(h.digest())
+        return out
+
+
+def _digest_bytes(digests: list, offset: int, dtype) -> np.ndarray:
+    """Byte ``offset`` (uint8) or bytes offset..offset+7 (little-endian
+    uint64) of each 16-byte digest."""
+    words = np.frombuffer(b"".join(digests), dtype=dtype)
+    return words[offset :: 16 // words.itemsize]
 
 
 @dataclass(frozen=True)
@@ -148,28 +201,41 @@ class MapSpec:
             raise MapConfigError("epsilon must be +1, -1 or None")
 
     def sign_value(self, a: np.ndarray) -> int:
-        if self.sign == SIGN_PLUS:
-            return 1
-        digest = _quantized_digest(a, self.sign_seed, "sign")
-        return 1 if digest[0] & 1 == 0 else -1
+        return int(self._signs(_Quanta(np.asarray(a)[None]))[0])
 
     def shift_value(self, a: np.ndarray) -> float:
-        if self.shift == SHIFT_ZERO:
-            return 0.0
-        if self.shift == SHIFT_TRACELESS:
-            return -float(np.trace(a).real) / self.dim
-        digest = _quantized_digest(a, self.shift_seed, "shift")
-        return int.from_bytes(digest[:8], "little") / float(1 << 64) * 2.0 - 1.0
+        return float(self._shifts(_Quanta(np.asarray(a)[None]))[0])
 
     def sset_member(self, a: np.ndarray) -> bool:
+        return bool(self._sset_members(_Quanta(np.asarray(a)[None]))[0])
+
+    def _signs(self, q: _Quanta) -> np.ndarray:
+        """The sign rule on each matrix of ``q``'s stack, as +1/-1 ints."""
+        if self.sign == SIGN_PLUS:
+            return np.ones(len(q.a), dtype=np.int64)
+        digests = q.digests(self.sign_seed, "sign", range(len(q.a)))
+        return 1 - 2 * (_digest_bytes(digests, 0, np.uint8) & 1).astype(np.int64)
+
+    def _shifts(self, q: _Quanta) -> np.ndarray:
+        """The shift rule on each matrix of ``q``'s stack."""
+        if self.shift == SHIFT_ZERO:
+            return np.zeros(len(q.a))
+        if self.shift == SHIFT_TRACELESS:
+            return -np.trace(q.a, axis1=-2, axis2=-1).real / self.dim
+        digests = q.digests(self.shift_seed, "shift", range(len(q.a)))
+        words = _digest_bytes(digests, 0, "<u8")
+        return words / float(1 << 64) * 2.0 - 1.0
+
+    def _sset_members(self, q: _Quanta) -> np.ndarray:
+        """Exceptional-set membership of each matrix of ``q``'s stack."""
         if self.sset == SSET_EMPTY:
-            return False
-        if not _two_level(a, GAP_TOL).two_level:
-            return False
-        if self.sset == SSET_ALL:
-            return True
-        digest = _quantized_digest(a, self.sset_seed, "sset")
-        return digest[1] & 1 == 0
+            return np.zeros(len(q.a), dtype=bool)
+        member = _two_level_mask(q.a, GAP_TOL)
+        if self.sset == SSET_RANDOM:
+            rows = np.flatnonzero(member)
+            digests = q.digests(self.sset_seed, "sset", rows)
+            member[rows] = _digest_bytes(digests, 1, np.uint8) & 1 == 0
+        return member
 
     def to_json(self) -> dict:
         return {
@@ -204,105 +270,233 @@ def apply_map(m: MapSpec, a) -> np.ndarray:
     """Evaluate the map on a Hermitian matrix.
 
     A is validated here, once, with ``hermitian``, and its dimension is
-    checked against the map's; ``check_preservation`` skips this step for
-    its sampled pairs, which are exactly Hermitian already.  Sign, shift
-    and set rules are evaluated on A, not on the conjugated core.  The
-    image s * U core U* + f * I is formed inexactly, so it is validated
-    with ``hermitian`` before it is returned.
+    checked against the map's; the result is the engine's map step on a
+    stack of one matrix.
     """
     a = hermitian(a)
     if a.shape[0] != m.dim:
         raise MatrixError(f"matrix dim {a.shape[0]} does not match map dim {m.dim}")
-    return _apply_map(m, a)
+    return _images(m, a[None])[0]
 
 
-def _apply_map(m: MapSpec, a: np.ndarray) -> np.ndarray:
+def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
+    """The map on each matrix of a stack of validated Hermitian matrices.
+
+    Sign, shift and set rules are evaluated on A, not on the conjugated
+    core, and share one quantization of the stack.  The images
+    s * U core U* + f * I are formed inexactly, so each is validated with
+    the 1e-12 symmetry test before the stack is returned.
+    """
+    q = _Quanta(a)
     core = _psi(a) if m.psi else a
     if m.dagger == DAGGER_TRANSPOSE:
-        core = core.T
+        core = core.swapaxes(-1, -2)
     core = m.unitary @ core @ m.unitary.conj().T
     if m.epsilon is None:
-        s = m.sign_value(a)
+        s = m._signs(q)
     else:
-        s = m.epsilon * (-1 if m.sset_member(a) else 1)
-    f = m.shift_value(a)
-    return hermitian(s * core + f * np.eye(m.dim))
+        s = m.epsilon * np.where(m._sset_members(q), -1, 1)
+    f = m._shifts(q)
+    return _hermitian_stack(s[:, None, None] * core + f[:, None, None] * np.eye(m.dim))
 
 
 # ---------------------------------------------------------------------------
 # Trial pool.  Violations of wrong map forms concentrate on structured
 # pairs, so the pool cycles uniformly through GUE pairs, low-rank pairs,
 # two-level members and commuting (shared eigenbasis) pairs.
+#
+# Sampling runs in two phases.  ``_Draws`` makes each pair's random draws
+# from its own generator, in a fixed order; ``_Draws.assemble`` then forms
+# every matrix of the block in stacked calls (QR, products, validation).
+# No draw depends on a QR or a product, so the split changes no number.
 # ---------------------------------------------------------------------------
 
 
+class _Draws:
+    """The random draws of a block of pool matrices, slot by slot."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.count = 0
+        self.haar = []  # standard normal parts of each Haar unitary
+        self.gue = []  # (slot, parts)
+        self.rank = []  # (slot, unitary, coefficients)
+        self.scalar = []  # (slot, c): c * I
+        self.level = []  # (slot, unitary, r, alpha, delta)
+        self.conj = []  # (slot, unitary, eigenvalues)
+
+    def _slot(self) -> int:
+        self.count += 1
+        return self.count - 1
+
+    def _unitary(self, rng: np.random.Generator) -> int:
+        self.haar.append(rng.standard_normal((2, self.n, self.n)))
+        return len(self.haar) - 1
+
+    def draw_gue(self, rng: np.random.Generator) -> None:
+        """A GUE matrix, as ``random_hermitian``."""
+        self.gue.append((self._slot(), rng.standard_normal((2, self.n, self.n))))
+
+    def draw_low_rank(self, rng: np.random.Generator) -> None:
+        """A rank-1 or rank-2 matrix, as ``random_rank_k_hermitian``."""
+        k = 1 + int(rng.integers(min(2, self.n)))
+        slot = self._slot()
+        self.rank.append((slot, self._unitary(rng), _rank_k_coeffs(k, rng)))
+
+    def draw_two_level(self, rng: np.random.Generator) -> None:
+        """alpha P + delta I with P a rank-r projection; one in eight draws
+        is a scalar c I instead."""
+        slot = self._slot()
+        if int(rng.integers(8)) == 0:
+            self.scalar.append((slot, float(rng.uniform(-2.0, 2.0))))
+            return
+        r = int(rng.integers(1, self.n))
+        u = self._unitary(rng)
+        alpha = float(rng.uniform(0.5, 2.5)) * (1.0 if rng.integers(2) else -1.0)
+        delta = float(rng.uniform(-2.0, 2.0))
+        self.level.append((slot, u, r, alpha, delta))
+
+    def draw_pair(self, rng: np.random.Generator, kind: int) -> None:
+        """One (A, B) pair of the mixed pool; kind cycles modulo 4."""
+        kind = kind % 4
+        if kind == 0:
+            self.draw_gue(rng)
+            self.draw_gue(rng)
+        elif kind == 1:
+            self.draw_low_rank(rng)
+            if rng.integers(2):
+                self.draw_low_rank(rng)
+            else:
+                self.draw_gue(rng)
+        elif kind == 2:
+            self.draw_two_level(rng)
+            self.draw_gue(rng)
+        else:
+            u = self._unitary(rng)
+            for _ in range(2):
+                self.conj.append((self._slot(), u, rng.standard_normal(self.n)))
+
+    def assemble(self) -> np.ndarray:
+        """The drawn matrices as one stack, in slot order.
+
+        The two-level matrices and the conjugations U diag(x) U*, formed
+        inexactly, are validated with the 1e-12 symmetry test and
+        symmetrized; c I takes the same step, which fixes the signs of its
+        zeros.  Every other matrix is exactly Hermitian by construction.
+        """
+        n = self.n
+        out = np.empty((self.count, n, n), dtype=complex)
+        u = _haar(np.array(self.haar)) if self.haar else None
+        if self.gue:
+            slots, parts = zip(*self.gue)
+            out[list(slots)] = _gue(np.array(parts))
+        for slots, us, coeffs in _grouped(self.rank, lambda r: len(r[2])):
+            out[slots] = _rank_k(u[us], np.array(coeffs))
+        inexact_slots, inexact = [], []
+        if self.scalar:
+            slots, cs = zip(*self.scalar)
+            inexact_slots += slots
+            inexact.append(np.array(cs)[:, None, None] * np.eye(n, dtype=complex))
+        for slots, us, rs, alphas, deltas in _grouped(self.level, lambda r: r[2]):
+            x = u[us, :, : rs[0]]
+            p = x @ x.conj().swapaxes(-1, -2)
+            alpha = np.array(alphas)[:, None, None]
+            delta = np.array(deltas)[:, None, None]
+            inexact_slots += slots
+            inexact.append(alpha * p + delta * np.eye(n))
+        if self.conj:
+            slots, us, eigs = zip(*self.conj)
+            diag = np.zeros((len(eigs), n, n))
+            diag[:, range(n), range(n)] = eigs
+            uu = u[list(us)]
+            inexact_slots += slots
+            inexact.append(uu @ diag @ uu.conj().swapaxes(-1, -2))
+        if inexact:
+            out[inexact_slots] = _hermitian_stack(np.concatenate(inexact))
+        return out
+
+
+def _grouped(records: list, key):
+    """Records with equal ``key`` as one tuple of lists per field."""
+    groups = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return [tuple(map(list, zip(*group))) for group in groups.values()]
+
+
 def _random_two_level(n: int, rng: np.random.Generator) -> np.ndarray:
-    if int(rng.integers(8)) == 0:
-        return hermitian(float(rng.uniform(-2.0, 2.0)) * np.eye(n))
-    r = int(rng.integers(1, n))
-    u = random_unitary(n, rng)
-    p = u[:, :r] @ u[:, :r].conj().T
-    alpha = float(rng.uniform(0.5, 2.5)) * (1.0 if rng.integers(2) else -1.0)
-    delta = float(rng.uniform(-2.0, 2.0))
-    return hermitian(alpha * p + delta * np.eye(n))
+    draws = _Draws(n)
+    draws.draw_two_level(rng)
+    return draws.assemble()[0]
 
 
 def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
     """One (A, B) pair from the mixed pool; kind cycles modulo 4."""
-    kind = kind % 4
-    if kind == 0:
-        return random_hermitian(n, rng), random_hermitian(n, rng)
-    if kind == 1:
-        a = random_rank_k_hermitian(n, 1 + int(rng.integers(min(2, n))), rng)
-        if rng.integers(2):
-            b = random_rank_k_hermitian(n, 1 + int(rng.integers(min(2, n))), rng)
-        else:
-            b = random_hermitian(n, rng)
-        return a, b
-    if kind == 2:
-        return _random_two_level(n, rng), random_hermitian(n, rng)
-    u = random_unitary(n, rng)
-    a = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
-    b = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
-    return hermitian(a), hermitian(b)
+    draws = _Draws(n)
+    draws.draw_pair(rng, kind)
+    a, b = draws.assemble()
+    return a, b
 
 
-def metric_violation(base: np.ndarray, image: np.ndarray, mode: str) -> float:
+def _sample_block(n: int, seed: int, lo: int, hi: int):
+    """The A and B stacks of trials lo .. hi-1, trial i drawn from the
+    (seed, i) stream with pool kind i."""
+    draws = _Draws(n)
+    for i in range(lo, hi):
+        draws.draw_pair(substream(seed, i), i)
+    out = draws.assemble()
+    return out[0::2], out[1::2]
+
+
+def metric_violation(base: np.ndarray, image: np.ndarray, mode: str):
     """Distance between two ascending skew spectra t_k (sigma = {i t_k}) in
     the mode's metric: the whole sorted spectrum ("spectrum"), the interval
-    endpoints ("range") or the numerical radius ("radius")."""
+    endpoints ("range") or the numerical radius ("radius").  A float for
+    one pair of spectra; one value per row for stacks of them."""
     if mode == MODE_SPECTRUM:
-        return float(np.abs(base - image).max())
-    if mode == MODE_RANGE:
-        return float(max(abs(base[0] - image[0]), abs(base[-1] - image[-1])))
-    w_base = max(abs(base[0]), abs(base[-1]))
-    w_image = max(abs(image[0]), abs(image[-1]))
-    return float(abs(w_base - w_image))
+        v = np.abs(base - image).max(axis=-1)
+    elif mode == MODE_RANGE:
+        v = np.maximum(
+            np.abs(base[..., 0] - image[..., 0]), np.abs(base[..., -1] - image[..., -1])
+        )
+    else:
+        w_base = np.maximum(np.abs(base[..., 0]), np.abs(base[..., -1]))
+        w_image = np.maximum(np.abs(image[..., 0]), np.abs(image[..., -1]))
+        v = np.abs(w_base - w_image)
+    return float(v) if v.ndim == 0 else v
 
 
-def _trial_violation(m: MapSpec, mode: str, n: int, seed: int, index: int) -> float:
-    rng = substream(seed, index)
-    a, b = sample_trial_pair(n, rng, index)
-    base = _commutator_spectrum(a, b)
-    image = _commutator_spectrum(_apply_map(m, a), _apply_map(m, b))
-    return metric_violation(base, image, mode)
+def _block_spectra(m: MapSpec, n: int, seed: int, lo: int, hi: int):
+    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)) for trials
+    lo .. hi-1, one row per trial."""
+    a, b = _sample_block(n, seed, lo, hi)
+    images = _images(m, np.concatenate([a, b]))
+    t = hi - lo
+    spectra = _commutator_spectrum(
+        np.concatenate([a, images[:t]]), np.concatenate([b, images[t:]])
+    )
+    return spectra[:t], spectra[t:]
 
 
 def _run_chunk(args):
-    m, mode, n, seed, lo, hi, tol = args
-    worst = 0.0
-    first_idx = None
-    for i in range(lo, hi):
-        v = _trial_violation(m, mode, n, seed, i)
-        if v > worst:
-            worst = v
-        if first_idx is None and v > tol:
-            first_idx = i
-    return worst, first_idx
+    """Worst violation and first index above tolerance, per mode, over
+    trials lo .. hi-1, taken block by block."""
+    m, modes, n, seed, lo, hi, tols = args
+    worst = [0.0] * len(modes)
+    first = [None] * len(modes)
+    for start in range(lo, hi, _BLOCK_TRIALS):
+        base, image = _block_spectra(m, n, seed, start, min(start + _BLOCK_TRIALS, hi))
+        for j, mode in enumerate(modes):
+            v = metric_violation(base, image, mode)
+            worst[j] = max(worst[j], float(v.max()))
+            over = np.flatnonzero(v > tols[j])
+            if first[j] is None and over.size:
+                first[j] = start + int(over[0])
+    return list(zip(worst, first))
 
 
 # The pool opened by the outermost open ``worker_pool`` block, if any.
-_ACTIVE_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
+_ACTIVE_POOL: ContextVar[Optional["ProcessPoolExecutor"]] = ContextVar(
     "commrange_worker_pool", default=None
 )
 
@@ -314,7 +508,7 @@ def pool_size(workers: int, cpu_count: Optional[int]) -> int:
 
 
 @contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+def worker_pool(workers: int) -> Iterator["ProcessPoolExecutor"]:
     """Open one spawn process pool for every ``check_preservation`` call in
     the block.
 
@@ -327,7 +521,12 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     if active is not None:
         yield active
         return
-    pool = ProcessPoolExecutor(
+    # Imported here: the pool machinery costs import time that serial runs
+    # never need.
+    from concurrent import futures
+    from multiprocessing import get_context
+
+    pool = futures.ProcessPoolExecutor(
         max_workers=pool_size(workers, os.cpu_count()),
         mp_context=get_context("spawn"),
     )
@@ -393,52 +592,72 @@ def check_preservation(
     "spectrum" (dim 2 only) the sorted skew spectra.  With ``workers`` > 1
     the trials are cut into ``workers`` chunks and run on the pool of the
     open ``worker_pool`` block (a suite run shares one pool across all its
-    calls), or else on a pool opened for this call only.  The fold is
-    ordered by trial index, so the report is identical for any worker
-    count.
+    calls), or else on a pool opened for this call only.  Each chunk runs
+    in blocks through the trial engine, and the fold is ordered by trial
+    index, so the report is identical for any worker count and any split
+    into blocks.
     """
-    if mode not in MODES:
-        raise MapConfigError(f"unknown mode {mode!r}")
-    if mode == MODE_SPECTRUM and n != 2:
-        raise MapConfigError("spectrum mode is defined at dim 2 only")
+    if tol is None:
+        tol = DEFAULT_TOLERANCES.get(mode)
+    return _preservation_reports(m, (mode,), trials, n, seed, (tol,), workers)[0]
+
+
+def _preservation_reports(
+    m: MapSpec,
+    modes: tuple,
+    trials: int,
+    n: int,
+    seed: int,
+    tols: tuple,
+    workers: int,
+) -> list:
+    """``check_preservation`` in each of ``modes`` (with its tolerance in
+    ``tols``) from one pass over the trial stream."""
+    for mode in modes:
+        if mode not in MODES:
+            raise MapConfigError(f"unknown mode {mode!r}")
+        if mode == MODE_SPECTRUM and n != 2:
+            raise MapConfigError("spectrum mode is defined at dim 2 only")
     if n != m.dim:
         raise MapConfigError("trial dim does not match map dim")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES[mode]
 
     if workers == 1:
-        worst, first_idx = _run_chunk((m, mode, n, seed, 0, trials, tol))
+        results = _run_chunk((m, modes, n, seed, 0, trials, tols))
     else:
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         chunks = [
-            (m, mode, n, seed, int(lo), int(hi), tol)
+            (m, modes, n, seed, int(lo), int(hi), tols)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
-        worst = 0.0
-        first_idx = None
+        results = [(0.0, None)] * len(modes)
         # A pool opened for this call alone needs no process per empty chunk.
         with worker_pool(len(chunks)) as pool:
-            for chunk_worst, chunk_first in pool.map(_run_chunk, chunks):
-                worst = max(worst, chunk_worst)
-                if first_idx is None and chunk_first is not None:
-                    first_idx = chunk_first
+            for chunk in pool.map(_run_chunk, chunks):
+                results = [
+                    (max(worst, c_worst), c_first if first is None else first)
+                    for (worst, first), (c_worst, c_first) in zip(results, chunk)
+                ]
 
-    counterexample = None
-    if first_idx is not None:
-        rng = substream(seed, first_idx)
-        counterexample = sample_trial_pair(n, rng, first_idx)
-    return PreservationReport(
-        mode=mode,
-        trials=trials,
-        dim=n,
-        seed=seed,
-        tolerance=float(tol),
-        max_violation=float(worst),
-        first_violation_index=first_idx,
-        first_counterexample=counterexample,
-    )
+    reports = []
+    for mode, tol, (worst, first_idx) in zip(modes, tols, results):
+        counterexample = None
+        if first_idx is not None:
+            counterexample = sample_trial_pair(n, substream(seed, first_idx), first_idx)
+        reports.append(
+            PreservationReport(
+                mode=mode,
+                trials=trials,
+                dim=n,
+                seed=seed,
+                tolerance=float(tol),
+                max_violation=float(worst),
+                first_violation_index=first_idx,
+                first_counterexample=counterexample,
+            )
+        )
+    return reports

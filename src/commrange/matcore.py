@@ -63,11 +63,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, skew: bool = False) -> bool:
+def is_hermitian(m: np.ndarray, skew: bool = False):
     """True iff ||M - M*||_max (||M + M*||_max when skew) is at most
-    1e-12 * max(1, ||M||_max); the package's one symmetry test."""
-    defect = max_abs(m + m.conj().T if skew else m - m.conj().T)
-    return defect <= HERMITIAN_TOL * max(1.0, max_abs(m))
+    1e-12 * max(1, ||M||_max); the package's one symmetry test.  Over a
+    stack of matrices (leading axes) it gives one verdict per matrix."""
+    adj = m.conj().swapaxes(-1, -2)
+    defect = np.abs(m + adj if skew else m - adj).max(axis=(-2, -1))
+    return defect <= HERMITIAN_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
 
 
 def is_unitary(u: np.ndarray) -> bool:
@@ -89,6 +91,19 @@ def hermitian(a) -> np.ndarray:
             f"matrix is not self-adjoint (asymmetry {max_abs(m - m.conj().T):.3e})"
         )
     return (m + m.conj().T) / 2
+
+
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian` over a stack of square matrices with finite
+    entries; a ``MatrixError`` names the first matrix that fails."""
+    ok = is_hermitian(m)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise MatrixError(
+            f"matrix {k} of the stack is not self-adjoint "
+            f"(asymmetry {max_abs(m[k] - m[k].conj().T):.3e})"
+        )
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def commutator(a, b) -> np.ndarray:
@@ -145,8 +160,10 @@ def _hermitian_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _commutator_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending t_k of sigma([A, B]) for validated A, B, or for each pair
+    of two equal stacks of them."""
     p = a @ b
-    return np.linalg.eigvalsh(-1j * (p - p.conj().T))
+    return np.linalg.eigvalsh(-1j * (p - p.conj().swapaxes(-1, -2)))
 
 
 def commutator_spectrum(a, b) -> np.ndarray:
@@ -184,28 +201,60 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n x n matrix of iid standard complex Gaussian entries."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def _ginibre(parts: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices (X + iY)/sqrt(2) from standard normal parts
+    of shape (..., 2, n, n), drawn by ``rng.standard_normal((2, n, n))``."""
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2)
+
+
+def _check_dim(n: int) -> None:
+    if not 1 <= n <= MAX_DIM:
+        raise MatrixError(f"dimension must be in [1, {MAX_DIM}]")
+
+
+def _gue(parts: np.ndarray) -> np.ndarray:
+    """(G + G*)/2 for the Ginibre matrices G of ``parts``."""
+    g = _ginibre(parts)
+    return (g + g.conj().swapaxes(-1, -2)) / 2
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """GUE sample: (G + G*)/2 for a complex Ginibre matrix G."""
-    if not 1 <= n <= MAX_DIM:
-        raise MatrixError(f"dimension must be in [1, {MAX_DIM}]")
-    g = _ginibre(n, rng)
-    return (g + g.conj().T) / 2
+    _check_dim(n)
+    return _gue(rng.standard_normal((2, n, n)))
+
+
+def _haar(parts: np.ndarray) -> np.ndarray:
+    """Haar unitaries: QR of the Ginibre matrices of ``parts`` with the
+    phases of each triangular factor's diagonal absorbed into Q."""
+    q, r = np.linalg.qr(_ginibre(parts))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with the phases of
     the triangular factor's diagonal absorbed into Q."""
-    if not 1 <= n <= MAX_DIM:
-        raise MatrixError(f"dimension must be in [1, {MAX_DIM}]")
-    q, r = np.linalg.qr(_ginibre(n, rng))
-    d = r.diagonal().copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    _check_dim(n)
+    return _haar(rng.standard_normal((2, n, n)))
+
+
+def _rank_k_coeffs(k: int, rng: np.random.Generator) -> np.ndarray:
+    """k standard normal coefficients, each redrawn until |c| >= 1e-3."""
+    coeffs = rng.standard_normal(k)
+    while np.any(np.abs(coeffs) < 1e-3):
+        small = np.abs(coeffs) < 1e-3
+        coeffs[small] = rng.standard_normal(int(small.sum()))
+    return coeffs
+
+
+def _rank_k(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j c_j x_j x_j*, exactly symmetrized, over the first k columns
+    x_j of each unitary in ``u`` and the k coefficients of ``coeffs``."""
+    x = u[..., :, : coeffs.shape[-1]]
+    m = (x * coeffs[..., None, :]) @ x.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def random_rank_k_hermitian(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,13 +262,8 @@ def random_rank_k_hermitian(n: int, k: int, rng: np.random.Generator) -> np.ndar
     real c_j."""
     if not 1 <= k <= n:
         raise MatrixError(f"rank k={k} must satisfy 1 <= k <= n={n}")
-    x = random_unitary(n, rng)[:, :k]
-    coeffs = rng.standard_normal(k)
-    while np.any(np.abs(coeffs) < 1e-3):
-        small = np.abs(coeffs) < 1e-3
-        coeffs[small] = rng.standard_normal(int(small.sum()))
-    m = (x * coeffs) @ x.conj().T
-    return (m + m.conj().T) / 2
+    u = random_unitary(n, rng)
+    return _rank_k(u, _rank_k_coeffs(k, rng))
 
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

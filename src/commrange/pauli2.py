@@ -124,8 +124,8 @@ def psi(a) -> np.ndarray:
 
 
 def _psi(m: np.ndarray) -> np.ndarray:
+    """The mirror map of a 2x2 matrix, or of each matrix of a stack."""
     out = m.copy()
-    off = m[0, 1]
-    out[0, 1] = complex(-off.real, off.imag)
-    out[1, 0] = np.conj(out[0, 1])
+    out.real[..., 0, 1] = -m.real[..., 0, 1]
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
     return out

@@ -126,12 +126,34 @@ def _two_level(a: np.ndarray, gap_tol: float) -> TwoLevelDecomposition:
             True, None, 0.0, float(decomp.eigenvalues.mean()), margin
         )
     mu = [float(decomp.eigenvalues[s].mean()) for s in slices]
-    upper = decomp.vectors[:, slices[1]]
-    proj = upper @ upper.conj().T
-    proj = (proj + proj.conj().T) / 2
+    proj = _projection(decomp.vectors[:, slices[1]])
+    return TwoLevelDecomposition(True, proj, mu[1] - mu[0], mu[0], margin)
+
+
+def _projection(upper: np.ndarray) -> np.ndarray:
+    """The orthogonal projection onto the columns of ``upper`` (or of each
+    matrix of a stack), checked for idempotency."""
+    proj = upper @ upper.conj().swapaxes(-1, -2)
+    proj = (proj + proj.conj().swapaxes(-1, -2)) / 2
     if max_abs(proj @ proj - proj) > 1e-9:
         raise WitnessSearchError("spectral projection failed idempotency check")
-    return TwoLevelDecomposition(True, proj, mu[1] - mu[0], mu[0], margin)
+    return proj
+
+
+def _two_level_mask(a: np.ndarray, gap_tol: float) -> np.ndarray:
+    """The ``two_level`` verdict of :func:`classify_two_level` for each
+    matrix of a validated stack, from one stacked ``eigh``.  The projection
+    of every matrix with two clusters passes the same idempotency check."""
+    eigs, vectors = np.linalg.eigh(a)
+    diameter = eigs[:, -1] - eigs[:, 0]
+    split = np.diff(eigs, axis=-1) > (gap_tol * diameter)[:, None]
+    split &= (diameter > 0.0)[:, None]
+    clusters = 1 + np.count_nonzero(split, axis=-1)
+    pairs = np.flatnonzero(clusters == 2)
+    starts = 1 + np.argmax(split[pairs], axis=-1)
+    for start in np.unique(starts):
+        _projection(vectors[pairs[starts == start], :, start:])
+    return clusters <= 2
 
 
 def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:

@@ -63,10 +63,11 @@ from .maps import (
     SSET_RANDOM,
     UNITARY_STREAM,
     MapSpec,
+    _preservation_reports,
     _random_two_level,
+    _sample_block,
     check_preservation,
     metric_violation,
-    sample_trial_pair,
     worker_pool,
 )
 
@@ -433,17 +434,13 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
             label = f"dim2:{dagger}:{mirror}"
             rules = dict(dagger=dagger, psi=mirror, sign=SIGN_HASH, shift=SHIFT_HASH)
             m = _seeded_spec(seed, label, 2, **rules)
-            mode_violations = {}
             run_seed = _derived_seed(seed, label + ":trials")
-            for mode, tol in (
-                (MODE_SPECTRUM, 1e-10),
-                (MODE_RANGE, 1e-10),
-                (MODE_RADIUS, 1e-10),
-            ):
-                report = check_preservation(
-                    m, mode, trials, 2, run_seed, tol=tol, workers=workers
-                )
-                mode_violations[mode] = report.max_violation
+            # One pass over the trial stream gives all three metrics.
+            modes = (MODE_SPECTRUM, MODE_RANGE, MODE_RADIUS)
+            reports = _preservation_reports(
+                m, modes, trials, 2, run_seed, (1e-10,) * 3, workers
+            )
+            mode_violations = {r.mode: r.max_violation for r in reports}
             vals = list(mode_violations.values())
             spread = max(vals) - min(vals)
             form_runs.append(
@@ -466,17 +463,18 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     agreement_ok = True
     caught = 0
     skipped = 0
+    a, b = _sample_block(2, agree_seed, 0, agree_trials)
+    base = _commutator_spectrum(a, b)
+    image = _commutator_spectrum(2.0 * a, 2.0 * b)
+    violations = np.array([metric_violation(base, image, mode) for mode in MODES])
+    if np.any(violations.max(axis=0) - violations.min(axis=0) > 1e-12):
+        agreement_ok = False
     for i in range(agree_trials):
-        rng = substream(agree_seed, i)
-        a, b = sample_trial_pair(2, rng, i)
-        base = _commutator_spectrum(a, b)
-        image = _commutator_spectrum(2.0 * a, 2.0 * b)
-        violations = [metric_violation(base, image, mode) for mode in MODES]
-        if max(violations) - min(violations) > 1e-12:
-            agreement_ok = False
-        if min(violations) > 1e-10:
+        if violations[:, i].min() > 1e-10:
             caught += 1
-        elif np.abs(base).max() <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2):
+        elif np.abs(base[i]).max() <= (
+            1e-12 * np.linalg.norm(a[i], 2) * np.linalg.norm(b[i], 2)
+        ):
             skipped += 1
         else:
             agreement_ok = False

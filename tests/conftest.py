@@ -32,3 +32,20 @@ def hermitian_calls(monkeypatch):
         if hasattr(module, "hermitian"):
             monkeypatch.setattr(module, "hermitian", counting)
     return calls
+
+
+@pytest.fixture
+def validated_stacks(monkeypatch):
+    """A list that gains the number of matrices of every stack the trial
+    engine passes to its symmetry validation ``_hermitian_stack``."""
+    from commrange import maps
+
+    sizes = []
+    original = maps._hermitian_stack
+
+    def counting(m):
+        sizes.append(m.shape[0])
+        return original(m)
+
+    monkeypatch.setattr(maps, "_hermitian_stack", counting)
+    return sizes

@@ -1,12 +1,12 @@
 import json
 import multiprocessing
+from concurrent import futures
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commrange import maps as maps_mod
 from commrange import suite as suite_mod
 from commrange.matcore import (
     MatrixError,
@@ -260,10 +260,13 @@ def test_pool_size_bounds(workers, cpu_count):
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Record every pool the maps module builds and every shutdown."""
+    """Record every pool the maps module builds and every shutdown.
+
+    ``worker_pool`` looks the executor up in ``concurrent.futures`` when it
+    opens a pool, so the counting class is installed there."""
     log = {"max_workers": [], "shutdowns": 0}
 
-    class CountingPool(maps_mod.ProcessPoolExecutor):
+    class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             log["max_workers"].append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
@@ -272,7 +275,7 @@ def pool_log(monkeypatch):
             log["shutdowns"] += 1
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(maps_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     return log
 
 
@@ -389,10 +392,11 @@ def test_report_embeds_counterexample_matrices():
     assert not intervals_equal(iv, ivt, report.tolerance)
 
 
-def test_trials_validate_only_inexact_matrices(hermitian_calls):
-    # per trial hermitian() runs on the two raw map images s U core U* + f I
-    # and on the sampled conjugations of pool kinds 2 and 3 (0 + 0 + 1 + 2
-    # over the four kinds): 2.75 calls per trial, for either mode
+def test_trials_validate_only_inexact_matrices(validated_stacks):
+    # a block of 100 trials validates two stacks: the sampled two-level
+    # matrices and conjugations of pool kinds 2 and 3 (0 + 0 + 1 + 2 over
+    # the four kinds: 75), then the raw map images s U core U* + f I (200);
+    # the exactly Hermitian GUE and low-rank samples are never re-checked
     u = random_unitary(3, substream(94, 0))
     radius_map = MapSpec(
         dim=3, unitary=u, sign=SIGN_HASH, sign_seed=1, shift=SHIFT_HASH, shift_seed=2
@@ -402,6 +406,6 @@ def test_trials_validate_only_inexact_matrices(hermitian_calls):
         shift=SHIFT_HASH, shift_seed=2,
     )
     for m, mode in ((radius_map, MODE_RADIUS), (range_map, MODE_RANGE)):
-        hermitian_calls.clear()
+        validated_stacks.clear()
         assert check_preservation(m, mode, 100, 3, 7).passed
-        assert len(hermitian_calls) == 275
+        assert validated_stacks == [75, 200]

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commrange import matcore
@@ -163,8 +163,32 @@ def _repeated_spectrum_hermitian(draw, n):
     return _conjugated(scale * np.array(picks), draw(st.integers(0, 2**32)))
 
 
+# Hard cases pinned with @example, so they run whatever numeric literals
+# Hypothesis collects from the package and the other test modules.
+_SCALAR_1E6 = _conjugated(1e6 * np.ones(8), 1)
+_TWO_LEVEL_1EM6 = _conjugated(1e-6 * np.array([1.0, 1.0, -0.5, -0.5, 1.0, 1.0, -0.5, 1.0]), 2)
+_ONE_BY_ONE_1E6 = _conjugated(np.array([-1e6]), 3)
+_A_1E3 = _conjugated(1e3 * np.array([0.3, -0.7, 0.3, 1.0, -0.7]), 4)
+_PINNED_PAIRS = (
+    # commuting, with ||A|| ||B|| = 1e7: [A, B] is roundoff only
+    (_A_1E3, 10.0 * _A_1E3),
+    (_A_1E3, _A_1E3),
+    # a shared eigenbasis at 1e6 and 1e-6: commuting in exact arithmetic
+    (
+        _conjugated(1e6 * np.array([1.0, -1.0, 0.5, 0.5]), 5),
+        _conjugated(1e-6 * np.array([0.2, 0.2, -1.0, 0.7]), 5),
+    ),
+    (_SCALAR_1E6, _TWO_LEVEL_1EM6),
+    (_ONE_BY_ONE_1E6, _conjugated(np.array([1e-6]), 6)),
+)
+
+
 @_PROPERTY_SETTINGS
 @given(_DIMS.flatmap(_repeated_spectrum_hermitian))
+@example(_SCALAR_1E6)
+@example(_TWO_LEVEL_1EM6)
+@example(_ONE_BY_ONE_1E6)
+@example(_A_1E3)
 def test_eigen_property_residual_unitary_deterministic(a):
     ev, vecs = hermitian_eigen(a)
     assert np.all(np.diff(ev) >= 0)
@@ -183,6 +207,11 @@ def test_eigen_property_residual_unitary_deterministic(a):
         )
     )
 )
+@example(_PINNED_PAIRS[0])
+@example(_PINNED_PAIRS[1])
+@example(_PINNED_PAIRS[2])
+@example(_PINNED_PAIRS[3])
+@example(_PINNED_PAIRS[4])
 def test_skew_eigen_property_commutator_trace_zero(pair):
     # The skew part of [A, B]: forming AB - BA leaves a skew defect of order
     # eps * ||A|| ||B||, which the 1e-12 * max(1, ||[A, B]||) test rejects
@@ -254,6 +283,11 @@ def test_commutator_spectrum_rejects_bad_input():
         )
     )
 )
+@example(_PINNED_PAIRS[0])
+@example(_PINNED_PAIRS[1])
+@example(_PINNED_PAIRS[2])
+@example(_PINNED_PAIRS[3])
+@example(_PINNED_PAIRS[4])
 def test_commutator_spectrum_property_antisymmetric(pair):
     # sigma([B, A]) = -sigma([A, B]); the two sides round differently, by
     # a few eps * ||A|| ||B||

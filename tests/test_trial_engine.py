@@ -1,0 +1,308 @@
+"""The block trial engine of ``maps``: stacked sampling, mapping, hashing
+and measuring must give, trial by trial, the numbers of the stack-of-one
+route, whatever the split into blocks."""
+
+import hashlib
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+from commrange import maps as maps_mod
+from commrange.matcore import (
+    MatrixError,
+    _hermitian_stack,
+    commutator_spectrum,
+    hermitian,
+    is_hermitian,
+    random_unitary,
+    substream,
+)
+from commrange.maps import (
+    DAGGER_IDENTITY,
+    DAGGER_TRANSPOSE,
+    MODE_RADIUS,
+    MODE_RANGE,
+    MODE_SPECTRUM,
+    SHIFT_HASH,
+    SHIFT_TRACELESS,
+    SHIFT_ZERO,
+    SIGN_HASH,
+    SIGN_PLUS,
+    SSET_ALL,
+    SSET_EMPTY,
+    SSET_RANDOM,
+    MapSpec,
+    _block_spectra,
+    _Quanta,
+    _sample_block,
+    apply_map,
+    check_preservation,
+    metric_violation,
+    sample_trial_pair,
+)
+from commrange.pauli2 import _psi, psi
+from commrange.structure import GAP_TOL, _two_level_mask, classify_two_level
+
+# Every sign rule (radius forms, epsilon None) and every exceptional-set
+# rule (range forms, epsilon +/-1), under every dagger and shift rule.
+_SIGN_RULES = [dict(sign=SIGN_PLUS), dict(sign=SIGN_HASH)] + [
+    dict(epsilon=eps, sset=sset)
+    for eps in (1, -1)
+    for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM)
+]
+
+
+def _presets(n):
+    mirrors = (False, True) if n == 2 else (False,)
+    for dagger, mirror, shift, rule in itertools.product(
+        (DAGGER_IDENTITY, DAGGER_TRANSPOSE),
+        mirrors,
+        (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH),
+        _SIGN_RULES,
+    ):
+        yield dict(dagger=dagger, psi=mirror, shift=shift, **rule)
+
+
+def _spec(n, index, **rules):
+    return MapSpec(
+        dim=n,
+        unitary=random_unitary(n, substream(7000 + n, index)),
+        sign_seed=3 * index + 1,
+        shift_seed=3 * index + 2,
+        sset_seed=3 * index + 3,
+        **rules,
+    )
+
+
+def _modes(n):
+    return (MODE_RADIUS, MODE_RANGE) + ((MODE_SPECTRUM,) if n == 2 else ())
+
+
+def _split_spectra(m, n, seed, trials, size):
+    """Per-trial (base, image) spectra from engine blocks of ``size``."""
+    parts = [
+        _block_spectra(m, n, seed, lo, min(lo + size, trials))
+        for lo in range(0, trials, size)
+    ]
+    return tuple(np.concatenate(side) for side in zip(*parts))
+
+
+def _single_spectra(m, n, seed, trials):
+    """Per-trial (base, image) spectra through the one-matrix calls."""
+    base, image = [], []
+    for i in range(trials):
+        a, b = sample_trial_pair(n, substream(seed, i), i)
+        base.append(commutator_spectrum(a, b))
+        image.append(commutator_spectrum(apply_map(m, a), apply_map(m, b)))
+    return np.array(base), np.array(image)
+
+
+@pytest.mark.parametrize("n", (2, 3, 6, 16))
+def test_block_splits_and_stack_of_one_agree_bitwise(n):
+    # 10 trials cover the four pool kinds; splits of 1 and 7 put trials at
+    # every position of a block, the full block size keeps them in one
+    trials = 10
+    for index, rules in enumerate(_presets(n)):
+        m = _spec(n, index, **rules)
+        seed = 100 * n + index
+        single = _single_spectra(m, n, seed, trials)
+        expected = [metric_violation(*single, mode).tobytes() for mode in _modes(n)]
+        for size in (1, 7, maps_mod._BLOCK_TRIALS):
+            split = _split_spectra(m, n, seed, trials, size)
+            assert split[0].tobytes() == single[0].tobytes(), (rules, size)
+            assert split[1].tobytes() == single[1].tobytes(), (rules, size)
+            got = [metric_violation(*split, mode).tobytes() for mode in _modes(n)]
+            assert got == expected, (rules, size)
+        for mode in _modes(n):
+            one_by_one = [
+                metric_violation(single[0][i], single[1][i], mode)
+                for i in range(trials)
+            ]
+            assert metric_violation(*single, mode).tolist() == one_by_one
+
+
+def test_block_size_does_not_change_reports(monkeypatch):
+    cases = [
+        (2, MODE_SPECTRUM, dict(psi=True, sign=SIGN_HASH, shift=SHIFT_HASH)),
+        (3, MODE_RANGE, dict(dagger=DAGGER_TRANSPOSE, epsilon=1)),
+        (3, MODE_RANGE, dict(epsilon=-1, sset=SSET_RANDOM, shift=SHIFT_HASH)),
+        (6, MODE_RADIUS, dict(sign=SIGN_HASH, shift=SHIFT_TRACELESS)),
+        (16, MODE_RADIUS, dict(sign=SIGN_HASH, shift=SHIFT_HASH)),
+    ]
+    default = maps_mod._BLOCK_TRIALS
+    for index, (n, mode, rules) in enumerate(cases):
+        m = _spec(n, 100 + index, **rules)
+        trials = 30 if n < 16 else 9
+        blobs = set()
+        for size in (1, 7, default):
+            monkeypatch.setattr(maps_mod, "_BLOCK_TRIALS", size)
+            report = check_preservation(m, mode, trials, n, 500 + index)
+            blobs.add(json.dumps(report.to_json(), sort_keys=True))
+        assert len(blobs) == 1, (n, mode, rules)
+
+
+def test_counterexample_replay_equals_engine_pair():
+    m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
+    trials, seed = 200, 321
+    report = check_preservation(m, MODE_RANGE, trials, 3, seed, tol=1e-9)
+    base, image = _block_spectra(m, 3, seed, 0, trials)
+    over = np.flatnonzero(metric_violation(base, image, MODE_RANGE) > 1e-9)
+    assert report.first_violation_index == over[0]
+    a, b = _sample_block(3, seed, 0, trials)
+    ca, cb = report.first_counterexample
+    assert ca.tobytes() == a[over[0]].tobytes()
+    assert cb.tobytes() == b[over[0]].tobytes()
+    # a chunk that starts mid-stream reports absolute trial indices
+    for lo in (over[0] + 1, 37):
+        ((worst, first),) = maps_mod._run_chunk(
+            (m, (MODE_RANGE,), 3, seed, int(lo), trials, (1e-9,))
+        )
+        assert first == over[over >= lo][0]
+
+
+def test_sampled_stacks_are_exactly_hermitian_per_trial():
+    for n in (2, 3, 6, 16):
+        a, b = _sample_block(n, 40 + n, 3, 15)
+        for k, i in enumerate(range(3, 15)):
+            ra, rb = sample_trial_pair(n, substream(40 + n, i), i)
+            assert a[k].tobytes() == ra.tobytes()
+            assert b[k].tobytes() == rb.tobytes()
+            assert hermitian(a[k]).tobytes() == a[k].tobytes()
+
+
+def _quantized_digest(a, seed, salt):
+    """The one-matrix hash-rule digest as the rules defined it before the
+    engine batched it: the reference the batched digests must equal."""
+    parts = np.stack([a.real, a.imag]) / 1e-9
+    if np.abs(parts).max() >= 2.0**63:
+        raise MatrixError("out of the quantization range")
+    h = hashlib.blake2b(digest_size=16)
+    h.update(salt.encode("ascii"))
+    h.update(int(seed % (1 << 64)).to_bytes(8, "little"))
+    h.update(np.round(parts).astype(np.int64).tobytes())
+    return h.digest()
+
+
+def test_batched_digests_equal_single_digests():
+    for n in (1, 2, 3, 16):
+        a, b = _sample_block(n if n > 1 else 2, 60 + n, 0, 12)
+        stack = np.concatenate([a, b]) if n > 1 else np.ones((5, 1, 1)) * 0.25j
+        q = _Quanta(stack)
+        for seed, salt in ((0, "sign"), (2**64 + 5, "shift"), (-3, "sset")):
+            rows = range(len(stack))
+            batch = q.digests(seed, salt, rows)
+            assert batch == [_quantized_digest(x, seed, salt) for x in stack]
+            assert q.digests(seed, salt, [4, 1]) == [batch[4], batch[1]]
+
+
+def test_rule_values_follow_the_digest():
+    a, b = _sample_block(3, 61, 0, 8)
+    stack = np.concatenate([a, b])
+    m = _spec(3, 1, sign=SIGN_HASH, shift=SHIFT_HASH)
+    q = _Quanta(stack)
+    signs = m._signs(q)
+    shifts = m._shifts(q)
+    for k, x in enumerate(stack):
+        sign_digest = _quantized_digest(x, m.sign_seed, "sign")
+        shift_digest = _quantized_digest(x, m.shift_seed, "shift")
+        assert signs[k] == m.sign_value(x) == (1 if sign_digest[0] & 1 == 0 else -1)
+        word = int.from_bytes(shift_digest[:8], "little")
+        assert shifts[k] == m.shift_value(x) == word / float(1 << 64) * 2.0 - 1.0
+    traceless = _spec(3, 2, shift=SHIFT_TRACELESS)
+    expected = [-float(np.trace(x).real) / 3 for x in stack]
+    assert traceless._shifts(q).tolist() == expected
+
+
+def test_batched_digests_refuse_out_of_range_rows():
+    stack = np.stack([np.eye(3), np.diag([1e11, 2.0, 3.0]), 2 * np.eye(3)]) + 0j
+    q = _Quanta(stack)
+    with pytest.raises(MatrixError, match="hash rules need entries below"):
+        q.digests(1, "sign", range(3))
+    # rows that are not digested are not refused
+    assert q.digests(1, "sign", [0, 2]) == [
+        _quantized_digest(stack[0], 1, "sign"),
+        _quantized_digest(stack[2], 1, "sign"),
+    ]
+    m = MapSpec(dim=3, unitary=np.eye(3), shift=SHIFT_HASH, shift_seed=8)
+    with pytest.raises(MatrixError):
+        maps_mod._images(m, stack)
+    # the bound sits at 2**63 quanta, about 9.22e9, as for one matrix
+    for entry, refused in ((9.3e9, True), (9.2e9, False)):
+        edge = _Quanta(np.diag([entry, 2.0, 3.0])[None] + 0j)
+        if refused:
+            with pytest.raises(MatrixError):
+                _quantized_digest(edge.a[0], 1, "sign")
+            with pytest.raises(MatrixError):
+                edge.digests(1, "sign", [0])
+        else:
+            assert edge.digests(1, "sign", [0]) == [_quantized_digest(edge.a[0], 1, "sign")]
+
+
+def test_images_equal_one_matrix_maps():
+    for n in (2, 3, 16):
+        a, b = _sample_block(n, 62 + n, 0, 9)
+        stack = np.concatenate([a, b])
+        for index, rules in enumerate(_presets(n)):
+            m = _spec(n, index, **rules)
+            images = maps_mod._images(m, stack)
+            for k, x in enumerate(stack):
+                assert images[k].tobytes() == apply_map(m, x).tobytes(), rules
+
+
+def test_validation_names_the_corrupt_matrix_of_a_block(monkeypatch):
+    # the engine hands each inexactly formed stack to the symmetry test
+    # whole: one matrix k made asymmetric beyond 1e-12 * max(1, ||M||) is
+    # refused by its place in the stack, from inside check_preservation
+    m = _spec(3, 5, sign=SIGN_HASH, shift=SHIFT_HASH)
+    original = maps_mod._hermitian_stack
+    for k in (0, 3, 8):
+        for defect, refused in ((1e-9, True), (1e-14, False)):
+
+            def corrupting(stack, k=k, defect=defect):
+                stack = stack.copy()
+                stack[k, 0, 1] += defect
+                return original(stack)
+
+            monkeypatch.setattr(maps_mod, "_hermitian_stack", corrupting)
+            if refused:
+                with pytest.raises(MatrixError, match=f"matrix {k} of the stack"):
+                    check_preservation(m, MODE_RADIUS, 20, 3, 77)
+            else:
+                check_preservation(m, MODE_RADIUS, 20, 3, 77)
+
+
+def test_stacked_symmetry_test_matches_one_matrix_test():
+    rng = substream(63, 0)
+    stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    stack = (stack + stack.conj().swapaxes(-1, -2)) / 2
+    stack[2, 1, 3] += 1e-6
+    stack[4] *= 1e8
+    stack[4, 0, 2] += 1e-5  # within 1e-12 * ||M|| at this scale
+    verdicts = is_hermitian(stack)
+    assert verdicts.tolist() == [bool(is_hermitian(x)) for x in stack]
+    assert verdicts.tolist() == [True, True, False, True, True, True]
+    with pytest.raises(MatrixError, match="matrix 2 of the stack"):
+        _hermitian_stack(stack)
+    ok = np.delete(stack, 2, axis=0)
+    sym = _hermitian_stack(ok)
+    for k, x in enumerate(ok):
+        assert sym[k].tobytes() == hermitian(x).tobytes()
+
+
+def test_stacked_two_level_mask_matches_classifier():
+    for n in (2, 3, 6):
+        a, b = _sample_block(n, 64 + n, 0, 40)
+        stack = np.concatenate([a, b])
+        mask = _two_level_mask(stack, GAP_TOL)
+        assert mask.tolist() == [classify_two_level(x).two_level for x in stack]
+        assert 0 < mask.sum() <= len(stack)
+
+
+def test_stacked_mirror_map_matches_one_matrix_map():
+    a, b = _sample_block(2, 65, 0, 8)
+    stack = np.concatenate([a, b])
+    mirrored = _psi(stack)
+    for k, x in enumerate(stack):
+        assert mirrored[k].tobytes() == psi(x).tobytes()
