@@ -1,19 +1,28 @@
-"""Trial-engine throughput, end to end and phase by phase.
+"""Trial-engine and oracle throughput, end to end and phase by phase.
 
     python3 scripts/bench_trials.py --out BENCH.json [--seed 2026] [--reps 7]
 
-For n = 2, 3, 6 and 16 it times ``check_preservation`` on a radius-mode
-map with hash sign and shift rules (trials per second), and the four
-phases of the block engine on the same trials, in microseconds per trial:
+``engine``: for n = 2, 3, 6 and 16 it times ``check_preservation`` on a
+radius-mode map with hash sign and shift rules (trials per second), and the
+four phases of the block engine on the same trials, in microseconds per
+trial:
 
-* ``draws``: opening each trial's (seed, i) stream and making its draws;
-* ``qr_assembly``: stacked Haar QR, forming and validating the samples;
+* ``draws``: phase 1 of ``maps._sample_block``, opening each trial's
+  (seed, i) stream and making its draws (the call's time less its
+  assembly);
+* ``qr_assembly``: ``_Draws.assemble`` inside that call: stacked Haar QR,
+  forming and validating the samples;
 * ``map_digests``: the map on the A and B stacks, with the hash digests;
 * ``spectra``: both commutator spectra and the violation metric.
 
-Every figure is the median over ``--reps`` runs of ``BLOCK`` trials (one
-engine block) after one warm-up run.  BLAS runs on one thread.  The JSON
-names the host, Python and NumPy versions next to the numbers.
+``oracles``: at n = 3, 6 and 16, microseconds per
+``radius_equivalence_check`` call (200 projections, an unrelated GUE pair)
+and per draw of its 200 unit vectors; and the wall time in seconds of
+acceptance criteria 4 and 5 at scale 1.0.
+
+Every figure is the median over ``--reps`` runs after one warm-up run.
+BLAS runs on one thread.  The JSON names the host, Python and NumPy
+versions next to the numbers.
 """
 
 import os
@@ -32,11 +41,24 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrange import maps  # noqa: E402
-from commrange.matcore import _commutator_spectrum, random_unitary, substream  # noqa: E402
+from commrange import maps, matcore, suite  # noqa: E402
+from commrange.matcore import (  # noqa: E402
+    _commutator_spectrum,
+    random_hermitian,
+    random_unitary,
+    substream,
+)
+from commrange.structure import radius_equivalence_check  # noqa: E402
 
 DIMS = (2, 3, 6, 16)
+ORACLE_DIMS = (3, 6, 16)
 BLOCK = maps._BLOCK_TRIALS
+PROJECTIONS = 200
+CALLS = 50
+CRITERIA = {
+    "crit04_affine_equivalence_oracle": suite.crit_affine_equivalence_oracle,
+    "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
+}
 
 
 def _spec(n: int, seed: int) -> maps.MapSpec:
@@ -52,30 +74,38 @@ def _spec(n: int, seed: int) -> maps.MapSpec:
 
 def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     """Seconds of each engine phase over trials 0 .. BLOCK-1."""
-    t0 = perf_counter()
-    draws = maps._Draws(n)
-    for i in range(BLOCK):
-        draws.draw_pair(substream(seed, i), i)
-    t1 = perf_counter()
-    out = draws.assemble()
+    assembly = []
+    assemble = maps._Draws.assemble
+
+    def timed_assemble(draws):
+        t = perf_counter()
+        out = assemble(draws)
+        assembly.append(perf_counter() - t)
+        return out
+
+    maps._Draws.assemble = timed_assemble
+    try:
+        t0 = perf_counter()
+        a, b = maps._sample_block(n, seed, 0, BLOCK)
+        t1 = perf_counter()
+    finally:
+        maps._Draws.assemble = assemble
+    images = maps._images(m, np.concatenate([a, b]))
     t2 = perf_counter()
-    images = maps._images(m, out)
-    t3 = perf_counter()
     spectra = _commutator_spectrum(
-        np.concatenate([out[0::2], images[0::2]]),
-        np.concatenate([out[1::2], images[1::2]]),
+        np.concatenate([a, images[:BLOCK]]), np.concatenate([b, images[BLOCK:]])
     )
     maps.metric_violation(spectra[:BLOCK], spectra[BLOCK:], maps.MODE_RADIUS)
-    t4 = perf_counter()
+    t3 = perf_counter()
     return {
-        "draws": t1 - t0,
-        "qr_assembly": t2 - t1,
-        "map_digests": t3 - t2,
-        "spectra": t4 - t3,
+        "draws": t1 - t0 - assembly[0],
+        "qr_assembly": assembly[0],
+        "map_digests": t2 - t1,
+        "spectra": t3 - t2,
     }
 
 
-def measure(n: int, seed: int, reps: int) -> dict:
+def measure_engine(n: int, seed: int, reps: int) -> dict:
     m = _spec(n, seed)
     maps.check_preservation(m, maps.MODE_RADIUS, BLOCK, n, seed)
     _phases(m, n, seed)
@@ -92,6 +122,49 @@ def measure(n: int, seed: int, reps: int) -> dict:
             for name in phases[0]
         },
     }
+
+
+def _draw_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The unit vectors of one ``radius_equivalence_check`` call, drawn as
+    it draws them: one stacked ``matcore._unit_vectors`` call, or, in a
+    tree without that kernel, one ``random_unit_vector`` call per vector."""
+    if hasattr(matcore, "_unit_vectors"):
+        return matcore._unit_vectors(rng.standard_normal((PROJECTIONS, 2, n)))
+    return np.stack([matcore.random_unit_vector(n, rng) for _ in range(PROJECTIONS)])
+
+
+def _us_per_call(fn, seed: int, reps: int) -> float:
+    """Median over ``reps`` runs of CALLS calls fn(rng), each on its own
+    stream opened outside the timed loop, in microseconds per call."""
+    runs = []
+    for r in range(reps + 1):
+        rngs = [substream(seed + r, k) for k in range(CALLS)]
+        t0 = perf_counter()
+        for rng in rngs:
+            fn(rng)
+        runs.append((perf_counter() - t0) / CALLS * 1e6)
+    return float(np.median(runs[1:]))
+
+
+def measure_oracles(seed: int, reps: int) -> dict:
+    out = {"equiv_us_per_call": {}, "draw200_us": {}, "criteria_s": {}}
+    for n in ORACLE_DIMS:
+        a = random_hermitian(n, substream(seed, 2 * n))
+        b = random_hermitian(n, substream(seed, 2 * n + 1))
+        out["equiv_us_per_call"][f"n{n}"] = _us_per_call(
+            lambda rng: radius_equivalence_check(a, b, PROJECTIONS, rng), seed, reps
+        )
+        out["draw200_us"][f"n{n}"] = _us_per_call(
+            lambda rng: _draw_vectors(n, rng), seed, reps
+        )
+    for name, crit in CRITERIA.items():
+        walls = []
+        for _ in range(reps + 1):
+            t0 = perf_counter()
+            crit(seed, 1.0, 1)
+            walls.append(perf_counter() - t0)
+        out["criteria_s"][name] = float(np.median(walls[1:]))
+    return out
 
 
 def _cpu_model() -> str:
@@ -113,7 +186,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    results = {f"n{n}": measure(n, args.seed, args.reps) for n in DIMS}
+    engine = {f"n{n}": measure_engine(n, args.seed, args.reps) for n in DIMS}
+    oracles = measure_oracles(args.seed, args.reps)
     report = {
         "host": {
             "machine": platform.machine(),
@@ -127,13 +201,16 @@ def main() -> None:
         "reps": args.reps,
         "trials_per_run": BLOCK,
         "map": "radius mode, identity dagger, hash sign and shift rules",
-        "trials_per_s": {k: v["trials_per_s"] for k, v in results.items()},
-        "phase_us_per_trial": {k: v["phase_us_per_trial"] for k, v in results.items()},
+        "trials_per_s": {k: v["trials_per_s"] for k, v in engine.items()},
+        "phase_us_per_trial": {k: v["phase_us_per_trial"] for k, v in engine.items()},
+        "oracles": oracles,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for key, val in results.items():
+    for key, val in engine.items():
         phases = " ".join(f"{p}={us:.1f}" for p, us in val["phase_us_per_trial"].items())
         print(f"{key}: {val['trials_per_s']:.0f} trials/s; us/trial {phases}")
+    for key, val in oracles.items():
+        print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))
 
 
 if __name__ == "__main__":

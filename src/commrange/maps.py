@@ -49,6 +49,7 @@ from .matcore import (
     _hermitian_stack,
     _rank_k,
     _rank_k_coeffs,
+    _reopen_stream,
     as_matrix,
     hermitian,
     is_unitary,
@@ -181,6 +182,10 @@ class MapSpec:
     sset_seed: int = 0
 
     def __post_init__(self):
+        # The preserver forms are stated for dim H >= 2; at dim 1 every
+        # commutator is zero and the pool has no two-level draw.
+        if self.dim < 2:
+            raise MapConfigError(f"map dim must be at least 2, got {self.dim}")
         u = as_matrix(self.unitary)
         if u.shape != (self.dim, self.dim):
             raise MapConfigError("unitary shape does not match dim")
@@ -306,8 +311,11 @@ def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
 # two-level members and commuting (shared eigenbasis) pairs.
 #
 # Sampling runs in two phases.  ``_Draws`` makes each pair's random draws
-# from its own generator, in a fixed order; ``_Draws.assemble`` then forms
-# every matrix of the block in stacked calls (QR, products, validation).
+# from its own (seed, i) stream, in a fixed order; ``_sample_block``
+# reopens one generator at each index rather than building a fresh
+# ``substream`` per trial, and the streams are the same.
+# ``_Draws.assemble`` then forms every matrix of the block in stacked calls
+# (QR, products, validation).
 # No draw depends on a QR or a product, so the split changes no number.
 # ---------------------------------------------------------------------------
 
@@ -440,10 +448,13 @@ def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
 
 def _sample_block(n: int, seed: int, lo: int, hi: int):
     """The A and B stacks of trials lo .. hi-1, trial i drawn from the
-    (seed, i) stream with pool kind i."""
+    (seed, i) stream with pool kind i.  One generator is reopened at each
+    index, which draws exactly what ``substream(seed, i)`` would."""
     draws = _Draws(n)
+    rng = substream(seed, lo)
     for i in range(lo, hi):
-        draws.draw_pair(substream(seed, i), i)
+        _reopen_stream(rng, seed, i)
+        draws.draw_pair(rng, i)
     out = draws.assemble()
     return out[0::2], out[1::2]
 

@@ -195,10 +195,35 @@ def rank_numeric(a, tol: float = RANK_TOL) -> int:
 DEFAULT_SEED = 2026
 
 
+def _stream_key(seed: int, index: int) -> tuple:
+    """The Philox key of the (seed, index) stream."""
+    return seed % (1 << 64), index % (1 << 64)
+
+
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for the (seed, index) stream."""
-    key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
+    """A fresh, independent generator for the (seed, index) stream.
+
+    Each call builds a new ``Philox``, which first gathers OS entropy that
+    the key then replaces; a loop over many indices of one seed reopens a
+    single generator with :func:`_reopen_stream` instead.
+    """
+    key = np.array(_stream_key(seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _reopen_stream(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Reset the Philox generator ``rng`` to the start of the (seed, index)
+    stream: its next draws are exactly those of ``substream(seed, index)``.
+    The whole state is set (key, zero counter, empty buffer, no cached
+    32-bit half), so nothing drawn before carries over."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _stream_key(seed, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _ginibre(parts: np.ndarray) -> np.ndarray:
@@ -266,10 +291,26 @@ def random_rank_k_hermitian(n: int, k: int, rng: np.random.Generator) -> np.ndar
     return _rank_k(u, _rank_k_coeffs(k, rng))
 
 
+def _unit_vectors(parts: np.ndarray) -> np.ndarray:
+    """Haar-uniform unit vectors (x + iy)/||x + iy||, one per row, from
+    standard normal parts of shape (P, 2, n), drawn by
+    ``rng.standard_normal((P, 2, n))``.
+
+    The squared norm is x.x + y.y with one ``matmul`` per row over the
+    strided real and imaginary views, the same BLAS dot that
+    ``np.linalg.norm`` takes on one complex vector, so every row equals the
+    one-vector computation bit for bit (a norm along an axis sums in
+    another order).
+    """
+    v = parts[:, 0, :] + 1j * parts[:, 1, :]
+    re, im = v.real, v.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return v / np.sqrt(sq[:, 0])
+
+
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit vector in C^n."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    return _unit_vectors(rng.standard_normal((1, 2, n)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,14 @@ def interval_symmetric(iv: CommutatorInterval, tol: float = SYMMETRY_TOL) -> boo
     """True iff the interval equals its reflection through 0, to tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    scale = max(1.0, abs(iv.t_min), abs(iv.t_max))
-    return abs(iv.t_min + iv.t_max) <= tol * scale
+    return bool(_symmetric(iv.t_min, iv.t_max, tol))
+
+
+def _symmetric(t_min, t_max, tol: float):
+    """:func:`interval_symmetric` for endpoints given as floats or as
+    arrays of them, one verdict per pair."""
+    scale = np.maximum(1.0, np.maximum(np.abs(t_min), np.abs(t_max)))
+    return np.abs(t_min + t_max) <= tol * scale
 
 
 def intervals_equal(

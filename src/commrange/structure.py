@@ -26,9 +26,9 @@ from .matcore import (
     MatrixError,
     _commutator_spectrum,
     _hermitian_pair,
+    _unit_vectors,
     hermitian,
     max_abs,
-    random_unit_vector,
 )
 from .nrange import CommutatorInterval, _rank1_radii
 
@@ -314,9 +314,11 @@ def radius_equivalence_check(
     so the closed form is tried first (sampling alone could only ever
     falsify a universally quantified statement, not verify it).  When no
     algebraic relation holds, Haar-sampled projections hunt for a
-    separating gap; "not-related" requires a gap above 1e-6.  The vectors
-    are drawn one by one with ``random_unit_vector``; the witness vector is
-    the first of them attaining ``worst_gap``.
+    separating gap; "not-related" requires a gap above 1e-6.  The
+    ``n_projections`` vectors come from one ``rng.standard_normal`` draw of
+    shape (n_projections, 2, n), which makes the same draws as that many
+    ``random_unit_vector`` calls and gives the same vectors bit for bit;
+    the witness vector is the first of them attaining ``worst_gap``.
     """
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
@@ -324,7 +326,7 @@ def radius_equivalence_check(
     match = _affine_sign_match(a, b, EQUIV_RESIDUAL_TOL)
     n = a.shape[0]
 
-    xs = np.stack([random_unit_vector(n, rng) for _ in range(n_projections)])
+    xs = _unit_vectors(rng.standard_normal((n_projections, 2, n)))
     gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
     k = int(np.argmax(gaps))
     worst_gap = float(gaps[k])

@@ -77,6 +77,12 @@ def test_spec_validation():
         MapSpec(dim=2, unitary=np.eye(2), epsilon=2)
 
 
+def test_dim_one_map_is_refused():
+    # the preserver forms need dim H >= 2; dim 1 used to crash in the sampler
+    with pytest.raises(MapConfigError):
+        check_preservation(MapSpec(dim=1, unitary=np.eye(1)), MODE_RADIUS, 8, 1, 0)
+
+
 def test_hash_rules_deterministic_and_stable():
     m = MapSpec(
         dim=3,

@@ -449,6 +449,69 @@ def test_substreams_reproducible_and_independent():
     b = random_hermitian(4, substream(13, 6))
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+    # every call builds a new generator: draws from one leave the next alone
+    g1, g2 = substream(13, 5), substream(13, 5)
+    assert g1 is not g2 and g1.bit_generator is not g2.bit_generator
+    first = g1.standard_normal(7)
+    g1.integers(8)
+    assert g2.standard_normal(7).tobytes() == first.tobytes()
+    assert substream(13, 5).standard_normal(7).tobytes() == first.tobytes()
+
+
+def _stream_state(rng):
+    s = rng.bit_generator.state
+    return (
+        s["bit_generator"],
+        s["state"]["counter"].tolist(),
+        s["state"]["key"].tolist(),
+        s["buffer"].tolist(),
+        s["buffer_pos"],
+        s["has_uint32"],
+        s["uinteger"],
+    )
+
+
+@_PROPERTY_SETTINGS
+@given(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
+@example(-1, 0)
+@example(-(2**63), 7)
+@example(2**63 + 5, 3)
+@example(2**64 + 9, 2**64 + 1)
+def test_reopened_stream_equals_fresh_substream(seed, index):
+    rng = substream(5, 0)
+    # a partly used buffer and a cached 32-bit half must not carry over
+    rng.standard_normal(3)
+    rng.integers(8)
+    matcore._reopen_stream(rng, seed, index)
+    fresh = substream(seed, index)
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    direct = np.random.Generator(np.random.Philox(key=key))
+    assert _stream_state(rng) == _stream_state(fresh) == _stream_state(direct)
+    assert rng.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+    assert rng.integers(8, size=5).tolist() == fresh.integers(8, size=5).tolist()
+    assert rng.uniform(size=3).tobytes() == fresh.uniform(size=3).tobytes()
+
+
+def _unit_vector_reference(n, rng):
+    """One Haar unit vector drawn and normalized on its own."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, MAX_DIM), st.integers(1, 300), st.integers(0, 2**32))
+@example(1, 1, 0)
+@example(MAX_DIM, 300, 1)
+def test_stacked_unit_vectors_equal_one_by_one_draws(n, count, seed):
+    stacked, single, public = substream(seed, 0), substream(seed, 0), substream(seed, 0)
+    got = matcore._unit_vectors(stacked.standard_normal((count, 2, n)))
+    want = np.stack([_unit_vector_reference(n, single) for _ in range(count)])
+    assert got.tobytes() == want.tobytes()
+    ones = np.stack([random_unit_vector(n, public) for _ in range(count)])
+    assert ones.tobytes() == want.tobytes()
+    # the stacked draw leaves the generator where the single draws do
+    nxt = stacked.standard_normal()
+    assert nxt == single.standard_normal() and nxt == public.standard_normal()
 
 
 def test_matrix_json_round_trip():

@@ -3,7 +3,9 @@ import pytest
 
 from commrange import matcore
 from commrange.matcore import (
+    MAX_DIM,
     MatrixError,
+    _gue,
     commutator,
     hermitian,
     max_abs,
@@ -13,8 +15,10 @@ from commrange.matcore import (
     rank_numeric,
     substream,
 )
-from commrange.nrange import commutator_interval, interval_symmetric
+from commrange.nrange import _rank1_radii, commutator_interval, interval_symmetric
 from commrange.structure import (
+    EQUIV_GAP_TOL,
+    affine_sign_match,
     classify_two_level,
     asymmetry_witness,
     independence_vector,
@@ -22,6 +26,7 @@ from commrange.structure import (
     symmetry_witness_unitary,
 )
 from commrange.maps import _random_two_level
+from commrange.suite import _judge_probes
 
 
 def test_classify_identity():
@@ -218,6 +223,99 @@ def test_equivalence_matches_per_vector_reference():
         w = verdict.witness_vector
         w_gap = abs(_rank1_radius_reference(a, w) - _rank1_radius_reference(b, w))
         assert abs(w_gap - max(gaps)) <= 1e-12
+
+
+def _equivalence_reference(a, b, n_projections, rng):
+    """``radius_equivalence_check`` with its vectors drawn and normalized
+    one at a time."""
+    a, b = hermitian(a), hermitian(b)
+    n = a.shape[0]
+    xs = []
+    for _ in range(n_projections):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        xs.append(v / np.linalg.norm(v))
+    xs = np.stack(xs)
+    gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
+    k = int(np.argmax(gaps))
+    match = affine_sign_match(a, b)
+    if match is not None:
+        return "related", match[0], match[1], float(gaps[k]), None
+    status = "not-related" if gaps[k] > EQUIV_GAP_TOL else "inconclusive"
+    witness = xs[k] if gaps[k] > 0.0 else None
+    return status, None, None, float(gaps[k]), witness
+
+
+def test_equivalence_equals_one_vector_at_a_time_bitwise():
+    statuses = set()
+    for i in range(60):
+        rng = substream(51, i)
+        n = 1 + i % MAX_DIM
+        a = random_hermitian(n, rng)
+        x = random_unit_vector(n, rng)
+        # related, rank-1 bumped (not related) and barely bumped (inconclusive)
+        bump = (0.0, 0.7, 1e-7)[i % 3]
+        b = hermitian((-1) ** i * a + 0.25 * np.eye(n) + bump * np.outer(x, x.conj()))
+        count = 1 + (37 * i) % 300
+        got = radius_equivalence_check(a, b, count, substream(52, i))
+        want = _equivalence_reference(a, b, count, substream(52, i))
+        statuses.add(got.status)
+        assert (got.status, got.alpha, got.beta) == want[:3]
+        assert np.float64(got.worst_gap).tobytes() == np.float64(want[3]).tobytes()
+        if want[4] is None:
+            assert got.witness_vector is None
+        else:
+            assert got.witness_vector.tobytes() == want[4].tobytes()
+    assert statuses == {"related", "not-related", "inconclusive"}
+
+
+def _judge_probes_reference(a, u, probes):
+    """Criterion 5's per-probe loop: whether every probe passes, and the
+    residuals of the probes judged before it stopped."""
+    seen = []
+    for b in probes:
+        if not interval_symmetric(commutator_interval(a, b), 1e-8):
+            return False, seen
+        comm = commutator(a, b)
+        residual = max_abs(u @ comm @ u.conj().T + comm)
+        seen.append(residual)
+        if residual > 1e-10:
+            return False, seen
+    return True, seen
+
+
+def test_criterion_5_probes_equal_the_per_probe_loop():
+    for i in range(12):
+        rng = substream(53, i)
+        n = 3 + i % 4
+        a = _random_two_level(n, rng)
+        u = symmetry_witness_unitary(a)
+        probes = _gue(rng.standard_normal((40, 2, n, n)))
+        draws = substream(53, i)
+        _random_two_level(n, draws)
+        one_by_one = [random_hermitian(n, draws) for _ in range(40)]
+        assert probes.tobytes() == np.stack(one_by_one).tobytes()
+        good, residuals = _judge_probes(a, u, probes)
+        assert good
+        assert (good, residuals.tolist()) == _judge_probes_reference(a, u, one_by_one)
+
+
+def test_criterion_5_probes_stop_at_the_first_failure():
+    rng = substream(54, 0)
+    a = _random_two_level(4, rng)
+    gue = [random_hermitian(4, rng) for _ in range(2)]
+    # U = I fails the residual test on the first non-commuting probe, whose
+    # residual counts; the larger residual of the probe after it does not
+    probes = np.stack([a, 2.0 * a, gue[0], 3.0 * gue[1]])
+    good, residuals = _judge_probes(a, np.eye(4), probes)
+    assert (good, residuals.tolist()) == _judge_probes_reference(a, np.eye(4), probes)
+    assert not good and residuals.tolist()[:2] == [0.0, 0.0] and len(residuals) == 3
+    # an asymmetric interval stops judging before that probe's residual
+    d = np.diag([1.0, 2.0, 4.0]).astype(complex)
+    witness, _ = asymmetry_witness(d)
+    probes = np.stack([np.diag([3.0, 1.0, 2.0]), witness, random_hermitian(3, rng)])
+    good, residuals = _judge_probes(d, np.eye(3), probes)
+    assert (good, residuals.tolist()) == _judge_probes_reference(d, np.eye(3), probes)
+    assert not good and residuals.tolist() == [0.0]
 
 
 def test_every_dim2_hermitian_is_two_level():

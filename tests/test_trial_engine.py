@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commrange import maps as maps_mod
 from commrange.matcore import (
@@ -170,6 +172,33 @@ def test_sampled_stacks_are_exactly_hermitian_per_trial():
             assert a[k].tobytes() == ra.tobytes()
             assert b[k].tobytes() == rb.tobytes()
             assert hermitian(a[k]).tobytes() == a[k].tobytes()
+
+
+def _per_trial_stacks(n, seed, lo, hi):
+    """``_sample_block`` with a fresh ``substream`` per trial."""
+    draws = maps_mod._Draws(n)
+    for i in range(lo, hi):
+        draws.draw_pair(substream(seed, i), i)
+    out = draws.assemble()
+    return out[0::2], out[1::2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((2, 3, 6, 16)),
+    st.integers(-(2**70), 2**70),
+    st.integers(0, 300),
+    st.integers(1, 40),
+)
+@example(2, -1, 0, 8)
+@example(3, -(2**64) - 3, 5, 12)
+@example(6, 2**63 + 5, 0, 40)
+@example(16, 2**64 + 7, 2**20, 9)
+def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count):
+    got = _sample_block(n, seed, lo, lo + count)
+    want = _per_trial_stacks(n, seed, lo, lo + count)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def _quantized_digest(a, seed, salt):
