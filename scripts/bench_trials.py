@@ -20,6 +20,10 @@ trial:
 and per draw of its 200 unit vectors; and the wall time in seconds of
 acceptance criteria 4 and 5 at scale 1.0.
 
+``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
+call on a Ginibre matrix scaled by 1/sqrt(2), as criterion 9 draws them;
+and the wall time in seconds of acceptance criterion 9 at scale 1.0.
+
 Every figure is the median over ``--reps`` runs after one warm-up run.
 BLAS runs on one thread.  The JSON names the host, Python and NumPy
 versions next to the numbers.
@@ -48,6 +52,7 @@ from commrange.matcore import (  # noqa: E402
     random_unitary,
     substream,
 )
+from commrange.nrange import numerical_radius  # noqa: E402
 from commrange.structure import radius_equivalence_check  # noqa: E402
 
 DIMS = (2, 3, 6, 16)
@@ -59,6 +64,7 @@ CRITERIA = {
     "crit04_affine_equivalence_oracle": suite.crit_affine_equivalence_oracle,
     "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
 }
+RADIUS_CRITERIA = {"crit09_sweep_vs_sampling": suite.crit_sweep_vs_sampling}
 
 
 def _spec(n: int, seed: int) -> maps.MapSpec:
@@ -157,13 +163,39 @@ def measure_oracles(seed: int, reps: int) -> dict:
         out["draw200_us"][f"n{n}"] = _us_per_call(
             lambda rng: _draw_vectors(n, rng), seed, reps
         )
-    for name, crit in CRITERIA.items():
+    out["criteria_s"] = _criteria_s(CRITERIA, seed, reps)
+    return out
+
+
+def _criteria_s(criteria: dict, seed: int, reps: int) -> dict:
+    """Median wall time in seconds of each criterion at scale 1.0."""
+    out = {}
+    for name, crit in criteria.items():
         walls = []
         for _ in range(reps + 1):
             t0 = perf_counter()
             crit(seed, 1.0, 1)
             walls.append(perf_counter() - t0)
-        out["criteria_s"][name] = float(np.median(walls[1:]))
+        out[name] = float(np.median(walls[1:]))
+    return out
+
+
+def measure_radius(seed: int, reps: int) -> dict:
+    out = {"us_per_call": {}}
+    for n in ORACLE_DIMS:
+        mats = []
+        for k in range(CALLS):
+            rng = substream(seed + n, k)
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats.append(g / np.sqrt(2))
+        runs = []
+        for _ in range(reps + 1):
+            t0 = perf_counter()
+            for a in mats:
+                numerical_radius(a)
+            runs.append((perf_counter() - t0) / CALLS * 1e6)
+        out["us_per_call"][f"n{n}"] = float(np.median(runs[1:]))
+    out["criteria_s"] = _criteria_s(RADIUS_CRITERIA, seed, reps)
     return out
 
 
@@ -188,6 +220,7 @@ def main() -> None:
         parser.error("--reps must be at least 1")
     engine = {f"n{n}": measure_engine(n, args.seed, args.reps) for n in DIMS}
     oracles = measure_oracles(args.seed, args.reps)
+    radius = measure_radius(args.seed, args.reps)
     report = {
         "host": {
             "machine": platform.machine(),
@@ -204,13 +237,15 @@ def main() -> None:
         "trials_per_s": {k: v["trials_per_s"] for k, v in engine.items()},
         "phase_us_per_trial": {k: v["phase_us_per_trial"] for k, v in engine.items()},
         "oracles": oracles,
+        "radius": radius,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key, val in engine.items():
         phases = " ".join(f"{p}={us:.1f}" for p, us in val["phase_us_per_trial"].items())
         print(f"{key}: {val['trials_per_s']:.0f} trials/s; us/trial {phases}")
-    for key, val in oracles.items():
-        print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))
+    for section in (oracles, radius):
+        for key, val in section.items():
+            print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))
 
 
 if __name__ == "__main__":

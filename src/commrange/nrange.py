@@ -1,15 +1,17 @@
 """Numerical range W(A) and numerical radius w(A) for small matrices.
 
-The general path is a support-function sweep over directions theta: one
-builder forms the support matrices H_theta for an array of angles, and
-``support_value``, the ``numerical_radius`` grid and ``range_boundary``
-each make one stacked LAPACK call on them.  The package's main consumers
-deal in commutators of Hermitian matrices, which are skew-Hermitian and
-hence normal, so their range is the exact segment i[t_min, t_max] spanned
-by ``matcore.commutator_spectrum``, never the sweep; the sweep exists for
-general matrices, for oracle duty and for boundary export.  Radii of
-commutators against rank-1 projections, w([A, x x*]), come from one
-closed-form kernel over a stack of unit vectors.
+The general path works on the support function h(theta) =
+lambda_max(H_theta) over directions theta: one builder forms the support
+matrices H_theta for an array of angles, and ``support_value``,
+``range_boundary`` and each level of the ``numerical_radius`` level-set
+iteration make one stacked LAPACK call on them.  The package's main
+consumers deal in commutators of Hermitian matrices, which are
+skew-Hermitian and hence normal, so their range is the exact segment
+i[t_min, t_max] spanned by ``matcore.commutator_spectrum``, never the
+support function; that exists for general matrices, for oracle duty and
+for boundary export.  Radii of commutators against rank-1 projections,
+w([A, x x*]), come from one closed-form kernel over a stack of unit
+vectors.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from .matcore import (
     is_hermitian,
 )
 
-SWEEP_ANGLES = 720
-SWEEP_REFINE_WIDTH = 1e-10
 SYMMETRY_TOL = 1e-8
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_LEVEL_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+_LEVEL_ITERATIONS = 20
+_UNIMODULAR_TOL = 1e-6
 
 
 class CommutatorInterval(NamedTuple):
@@ -72,41 +74,74 @@ def support_value(a, theta: float) -> float:
 def numerical_radius(a) -> float:
     """Numerical radius w(A) = sup |lambda| over lambda in W(A).
 
-    Hermitian and skew-Hermitian inputs take the exact spectral path.  The
-    general path evaluates the support function on a 720-angle grid and
-    refines the best bracket by golden-section search down to width 1e-10;
-    both stages are deterministic.
+    Hermitian and skew-Hermitian inputs take the exact spectral path; the
+    branch is chosen on A/||A||_max, so it does not depend on the scale of
+    A.  The general path is the level-set method of Mengi and Overton
+    (IMA J. Numer. Anal. 25(4), 2005) on the support function
+    h(theta) = lambda_max(H_theta): from the best of 16 grid angles, each
+    level r finds every angle where r is an eigenvalue of H_theta and
+    raises r to the largest h at the midpoints between consecutive
+    crossings, until no midpoint rises above r.  The result is always an
+    attained support value h(theta), a lower bound on w(A) up to the
+    eigensolver's rounding.
     """
     a = as_matrix(a)
-    if is_hermitian(a):
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return 0.0
+    unit = a / scale
+    if is_hermitian(unit):
         eigs = np.linalg.eigh((a + a.conj().T) / 2)[0]
         return float(np.abs(eigs).max())
-    if is_hermitian(a, skew=True):
+    if is_hermitian(unit, skew=True):
         return float(np.abs(_skew_eigenvalues(a)).max())
+    return _level_set_radius(a, unit, scale)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, SWEEP_ANGLES, endpoint=False)
-    vals = _top_support(a, thetas)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
 
-    step = 2.0 * np.pi / SWEEP_ANGLES
-    lo, hi = thetas[k] - step, thetas[k] + step
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = float(_top_support(a, c))
-    fd = float(_top_support(a, d))
-    best = max(best, fc, fd)
-    while hi - lo > SWEEP_REFINE_WIDTH:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = float(_top_support(a, c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = float(_top_support(a, d))
-        best = max(best, fc, fd)
-    return best
+def _level_set_radius(a: np.ndarray, unit: np.ndarray, scale: float) -> float:
+    """The general path of :func:`numerical_radius`: max over theta of
+    h(theta) = lambda_max(H_theta) for a validated A.  The support values
+    are computed on A; the crossings come from unit = A/scale, so the
+    unimodularity test on them does not depend on the scale of A."""
+    n = a.shape[0]
+    spectra = np.linalg.eigvalsh(_support_matrices(a, _LEVEL_GRID))
+    r = spectra[:, -1].max()
+    # r in sigma(H_theta) iff det(z^2 A* - 2 r z I + A) = 0 at z = e^{i theta};
+    # linearised as K x = z N x with K = [[0, I], [-A, 2 r I]] and
+    # N = [[I, 0], [0, A*]], on the scale-free unit = A/scale.
+    eye = np.eye(n)
+    pencil_n = np.zeros((2 * n, 2 * n), dtype=complex)
+    pencil_n[:n, :n] = eye
+    pencil_n[n:, n:] = unit.conj().T
+    pencil_k = np.zeros((2 * n, 2 * n), dtype=complex)
+    pencil_k[:n, n:] = eye
+    pencil_k[n:, :n] = -unit
+    for _ in range(_LEVEL_ITERATIONS):
+        # N is singular whenever A is, so shift-invert about a point
+        # sigma = e^{i phi} on the circle where H_phi is farthest from
+        # level r: mu = eig((K - sigma N)^{-1} N) and z = sigma + 1/mu.
+        phi = _LEVEL_GRID[np.argmax(np.abs(spectra - r).min(axis=1))]
+        sigma = np.exp(1j * phi)
+        pencil_k[n:, n:] = 2.0 * (r / scale) * eye
+        try:
+            mu = np.linalg.eigvals(
+                np.linalg.solve(pencil_k - sigma * pencil_n, pencil_n)
+            )
+        except np.linalg.LinAlgError:
+            break
+        # A crossing z lies on the unit circle, within distance 2 of sigma,
+        # so |mu| > 1/3; this also drops mu = 0 (z at infinity).
+        mu = mu[np.abs(mu) > 1.0 / 3.0]
+        z = sigma + 1.0 / mu
+        crossings = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]))
+        if crossings.size == 0:
+            break
+        mids = (crossings + np.append(crossings[1:], crossings[0] + 2.0 * np.pi)) / 2
+        best = _top_support(a, mids).max()
+        if best <= r:
+            break
+        r = best
+    return float(r)
 
 
 def commutator_interval(a, b) -> CommutatorInterval:
