@@ -21,8 +21,13 @@ and per draw of its 200 unit vectors; and the wall time in seconds of
 acceptance criteria 4 and 5 at scale 1.0.
 
 ``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
-call on a Ginibre matrix scaled by 1/sqrt(2), as criterion 9 draws them;
-and the wall time in seconds of acceptance criterion 9 at scale 1.0.
+call on 50 Ginibre matrices scaled by 1/sqrt(2), as criterion 9 draws them,
+and the mean number of 2n x 2n level-set eigenproblems (``eigvals`` calls)
+per call; and the wall time in seconds of acceptance criterion 9 at scale
+1.0.
+
+``boundary``: microseconds per ``range_boundary(A, 360)`` call on the same
+50 matrices at each n.
 
 Every figure is the median over ``--reps`` runs after one warm-up run.
 BLAS runs on one thread.  The JSON names the host, Python and NumPy
@@ -52,7 +57,7 @@ from commrange.matcore import (  # noqa: E402
     random_unitary,
     substream,
 )
-from commrange.nrange import numerical_radius  # noqa: E402
+from commrange.nrange import numerical_radius, range_boundary  # noqa: E402
 from commrange.structure import radius_equivalence_check  # noqa: E402
 
 DIMS = (2, 3, 6, 16)
@@ -60,6 +65,7 @@ ORACLE_DIMS = (3, 6, 16)
 BLOCK = maps._BLOCK_TRIALS
 PROJECTIONS = 200
 CALLS = 50
+BOUNDARY_ANGLES = 360
 CRITERIA = {
     "crit04_affine_equivalence_oracle": suite.crit_affine_equivalence_oracle,
     "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
@@ -180,22 +186,62 @@ def _criteria_s(criteria: dict, seed: int, reps: int) -> dict:
     return out
 
 
+def _ginibre_mats(n: int, seed: int) -> list:
+    """The CALLS matrices of the radius and boundary sections at n."""
+    mats = []
+    for k in range(CALLS):
+        rng = substream(seed + n, k)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mats.append(g / np.sqrt(2))
+    return mats
+
+
+def _us_per_matrix(fn, mats: list, reps: int) -> float:
+    """Median over ``reps`` runs of fn(A) for each A in ``mats``, after one
+    warm-up run, in microseconds per call."""
+    runs = []
+    for _ in range(reps + 1):
+        t0 = perf_counter()
+        for a in mats:
+            fn(a)
+        runs.append((perf_counter() - t0) / len(mats) * 1e6)
+    return float(np.median(runs[1:]))
+
+
+def _eigvals_per_call(fn, mats: list) -> float:
+    """Mean number of ``np.linalg.eigvals`` calls per fn(A), untimed."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(m):
+        calls.append(1)
+        return eigvals(m)
+
+    np.linalg.eigvals = counting
+    try:
+        for a in mats:
+            fn(a)
+    finally:
+        np.linalg.eigvals = eigvals
+    return len(calls) / len(mats)
+
+
 def measure_radius(seed: int, reps: int) -> dict:
+    out = {"us_per_call": {}, "solves_per_call": {}}
+    for n in ORACLE_DIMS:
+        mats = _ginibre_mats(n, seed)
+        out["us_per_call"][f"n{n}"] = _us_per_matrix(numerical_radius, mats, reps)
+        out["solves_per_call"][f"n{n}"] = _eigvals_per_call(numerical_radius, mats)
+    out["criteria_s"] = _criteria_s(RADIUS_CRITERIA, seed, reps)
+    return out
+
+
+def measure_boundary(seed: int, reps: int) -> dict:
     out = {"us_per_call": {}}
     for n in ORACLE_DIMS:
-        mats = []
-        for k in range(CALLS):
-            rng = substream(seed + n, k)
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            mats.append(g / np.sqrt(2))
-        runs = []
-        for _ in range(reps + 1):
-            t0 = perf_counter()
-            for a in mats:
-                numerical_radius(a)
-            runs.append((perf_counter() - t0) / CALLS * 1e6)
-        out["us_per_call"][f"n{n}"] = float(np.median(runs[1:]))
-    out["criteria_s"] = _criteria_s(RADIUS_CRITERIA, seed, reps)
+        out["us_per_call"][f"n{n}"] = _us_per_matrix(
+            lambda a: range_boundary(a, BOUNDARY_ANGLES), _ginibre_mats(n, seed), reps
+        )
     return out
 
 
@@ -221,6 +267,7 @@ def main() -> None:
     engine = {f"n{n}": measure_engine(n, args.seed, args.reps) for n in DIMS}
     oracles = measure_oracles(args.seed, args.reps)
     radius = measure_radius(args.seed, args.reps)
+    boundary = measure_boundary(args.seed, args.reps)
     report = {
         "host": {
             "machine": platform.machine(),
@@ -238,12 +285,13 @@ def main() -> None:
         "phase_us_per_trial": {k: v["phase_us_per_trial"] for k, v in engine.items()},
         "oracles": oracles,
         "radius": radius,
+        "boundary": boundary,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key, val in engine.items():
         phases = " ".join(f"{p}={us:.1f}" for p, us in val["phase_us_per_trial"].items())
         print(f"{key}: {val['trials_per_s']:.0f} trials/s; us/trial {phases}")
-    for section in (oracles, radius):
+    for section in (oracles, radius, boundary):
         for key, val in section.items():
             print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))
 

@@ -17,7 +17,8 @@ option is declared on the subcommands that read it; tolerance overrides
 are --tol.radius, --tol.range and --tol.spectrum on verify and --tol.gap
 and --tol.witness on classify.  Exit
 codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
-falsification event, 4 internal error (a crash, never a verdict).
+falsification event, 4 internal error (a crash or a non-finite value in
+a report, never a verdict).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import json
 import os
 import sys
 import traceback
+
+import numpy as np
 
 from .matcore import (
     DEFAULT_SEED,
@@ -76,6 +79,11 @@ class UsageError(Exception):
     """Raised for invalid flag combinations or malformed inputs."""
 
 
+class NonFiniteReport(Exception):
+    """Raised when a report holds NaN or an infinity, which is an internal
+    error and never a verdict (and not valid JSON)."""
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -85,7 +93,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NonFiniteReport("report holds NaN or an infinity") from None
+    return text + "\n"
 
 
 def _resolve_seed(value) -> int:
@@ -256,6 +268,8 @@ def _cmd_boundary(args) -> int:
         raise UsageError("--angles must be at least 8")
     a = load_matrix(args.matrix_file)
     boundary = range_boundary(a, args.angles)
+    if not np.isfinite(boundary.points).all():
+        raise NonFiniteReport("boundary point out of the float range")
     lines = ["theta,re,im"]
     for theta, point in zip(boundary.angles, boundary.points):
         lines.append(
@@ -314,6 +328,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"commrange: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonFiniteReport as exc:
+        print(f"commrange: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except WitnessSearchError as exc:
         print(f"commrange: falsification event: {exc}", file=sys.stderr)
         return EXIT_FALSIFICATION

@@ -82,15 +82,16 @@ def hermitian(a) -> np.ndarray:
     """Validate near-self-adjointness and return the exact symmetrization.
 
     Accepts matrices with ||A - A*||_max <= 1e-12 * max(1, ||A||_max) and
-    stores (A + A*)/2, which is exactly Hermitian and leaves an already
-    Hermitian matrix bitwise unchanged.
+    stores A/2 + A*/2, which is exactly Hermitian, leaves an already
+    Hermitian matrix bitwise unchanged and, halved before the sum, stays
+    finite for finite entries.
     """
     m = as_matrix(a)
     if not is_hermitian(m):
         raise MatrixError(
             f"matrix is not self-adjoint (asymmetry {max_abs(m - m.conj().T):.3e})"
         )
-    return (m + m.conj().T) / 2
+    return m / 2 + m.conj().T / 2
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
@@ -133,7 +134,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
 
 def _skew_eigenvalues(m: np.ndarray) -> np.ndarray:
     h = -1j * m
-    return np.linalg.eigvalsh((h + h.conj().T) / 2)
+    return np.linalg.eigvalsh(h / 2 + h.conj().T / 2)
 
 
 def skew_hermitian_eigenvalues(c) -> np.ndarray:

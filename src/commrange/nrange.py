@@ -2,16 +2,23 @@
 
 The general path works on the support function h(theta) =
 lambda_max(H_theta) over directions theta: one builder forms the support
-matrices H_theta for an array of angles, and ``support_value``,
-``range_boundary`` and each level of the ``numerical_radius`` level-set
-iteration make one stacked LAPACK call on them.  The package's main
-consumers deal in commutators of Hermitian matrices, which are
-skew-Hermitian and hence normal, so their range is the exact segment
-i[t_min, t_max] spanned by ``matcore.commutator_spectrum``, never the
-support function; that exists for general matrices, for oracle duty and
-for boundary export.  Radii of commutators against rank-1 projections,
-w([A, x x*]), come from one closed-form kernel over a stack of unit
-vectors.
+matrices H_theta = cos(theta) X + sin(theta) Y from the Hermitian parts of
+A for an array of angles, and ``support_value``, ``range_boundary`` and
+each step of ``numerical_radius`` make one stacked LAPACK call on them.
+Two facts about h save eigensolves: H_{theta + pi} = -H_theta, so
+``range_boundary`` decomposes only half of an even number of angles and
+reads the antipodal ones off the bottom eigenvectors; and h is smooth at a
+simple top eigenvalue, with h' and h'' exact from one ``eigh``, so
+``numerical_radius`` takes a few Newton steps before its level set, which
+then usually certifies the start in one 2n x 2n eigenproblem.  The
+general radius is computed on A/||A||_max and scaled back once, so it
+overflows only when w(A) itself is out of the float range.  The package's main consumers deal in commutators of
+Hermitian matrices, which are skew-Hermitian and hence normal, so their
+range is the exact segment i[t_min, t_max] spanned by
+``matcore.commutator_spectrum``, never the support function; that exists
+for general matrices, for oracle duty and for boundary export.  Radii of
+commutators against rank-1 projections, w([A, x x*]), come from one
+closed-form kernel over a stack of unit vectors.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from .matcore import (
 SYMMETRY_TOL = 1e-8
 _LEVEL_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 _LEVEL_ITERATIONS = 20
+_NEWTON_STEPS = 6
+_NEWTON_MIN_STEP = 1e-8
 _UNIMODULAR_TOL = 1e-6
 
 
@@ -54,9 +63,19 @@ class RangeBoundary:
 
 def _support_matrices(a: np.ndarray, thetas) -> np.ndarray:
     """H_theta = (e^{-i theta} A + e^{i theta} A*)/2 for a validated A,
-    stacked over the shape of ``thetas`` (a scalar angle gives one matrix)."""
+    stacked over the shape of ``thetas`` (a scalar angle gives one matrix).
+
+    Formed as cos(theta) X + sin(theta) Y from the Hermitian parts
+    X = A/2 + A*/2 and Y = -i(A/2 - A*/2), built once per call: real
+    coefficients, and halving before adding, so finite entries give finite
+    support matrices.  H_{theta + pi} = -H_theta and dH/dtheta =
+    H_{theta + pi/2}.
+    """
+    half = a / 2
+    x = half + half.conj().T
+    y = -1j * (half - half.conj().T)
     t = np.asarray(thetas, dtype=float)[..., None, None]
-    return (np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2
+    return np.cos(t) * x + np.sin(t) * y
 
 
 def _top_support(a: np.ndarray, thetas) -> np.ndarray:
@@ -76,14 +95,15 @@ def numerical_radius(a) -> float:
 
     Hermitian and skew-Hermitian inputs take the exact spectral path; the
     branch is chosen on A/||A||_max, so it does not depend on the scale of
-    A.  The general path is the level-set method of Mengi and Overton
-    (IMA J. Numer. Anal. 25(4), 2005) on the support function
-    h(theta) = lambda_max(H_theta): from the best of 16 grid angles, each
-    level r finds every angle where r is an eigenvalue of H_theta and
-    raises r to the largest h at the midpoints between consecutive
-    crossings, until no midpoint rises above r.  The result is always an
-    attained support value h(theta), a lower bound on w(A) up to the
-    eigensolver's rounding.
+    A.  The general path runs on unit = A/||A||_max and returns
+    ||A||_max times an attained support value of unit, a lower bound on
+    w(A) up to the eigensolver's rounding.  It is the level-set method of
+    Mengi and Overton (IMA J. Numer. Anal. 25(4), 2005) on the support
+    function h(theta) = lambda_max(H_theta), started by guarded Newton
+    steps on h from the best of 16 grid angles: each level r finds every
+    angle where r is an eigenvalue of H_theta and raises r to the largest
+    h at the midpoints between consecutive crossings, until no midpoint
+    rises above r.
     """
     a = as_matrix(a)
     scale = np.abs(a).max()
@@ -91,24 +111,48 @@ def numerical_radius(a) -> float:
         return 0.0
     unit = a / scale
     if is_hermitian(unit):
-        eigs = np.linalg.eigh((a + a.conj().T) / 2)[0]
+        eigs = np.linalg.eigh(a / 2 + a.conj().T / 2)[0]
         return float(np.abs(eigs).max())
     if is_hermitian(unit, skew=True):
         return float(np.abs(_skew_eigenvalues(a)).max())
-    return _level_set_radius(a, unit, scale)
+    return float(scale * _level_set_radius(unit))
 
 
-def _level_set_radius(a: np.ndarray, unit: np.ndarray, scale: float) -> float:
-    """The general path of :func:`numerical_radius`: max over theta of
-    h(theta) = lambda_max(H_theta) for a validated A.  The support values
-    are computed on A; the crossings come from unit = A/scale, so the
-    unimodularity test on them does not depend on the scale of A."""
-    n = a.shape[0]
-    spectra = np.linalg.eigvalsh(_support_matrices(a, _LEVEL_GRID))
-    r = spectra[:, -1].max()
+def _newton_support(unit: np.ndarray, theta: float) -> float:
+    """The largest h met by guarded Newton steps on h from theta, with
+    h' = v* H_{theta + pi/2} v and h'' = -h + 2 sum_j |<v_j, H_{theta + pi/2}
+    v>|^2 / (lambda_top - lambda_j) from one ``eigh`` per step.  It stops
+    on a zero top gap, on h'' >= 0 (not near a maximum), on a step of at
+    most 1e-8 or after ``_NEWTON_STEPS`` steps."""
+    best = -np.inf
+    for _ in range(_NEWTON_STEPS):
+        h, dh = _support_matrices(unit, (theta, theta + np.pi / 2))
+        lam, vecs = np.linalg.eigh(h)
+        best = max(best, lam[-1])
+        gap = lam[-1] - lam[:-1]
+        if gap.size == 0 or gap[-1] <= 0.0:
+            break
+        coupling = vecs.conj().T @ (dh @ vecs[:, -1])
+        curvature = 2.0 * np.sum(np.abs(coupling[:-1]) ** 2 / gap) - lam[-1]
+        if curvature >= 0.0:
+            break
+        step = -coupling[-1].real / curvature
+        theta += step
+        if abs(step) <= _NEWTON_MIN_STEP:
+            break
+    return best
+
+
+def _level_set_radius(unit: np.ndarray) -> float:
+    """The general path of :func:`numerical_radius` on unit = A/||A||_max:
+    max over theta of h(theta) = lambda_max(H_theta), as an attained h."""
+    n = unit.shape[0]
+    spectra = np.linalg.eigvalsh(_support_matrices(unit, _LEVEL_GRID))
+    k = int(np.argmax(spectra[:, -1]))
+    r = max(spectra[k, -1], _newton_support(unit, _LEVEL_GRID[k]))
     # r in sigma(H_theta) iff det(z^2 A* - 2 r z I + A) = 0 at z = e^{i theta};
     # linearised as K x = z N x with K = [[0, I], [-A, 2 r I]] and
-    # N = [[I, 0], [0, A*]], on the scale-free unit = A/scale.
+    # N = [[I, 0], [0, A*]].
     eye = np.eye(n)
     pencil_n = np.zeros((2 * n, 2 * n), dtype=complex)
     pencil_n[:n, :n] = eye
@@ -122,7 +166,7 @@ def _level_set_radius(a: np.ndarray, unit: np.ndarray, scale: float) -> float:
         # level r: mu = eig((K - sigma N)^{-1} N) and z = sigma + 1/mu.
         phi = _LEVEL_GRID[np.argmax(np.abs(spectra - r).min(axis=1))]
         sigma = np.exp(1j * phi)
-        pencil_k[n:, n:] = 2.0 * (r / scale) * eye
+        pencil_k[n:, n:] = 2.0 * r * eye
         try:
             mu = np.linalg.eigvals(
                 np.linalg.solve(pencil_k - sigma * pencil_n, pencil_n)
@@ -137,11 +181,11 @@ def _level_set_radius(a: np.ndarray, unit: np.ndarray, scale: float) -> float:
         if crossings.size == 0:
             break
         mids = (crossings + np.append(crossings[1:], crossings[0] + 2.0 * np.pi)) / 2
-        best = _top_support(a, mids).max()
+        best = _top_support(unit, mids).max()
         if best <= r:
             break
         r = best
-    return float(r)
+    return r
 
 
 def commutator_interval(a, b) -> CommutatorInterval:
@@ -202,12 +246,22 @@ def rank1_commutator_radius(a, x) -> float:
 
 def range_boundary(a, n_angles: int) -> RangeBoundary:
     """Boundary samples <A v, v> for the top eigenvector v of H_theta,
-    over n_angles uniform support angles in [0, 2 pi)."""
+    over n_angles uniform support angles in [0, 2 pi).
+
+    With an even n_angles, angle k + n_angles/2 is angle k + pi, where
+    H_theta changes sign: one ``eigh`` on the first half of the angles
+    gives angle k its top eigenvector and angle k + n_angles/2 its bottom
+    one.  An odd n_angles decomposes every angle.
+    """
     a = as_matrix(a)
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    _, vecs = np.linalg.eigh(_support_matrices(a, angles))
-    vectors = np.ascontiguousarray(vecs[..., -1])
+    if n_angles % 2:
+        vecs = np.linalg.eigh(_support_matrices(a, angles))[1]
+        vectors = np.ascontiguousarray(vecs[..., -1])
+    else:
+        vecs = np.linalg.eigh(_support_matrices(a, angles[: n_angles // 2]))[1]
+        vectors = np.concatenate([vecs[..., -1], vecs[..., 0]])
     points = np.einsum("kj,kj->k", vectors.conj(), vectors @ a.T)
     return RangeBoundary(points=points, angles=angles, vectors=vectors)

@@ -59,7 +59,8 @@ class TwoLevelDecomposition:
     ``projection`` the spectral projection of the upper eigenvalue cluster
     (absent for scalar matrices, where ``coeff`` is 0).  ``margin`` is the
     smallest relative distance of any spectral gap from the clustering
-    threshold; values near 0 flag a borderline classification.
+    threshold; values near 0 flag a borderline classification.  A scalar
+    matrix has no gap: its margin is infinite, written as null in JSON.
     """
 
     two_level: bool
@@ -78,7 +79,7 @@ class TwoLevelDecomposition:
             else matrix_to_json(self.projection),
             "coeff": self.coeff,
             "shift": self.shift,
-            "margin": self.margin,
+            "margin": self.margin if np.isfinite(self.margin) else None,
         }
 
 

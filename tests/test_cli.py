@@ -49,6 +49,8 @@ def test_classify_scalar(matrix_file, capsys):
     assert report["two_level"] is True
     assert report["coeff"] == 0.0
     assert abs(report["shift"] - 5.0) < 1e-12
+    # a scalar matrix has no spectral gap, so no margin
+    assert report["margin"] is None
 
 
 def test_classify_projection_unitary_convention(matrix_file, capsys):
@@ -300,6 +302,28 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("commrange: internal error: ")
     assert "forced for exit-code test" in err
+
+
+# These run as the command line does, without warnings as errors, so the
+# overflow of 1e308 * J reaches the report writer, which must refuse it.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["classify", "pauli"])
+def test_non_finite_report_exits_internal(matrix_file, capsys, command):
+    path = matrix_file("big.json", 1e308 * np.ones((2, 2)))
+    assert main([command, path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "commrange: internal error: report holds NaN or an infinity\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_boundary_non_finite_point_exits_internal(matrix_file, capsys):
+    # <A v, v> = 2e308 at theta = 0 is out of the float range
+    path = matrix_file("big.json", 1e308 * np.ones((2, 2)))
+    assert main(["boundary", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("commrange: internal error: ")
 
 
 def test_suite_smoke(tmp_path):

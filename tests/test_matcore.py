@@ -49,6 +49,18 @@ def test_hermitian_validates_and_symmetrizes():
         hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_halves_before_adding():
+    # (M + M*)/2 overflows here; M/2 + M*/2 does not
+    m = 1e308 * np.ones((2, 2))
+    assert np.array_equal(hermitian(m), m)
+    # and halving is exact, so normal-range inputs keep every bit
+    for i in range(50):
+        rng = substream(3, i)
+        n = 1 + i % 6
+        a = random_hermitian(n, rng) + 1e-14 * rng.standard_normal((n, n))
+        assert np.array_equal(hermitian(a), (a + a.conj().T) / 2)
+
+
 def test_commutator_pauli_pair():
     # [X, Y] = sqrt(2) i Z since XY = (i/sqrt 2) Z = -YX
     k = commutator(PAULI_X, PAULI_Y)

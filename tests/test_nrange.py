@@ -13,6 +13,7 @@ from commrange.matcore import (
     random_unitary,
     substream,
 )
+from commrange import nrange
 from commrange.nrange import (
     CommutatorInterval,
     commutator_interval,
@@ -283,16 +284,41 @@ def _boundary_per_angle(a, n_angles):
 
 
 def test_boundary_matches_per_angle_reference():
-    for i in range(60):
-        rng = substream(33, i)
-        n = 1 + i % 8
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        boundary = range_boundary(a, 96)
-        points, vectors = _boundary_per_angle(a, 96)
-        scale = max(1.0, np.abs(a).max())
-        assert np.abs(boundary.points - points).max() <= 1e-12 * scale
-        overlaps = np.abs(np.einsum("kj,kj->k", vectors.conj(), boundary.vectors))
-        assert np.abs(overlaps - 1.0).max() <= 1e-12
+    # even counts take the antipodal pairing, odd ones decompose every angle
+    for n_angles in (8, 9, 96, 97):
+        for i in range(60):
+            rng = substream(33, i)
+            n = 1 + i % 8
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            boundary = range_boundary(a, n_angles)
+            points, vectors = _boundary_per_angle(a, n_angles)
+            scale = max(1.0, np.abs(a).max())
+            assert np.abs(boundary.points - points).max() <= 1e-12 * scale
+            overlaps = np.abs(np.einsum("kj,kj->k", vectors.conj(), boundary.vectors))
+            assert np.abs(overlaps - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 2**32),
+    st.floats(-8.0, 8.0),
+    st.integers(4, 100),
+    st.booleans(),
+)
+def test_boundary_points_on_support_lines(n, seed, log_c, half, odd):
+    a = 10.0**log_c * _ginibre(n, seed)
+    n_angles = 2 * half + int(odd)
+    boundary = range_boundary(a, n_angles)
+    assert boundary.points.shape == boundary.angles.shape == (n_angles,)
+    assert boundary.vectors.shape == (n_angles, n)
+    assert np.abs(np.linalg.norm(boundary.vectors, axis=1) - 1.0).max() <= 1e-12
+    # the support line at theta: Re(e^{-i theta} p) = lambda_max(H_theta)
+    t = boundary.angles[:, None, None]
+    h = (np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2
+    top = np.linalg.eigvalsh(h)[:, -1]
+    offsets = (np.exp(-1j * boundary.angles) * boundary.points).real - top
+    assert np.abs(offsets).max() <= 1e-12 * max(1.0, np.linalg.norm(a, 2))
 
 
 def test_boundary_rejects_few_angles():
@@ -339,12 +365,21 @@ def _sweep_radius_reference(a):
     return best
 
 
+def _ginibre(n, seed):
+    rng = substream(seed, 0)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
 @st.composite
 def _scaled_ginibre(draw):
     n = draw(st.integers(2, 16))
-    rng = substream(draw(st.integers(0, 2**32)), 0)
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    g = _ginibre(n, draw(st.integers(0, 2**32)))
     return 10.0 ** draw(st.floats(-8.0, 8.0)) * g, None
+
+
+# At this n = 16 Ginibre matrix, Newton steps from the best grid angle end
+# at a local maximum of h 0.76% below w(A); the level set has to climb.
+_NEWTON_LOCAL_MAX_SEED = 85
 
 
 def _jordan(n):
@@ -367,6 +402,14 @@ def _polygon_normal():
     return (u * lam) @ u.conj().T, float(np.abs(lam).max())
 
 
+def _doubled_pentagon():
+    # the same pentagon with every eigenvalue doubled, left diagonal: h has
+    # kinks and every H_theta has a top eigenvalue of gap exactly 0, so the
+    # Newton start stops at once and the level set climbs alone
+    lam = 0.4 - 0.2j + 1.3 * np.exp(2j * np.pi * np.arange(5) / 5)
+    return np.diag(np.repeat(lam, 2)), float(np.abs(lam).max())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_scaled_ginibre(), st.floats(0.0, 2.0 * np.pi), st.floats(-3.0, 3.0), st.booleans())
 @example((_jordan(2), np.cos(np.pi / 3)), 0.0, 0.0, False)
@@ -378,6 +421,9 @@ def _polygon_normal():
 @example((_jordan(8), np.cos(np.pi / 9)), 3.1, 0.0, False)
 @example(_rank_one(), 0.7, 1.5, True)
 @example(_polygon_normal(), 1.9, -1.0, False)
+@example(_doubled_pentagon(), 0.4, 0.7, True)
+@example((_jordan(16), np.cos(np.pi / 17)), 2.2, -1.5, True)
+@example((_ginibre(16, _NEWTON_LOCAL_MAX_SEED), None), 1.2, 0.0, False)
 def test_radius_level_set_property(case, phi, log_c, negative):
     a, known = case
     w = numerical_radius(a)
@@ -391,3 +437,38 @@ def test_radius_level_set_property(case, phi, log_c, negative):
     norm2 = np.linalg.norm(a, 2)
     assert np.abs(range_boundary(a, 1024).points).max() - 1e-12 * norm2 <= w
     assert w <= norm2 * (1.0 + 1e-12)
+
+
+def test_newton_start_stalls_below_radius_on_pinned_matrix():
+    # the pinned matrix really needs the level set after the Newton start
+    a = _ginibre(16, _NEWTON_LOCAL_MAX_SEED)
+    unit = a / np.abs(a).max()
+    grid = nrange._LEVEL_GRID
+    k = int(np.argmax(np.linalg.eigvalsh(nrange._support_matrices(unit, grid))[:, -1]))
+    start = nrange._newton_support(unit, grid[k]) * np.abs(a).max()
+    w = numerical_radius(a)
+    assert start < w * (1.0 - 1e-3)
+    assert abs(w - _sweep_radius_reference(a)) <= 1e-12 * w
+
+
+_NEAR_LIMIT = np.array([[1.0, 0.9], [0.0, 1j]])
+
+
+def test_support_function_finite_near_float_limit():
+    # halved Hermitian parts and the unit-scale level set keep 1e308 finite
+    a = 1e308 * _NEAR_LIMIT
+    w = numerical_radius(a)
+    assert np.isfinite(w)
+    reference = 1e300 * numerical_radius(1e8 * _NEAR_LIMIT)
+    assert abs(w - reference) <= 1e-12 * reference
+    boundary = range_boundary(a, 16)
+    assert np.isfinite(boundary.points).all() and np.isfinite(boundary.vectors).all()
+    assert np.isfinite(support_value(a, 0.3))
+
+
+def test_radius_spectral_branches_finite_near_float_limit():
+    # the Hermitian and skew-Hermitian branches also halve before adding
+    k = np.array([[1.0, 0.5], [0.5, -1.0]])
+    expected = 1e308 * np.sqrt(1.25)
+    for a in (1e308 * k, 1e308j * k):
+        assert abs(numerical_radius(a) - expected) <= 1e-15 * expected
