@@ -13,7 +13,6 @@ from .matcore import (
     matrix_to_json,
     max_abs,
     random_hermitian,
-    random_rank_k_hermitian,
     random_unit_vector,
     random_unitary,
     rank_numeric,
@@ -25,7 +24,6 @@ from .nrange import (
     RangeBoundary,
     commutator_interval,
     interval_symmetric,
-    intervals_equal,
     numerical_radius,
     range_boundary,
     rank1_commutator_radius,
@@ -35,7 +33,6 @@ from .structure import (
     RadiusEquivalenceVerdict,
     TwoLevelDecomposition,
     WitnessSearchError,
-    affine_sign_match,
     asymmetry_witness,
     classify_two_level,
     independence_vector,

@@ -58,7 +58,7 @@ from .matcore import (
     max_abs,
     substream,
 )
-from .structure import GAP_TOL, _two_level_mask
+from .structure import GAP_TOL, _split
 from .pauli2 import _psi
 
 if TYPE_CHECKING:
@@ -235,7 +235,7 @@ class MapSpec:
         """Exceptional-set membership of each matrix of ``q``'s stack."""
         if self.sset == SSET_EMPTY:
             return np.zeros(len(q.a), dtype=bool)
-        member = _two_level_mask(q.a, GAP_TOL)
+        member = _split(q.a, GAP_TOL).two_level
         if self.sset == SSET_RANDOM:
             rows = np.flatnonzero(member)
             digests = q.digests(self.sset_seed, "sset", rows)
@@ -346,7 +346,8 @@ class _Draws:
         self.gue.append((self._slot(), rng.standard_normal((2, self.n, self.n))))
 
     def draw_low_rank(self, rng: np.random.Generator) -> None:
-        """A rank-1 or rank-2 matrix, as ``random_rank_k_hermitian``."""
+        """A rank-1 or rank-2 matrix sum_j c_j x_j x_j* with orthonormal
+        x_j and nonzero real c_j."""
         k = 1 + int(rng.integers(min(2, self.n)))
         slot = self._slot()
         self.rank.append((slot, self._unitary(rng), _rank_k_coeffs(k, rng)))

@@ -1,16 +1,20 @@
 """Dense complex matrix core for small (n <= 16) operator computations.
 
 Provides validated constructors for general and Hermitian matrices, the
-symmetry and unitarity tests, the commutator, the package's one eigen route
-(LAPACK through ``numpy.linalg``) for Hermitian and skew-Hermitian matrices
-and for the commutator spectrum of a Hermitian pair, numeric rank, seeded
-random sampling (GUE / Haar unitary / low rank), and the JSON wire format
-shared by the whole package.
+symmetry and unitarity tests, the package's one symmetrization ``_sym``,
+the commutator, the package's one eigen route (LAPACK through
+``numpy.linalg``) for Hermitian and skew-Hermitian matrices and for the
+commutator spectrum of a Hermitian pair, numeric rank, seeded random
+sampling (GUE, Haar unitaries, unit vectors, and the stacked low-rank
+kernel of the trial engine), and the JSON wire format shared by the whole
+package.
 
 ``as_matrix`` is the one home of the dimension limit ``MAX_DIM``: every
 public function that takes a matrix validates it there (through
 ``hermitian`` for Hermitian input) once, and private kernels (leading
-underscore) trust the matrices they are given.
+underscore) trust the matrices they are given.  The private matrix
+kernels take stacks (leading axes), so a one-matrix public function can be
+its kernel on a stack of one, as ``hermitian`` is ``_hermitian_stack``.
 
 All functions are pure: inputs are never mutated and every sampler draws
 from an explicitly supplied generator, so results are reproducible and
@@ -58,7 +62,7 @@ def as_matrix(a) -> np.ndarray:
         raise MatrixError(
             f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}"
         )
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise MatrixError("matrix entries must be finite")
     return m
 
@@ -78,20 +82,32 @@ def is_unitary(u: np.ndarray) -> bool:
     return max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= UNITARY_TOL
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    """(M + M*)/2 for a matrix, or for each matrix of a stack (leading
+    axes): exactly Hermitian, and M itself, bit for bit, when M is Hermitian
+    (a -0.0 imaginary part on the diagonal becomes +0.0).
+
+    The package's one symmetrization.  When the stack's largest entry
+    reaches 2**1022, where the sum could overflow, it forms M/2 + M*/2
+    instead.  Below that the two are equal bit for bit, since halving
+    commutes with rounding, except that halving first would round away the
+    last bit of a subnormal entry.
+    """
+    adj = m.conj().swapaxes(-1, -2)
+    if np.abs(m).max(initial=0.0) >= 2.0**1022:
+        return m / 2 + adj / 2
+    return (m + adj) / 2
+
+
 def hermitian(a) -> np.ndarray:
     """Validate near-self-adjointness and return the exact symmetrization.
 
     Accepts matrices with ||A - A*||_max <= 1e-12 * max(1, ||A||_max) and
-    stores A/2 + A*/2, which is exactly Hermitian, leaves an already
-    Hermitian matrix bitwise unchanged and, halved before the sum, stays
-    finite for finite entries.
+    returns :func:`_sym` of A: exactly Hermitian, bitwise A for Hermitian
+    input, subnormal entries included, and finite for finite entries.
+    It is :func:`_hermitian_stack` on a stack of one.
     """
-    m = as_matrix(a)
-    if not is_hermitian(m):
-        raise MatrixError(
-            f"matrix is not self-adjoint (asymmetry {max_abs(m - m.conj().T):.3e})"
-        )
-    return m / 2 + m.conj().T / 2
+    return _hermitian_stack(as_matrix(a)[None])[0]
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
@@ -100,11 +116,12 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     ok = is_hermitian(m)
     if not ok.all():
         k = int(np.argmin(ok))
+        which = f"matrix {k} of the stack" if len(m) > 1 else "matrix"
         raise MatrixError(
-            f"matrix {k} of the stack is not self-adjoint "
+            f"{which} is not self-adjoint "
             f"(asymmetry {max_abs(m[k] - m[k].conj().T):.3e})"
         )
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return _sym(m)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -133,8 +150,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
 
 
 def _skew_eigenvalues(m: np.ndarray) -> np.ndarray:
-    h = -1j * m
-    return np.linalg.eigvalsh(h / 2 + h.conj().T / 2)
+    return np.linalg.eigvalsh(_sym(-1j * m))
 
 
 def skew_hermitian_eigenvalues(c) -> np.ndarray:
@@ -240,8 +256,7 @@ def _check_dim(n: int) -> None:
 
 def _gue(parts: np.ndarray) -> np.ndarray:
     """(G + G*)/2 for the Ginibre matrices G of ``parts``."""
-    g = _ginibre(parts)
-    return (g + g.conj().swapaxes(-1, -2)) / 2
+    return _sym(_ginibre(parts))
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -279,17 +294,7 @@ def _rank_k(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_j c_j x_j x_j*, exactly symmetrized, over the first k columns
     x_j of each unitary in ``u`` and the k coefficients of ``coeffs``."""
     x = u[..., :, : coeffs.shape[-1]]
-    m = (x * coeffs[..., None, :]) @ x.conj().swapaxes(-1, -2)
-    return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
-def random_rank_k_hermitian(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Sum of k rank-1 terms c_j x_j x_j* with orthonormal x_j and nonzero
-    real c_j."""
-    if not 1 <= k <= n:
-        raise MatrixError(f"rank k={k} must satisfy 1 <= k <= n={n}")
-    u = random_unitary(n, rng)
-    return _rank_k(u, _rank_k_coeffs(k, rng))
+    return _sym((x * coeffs[..., None, :]) @ x.conj().swapaxes(-1, -2))
 
 
 def _unit_vectors(parts: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 from .matcore import (
     MatrixError,
     _skew_eigenvalues,
+    _sym,
     as_matrix,
     commutator_spectrum,
     hermitian,
@@ -61,25 +62,27 @@ class RangeBoundary:
     vectors: np.ndarray
 
 
-def _support_matrices(a: np.ndarray, thetas) -> np.ndarray:
-    """H_theta = (e^{-i theta} A + e^{i theta} A*)/2 for a validated A,
-    stacked over the shape of ``thetas`` (a scalar angle gives one matrix).
+def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = sym(A) and Y = sym(-iA) for a validated A = X + iY, formed with
+    the overflow-safe ``_sym``, so finite entries give finite parts."""
+    return _sym(a), _sym(-1j * a)
 
-    Formed as cos(theta) X + sin(theta) Y from the Hermitian parts
-    X = A/2 + A*/2 and Y = -i(A/2 - A*/2), built once per call: real
-    coefficients, and halving before adding, so finite entries give finite
-    support matrices.  H_{theta + pi} = -H_theta and dH/dtheta =
-    H_{theta + pi/2}.
+
+def _support_matrices(parts, thetas) -> np.ndarray:
+    """H_theta = (e^{-i theta} A + e^{i theta} A*)/2 for the Hermitian
+    parts (X, Y) of A, stacked over the shape of ``thetas`` (a scalar angle
+    gives one matrix).
+
+    Formed as cos(theta) X + sin(theta) Y, with real coefficients.
+    H_{theta + pi} = -H_theta and dH/dtheta = H_{theta + pi/2}.
     """
-    half = a / 2
-    x = half + half.conj().T
-    y = -1j * (half - half.conj().T)
+    x, y = parts
     t = np.asarray(thetas, dtype=float)[..., None, None]
     return np.cos(t) * x + np.sin(t) * y
 
 
-def _top_support(a: np.ndarray, thetas) -> np.ndarray:
-    return np.linalg.eigvalsh(_support_matrices(a, thetas))[..., -1]
+def _top_support(parts, thetas) -> np.ndarray:
+    return np.linalg.eigvalsh(_support_matrices(parts, thetas))[..., -1]
 
 
 def support_value(a, theta: float) -> float:
@@ -87,7 +90,7 @@ def support_value(a, theta: float) -> float:
 
     Equals the top eigenvalue of H_theta = (e^{-i theta} A + e^{i theta} A*)/2.
     """
-    return float(_top_support(as_matrix(a), theta))
+    return float(_top_support(_hermitian_parts(as_matrix(a)), theta))
 
 
 def numerical_radius(a) -> float:
@@ -111,14 +114,13 @@ def numerical_radius(a) -> float:
         return 0.0
     unit = a / scale
     if is_hermitian(unit):
-        eigs = np.linalg.eigh(a / 2 + a.conj().T / 2)[0]
-        return float(np.abs(eigs).max())
+        return float(np.abs(np.linalg.eigvalsh(_sym(a))).max())
     if is_hermitian(unit, skew=True):
         return float(np.abs(_skew_eigenvalues(a)).max())
     return float(scale * _level_set_radius(unit))
 
 
-def _newton_support(unit: np.ndarray, theta: float) -> float:
+def _newton_support(parts, theta: float) -> float:
     """The largest h met by guarded Newton steps on h from theta, with
     h' = v* H_{theta + pi/2} v and h'' = -h + 2 sum_j |<v_j, H_{theta + pi/2}
     v>|^2 / (lambda_top - lambda_j) from one ``eigh`` per step.  It stops
@@ -126,7 +128,7 @@ def _newton_support(unit: np.ndarray, theta: float) -> float:
     most 1e-8 or after ``_NEWTON_STEPS`` steps."""
     best = -np.inf
     for _ in range(_NEWTON_STEPS):
-        h, dh = _support_matrices(unit, (theta, theta + np.pi / 2))
+        h, dh = _support_matrices(parts, (theta, theta + np.pi / 2))
         lam, vecs = np.linalg.eigh(h)
         best = max(best, lam[-1])
         gap = lam[-1] - lam[:-1]
@@ -147,9 +149,10 @@ def _level_set_radius(unit: np.ndarray) -> float:
     """The general path of :func:`numerical_radius` on unit = A/||A||_max:
     max over theta of h(theta) = lambda_max(H_theta), as an attained h."""
     n = unit.shape[0]
-    spectra = np.linalg.eigvalsh(_support_matrices(unit, _LEVEL_GRID))
+    parts = _hermitian_parts(unit)
+    spectra = np.linalg.eigvalsh(_support_matrices(parts, _LEVEL_GRID))
     k = int(np.argmax(spectra[:, -1]))
-    r = max(spectra[k, -1], _newton_support(unit, _LEVEL_GRID[k]))
+    r = max(spectra[k, -1], _newton_support(parts, _LEVEL_GRID[k]))
     # r in sigma(H_theta) iff det(z^2 A* - 2 r z I + A) = 0 at z = e^{i theta};
     # linearised as K x = z N x with K = [[0, I], [-A, 2 r I]] and
     # N = [[I, 0], [0, A*]].
@@ -181,7 +184,7 @@ def _level_set_radius(unit: np.ndarray) -> float:
         if crossings.size == 0:
             break
         mids = (crossings + np.append(crossings[1:], crossings[0] + 2.0 * np.pi)) / 2
-        best = _top_support(unit, mids).max()
+        best = _top_support(parts, mids).max()
         if best <= r:
             break
         r = best
@@ -209,24 +212,21 @@ def _symmetric(t_min, t_max, tol: float):
     return np.abs(t_min + t_max) <= tol * scale
 
 
-def intervals_equal(
-    a: CommutatorInterval, b: CommutatorInterval, tol: float = SYMMETRY_TOL
-) -> bool:
-    """Componentwise interval comparison with relative tolerance."""
-    scale = max(1.0, abs(a.t_min), abs(a.t_max), abs(b.t_min), abs(b.t_max))
-    return (
-        abs(a.t_min - b.t_min) <= tol * scale
-        and abs(a.t_max - b.t_max) <= tol * scale
-    )
-
-
 def _rank1_radii(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """w([A, x x*]) for a validated Hermitian A and each row x of ``xs``,
-    a stack of unit vectors; see :func:`rank1_commutator_radius`."""
-    axs = xs @ a.T
-    mean = np.einsum("kj,kj->k", xs.conj(), axs).real
-    second = np.einsum("kj,kj->k", axs.conj(), axs).real
-    return np.sqrt(np.maximum(0.0, second - mean * mean))
+    """w([A, x x*]) for a validated Hermitian A, or for each of a stack of
+    them (leading axes), and each row x of ``xs``, a stack of unit vectors;
+    see :func:`rank1_commutator_radius`.
+
+    Formed as ||Ax - <Ax, x> x|| on A/||A||_max and scaled back once, so
+    no difference of squares cancels and no entry of a finite A overflows.
+    """
+    scale = np.abs(a).max(axis=(-2, -1))
+    unit = a / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    axs = xs @ unit.swapaxes(-1, -2)
+    mean = np.einsum("kj,...kj->...k", xs.conj(), axs).real
+    resid = axs - mean[..., None] * xs
+    norms = np.sqrt(np.einsum("...kj,...kj->...k", resid.conj(), resid).real)
+    return scale[..., None] * norms
 
 
 def rank1_commutator_radius(a, x) -> float:
@@ -257,11 +257,12 @@ def range_boundary(a, n_angles: int) -> RangeBoundary:
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    parts = _hermitian_parts(a)
     if n_angles % 2:
-        vecs = np.linalg.eigh(_support_matrices(a, angles))[1]
+        vecs = np.linalg.eigh(_support_matrices(parts, angles))[1]
         vectors = np.ascontiguousarray(vecs[..., -1])
     else:
-        vecs = np.linalg.eigh(_support_matrices(a, angles[: n_angles // 2]))[1]
+        vecs = np.linalg.eigh(_support_matrices(parts, angles[: n_angles // 2]))[1]
         vectors = np.concatenate([vecs[..., -1], vecs[..., 0]])
     points = np.einsum("kj,kj->k", vectors.conj(), vectors @ a.T)
     return RangeBoundary(points=points, angles=angles, vectors=vectors)

@@ -9,6 +9,11 @@ B; both directions come with constructive certificates:
 * two-level      -> a Hermitian unitary U with U [A,B] U* = -[A,B] for all B;
 * not two-level  -> an explicit rank-2 B whose interval is asymmetric.
 
+One stacked kernel, ``_split``, holds the two-level rule: one ``eigh``
+per stack, the cluster split, the classification margin and the checked
+upper-cluster projection.  ``classify_two_level``, the independence vector
+and the trial engine's exceptional-set rule all read from it.
+
 Also houses the rank-1-projection radius test that characterizes pairs
 related by B = +/-A + beta*I.  Each public function validates its matrices
 once with ``hermitian``; the private steps under it trust them.
@@ -17,15 +22,15 @@ once with ``hermitian``; the private steps under it trust them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .matcore import (
-    EigenDecomposition,
     MatrixError,
     _commutator_spectrum,
     _hermitian_pair,
+    _sym,
     _unit_vectors,
     hermitian,
     max_abs,
@@ -83,27 +88,49 @@ class TwoLevelDecomposition:
         }
 
 
-def _eigen_clusters(a: np.ndarray, gap_tol: float):
-    """Eigendecomposition of a validated A plus cluster slices under a
-    relative gap split.
+class _Split(NamedTuple):
+    """The two-level split of each matrix of a stack (see :func:`_split`)."""
 
-    Consecutive eigenvalues start a new cluster when their gap exceeds
-    gap_tol times the spectral diameter.
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    diameter: np.ndarray
+    distance: np.ndarray
+    starts: np.ndarray
+    clusters: np.ndarray
+    projection: np.ndarray
+
+    @property
+    def two_level(self) -> np.ndarray:
+        return self.clusters <= 2
+
+
+def _split(a: np.ndarray, gap_tol: float) -> _Split:
+    """Cluster the spectrum of each matrix of a validated stack, from one
+    stacked ``eigh``; the package's one two-level rule.
+
+    ``distance[..., i]`` is the gap between eigenvalues i and i + 1 minus
+    the threshold gap_tol * diameter.  A positive distance starts a new
+    cluster (``starts``), so a scalar matrix, whose diameter and gaps are
+    0, is one cluster; a matrix is two-level when it has at most two
+    clusters.  Every matrix with exactly two clusters gets the projection
+    onto its upper cluster, checked for idempotency; the others get zero.
     """
-    decomp = EigenDecomposition(*np.linalg.eigh(a))
-    eigs = decomp.eigenvalues
-    n = eigs.shape[0]
-    diameter = float(eigs[-1] - eigs[0])
-    if diameter <= 0.0:
-        return decomp, [slice(0, n)], float("inf")
-    threshold = gap_tol * diameter
-    gaps = np.diff(eigs)
-    margin = float(np.min(np.abs(gaps - threshold)) / diameter)
-    starts = [0] + [i + 1 for i, g in enumerate(gaps) if g > threshold]
-    slices = [
-        slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])
-    ]
-    return decomp, slices, margin
+    eigs, vectors = np.linalg.eigh(a)
+    diameter = eigs[:, -1] - eigs[:, 0]
+    distance = eigs[:, 1:] - eigs[:, :-1] - (gap_tol * diameter)[:, None]
+    starts = distance > 0.0
+    clusters = 1 + starts.sum(axis=-1)
+    projection = np.zeros(vectors.shape, dtype=complex)
+    pairs = (clusters == 2).nonzero()[0]
+    first = 1 + starts[pairs].nonzero()[1]
+    for k in set(first.tolist()):
+        rows = pairs[first == k]
+        upper = vectors[rows, :, k:]
+        proj = _sym(upper @ upper.conj().swapaxes(-1, -2))
+        if max_abs(proj @ proj - proj) > 1e-9:
+            raise WitnessSearchError("spectral projection failed idempotency check")
+        projection[rows] = proj
+    return _Split(eigs, vectors, diameter, distance, starts, clusters, projection)
 
 
 def classify_two_level(a, gap_tol: float = GAP_TOL) -> TwoLevelDecomposition:
@@ -115,46 +142,17 @@ def classify_two_level(a, gap_tol: float = GAP_TOL) -> TwoLevelDecomposition:
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
-    return _two_level(hermitian(a), gap_tol)
-
-
-def _two_level(a: np.ndarray, gap_tol: float) -> TwoLevelDecomposition:
-    decomp, slices, margin = _eigen_clusters(a, gap_tol)
-    if len(slices) > 2:
+    s = _split(hermitian(a)[None], gap_tol)
+    eigs, diameter, clusters = s.eigenvalues[0], float(s.diameter[0]), s.clusters[0]
+    # the smallest relative distance of a gap from the threshold
+    margin = float(np.abs(s.distance[0]).min() / diameter) if diameter > 0.0 else np.inf
+    if clusters > 2:
         return TwoLevelDecomposition(False, None, 0.0, 0.0, margin)
-    if len(slices) == 1:
-        return TwoLevelDecomposition(
-            True, None, 0.0, float(decomp.eigenvalues.mean()), margin
-        )
-    mu = [float(decomp.eigenvalues[s].mean()) for s in slices]
-    proj = _projection(decomp.vectors[:, slices[1]])
-    return TwoLevelDecomposition(True, proj, mu[1] - mu[0], mu[0], margin)
-
-
-def _projection(upper: np.ndarray) -> np.ndarray:
-    """The orthogonal projection onto the columns of ``upper`` (or of each
-    matrix of a stack), checked for idempotency."""
-    proj = upper @ upper.conj().swapaxes(-1, -2)
-    proj = (proj + proj.conj().swapaxes(-1, -2)) / 2
-    if max_abs(proj @ proj - proj) > 1e-9:
-        raise WitnessSearchError("spectral projection failed idempotency check")
-    return proj
-
-
-def _two_level_mask(a: np.ndarray, gap_tol: float) -> np.ndarray:
-    """The ``two_level`` verdict of :func:`classify_two_level` for each
-    matrix of a validated stack, from one stacked ``eigh``.  The projection
-    of every matrix with two clusters passes the same idempotency check."""
-    eigs, vectors = np.linalg.eigh(a)
-    diameter = eigs[:, -1] - eigs[:, 0]
-    split = np.diff(eigs, axis=-1) > (gap_tol * diameter)[:, None]
-    split &= (diameter > 0.0)[:, None]
-    clusters = 1 + np.count_nonzero(split, axis=-1)
-    pairs = np.flatnonzero(clusters == 2)
-    starts = 1 + np.argmax(split[pairs], axis=-1)
-    for start in np.unique(starts):
-        _projection(vectors[pairs[starts == start], :, start:])
-    return clusters <= 2
+    if clusters == 1:
+        return TwoLevelDecomposition(True, None, 0.0, float(eigs.mean()), margin)
+    k = 1 + int(s.starts[0].argmax())
+    low, high = float(eigs[:k].mean()), float(eigs[k:].mean())
+    return TwoLevelDecomposition(True, s.projection[0], high - low, low, margin)
 
 
 def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
@@ -172,12 +170,13 @@ def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
 
 
 def _independence_vector(a: np.ndarray, gap_tol: float) -> Optional[np.ndarray]:
-    decomp, slices, _ = _eigen_clusters(a, gap_tol)
-    k = len(slices)
+    s = _split(a[None], gap_tol)
+    k = int(s.clusters[0])
     if k <= 2:
         return None
-    reps = np.stack([decomp.vectors[:, s.start] for s in slices], axis=1)
-    scale = max(1.0, float(np.abs(decomp.eigenvalues).max()))
+    cluster_starts = [0] + (1 + s.starts[0].nonzero()[0]).tolist()
+    reps = np.stack([s.vectors[0, :, j] for j in cluster_starts], axis=1)
+    scale = max(1.0, float(np.abs(s.eigenvalues[0]).max()))
     threshold = 1e-6 * scale * scale
     # The all-plus combination works whenever the cluster means are
     # distinct; alternate sign patterns are a numerical safety net.
@@ -282,8 +281,8 @@ class RadiusEquivalenceVerdict:
         }
 
 
-def affine_sign_match(
-    a, b, tol: float = EQUIV_RESIDUAL_TOL
+def _affine_sign_match(
+    a: np.ndarray, b: np.ndarray, tol: float
 ) -> Optional[tuple[int, float]]:
     """(alpha, beta) with B = alpha*A + beta*I for alpha in {+1, -1}, or
     None; +1 is preferred when both match (A scalar).
@@ -291,12 +290,6 @@ def affine_sign_match(
     The residual B - alpha*A - beta*I, with beta = tr(B - alpha*A)/n, is
     measured against tol * max(1, ||A||_max, ||B||_max).
     """
-    return _affine_sign_match(*_hermitian_pair(a, b), tol)
-
-
-def _affine_sign_match(
-    a: np.ndarray, b: np.ndarray, tol: float
-) -> Optional[tuple[int, float]]:
     n = a.shape[0]
     scale = max(1.0, max_abs(a), max_abs(b))
     for alpha in (1, -1):
@@ -328,7 +321,8 @@ def radius_equivalence_check(
     n = a.shape[0]
 
     xs = _unit_vectors(rng.standard_normal((n_projections, 2, n)))
-    gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
+    radii = _rank1_radii(np.stack([a, b]), xs)
+    gaps = np.abs(radii[0] - radii[1])
     k = int(np.argmax(gaps))
     worst_gap = float(gaps[k])
     worst_x = xs[k].copy() if worst_gap > 0.0 else None

@@ -1,0 +1,77 @@
+"""The library surface that the benchmark and the bench script reach.
+
+``perfbench/workloads.py`` and ``scripts/bench_trials.py`` import names
+from commrange and read attributes of its modules, private ones included.
+A deletion that breaks one of them would only show when the benchmark
+runs, so this test reads both files with ``ast`` and resolves every such
+name against the package.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CLIENTS = ("perfbench/workloads.py", "scripts/bench_trials.py")
+
+
+def _references(path: Path) -> list[str]:
+    """Dotted names under ``commrange`` that the file imports or reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "commrange"
+        ):
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                names.append(dotted)
+                modules[alias.asname or alias.name] = dotted
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not isinstance(node.ctx, ast.Load):
+            continue
+        chain = [node.attr]
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            names.append(".".join([modules[root.id], *reversed(chain)]))
+    return names
+
+
+def _resolve(dotted: str):
+    """The object a dotted name under ``commrange`` names, taking the
+    longest importable module prefix and then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+def test_benchmark_names_resolve(client):
+    names = _references(ROOT / client)
+    assert len(names) > 10  # the parse found the imports
+    missing = []
+    for dotted in sorted(set(names)):
+        try:
+            _resolve(dotted)
+        except (AttributeError, ImportError):
+            missing.append(dotted)
+    assert not missing, f"{client} reaches names commrange no longer has: {missing}"
+
+
+def test_bench_script_private_attributes_are_checked():
+    # the attribute walk follows module aliases into private names
+    names = _references(ROOT / "scripts/bench_trials.py")
+    assert "commrange.maps._Draws.assemble" in names
+    assert "commrange.matcore._unit_vectors" in names

@@ -189,7 +189,7 @@ def test_every_route_refuses_dimension_above_max(tmp_path, capsys):
         lambda a: cr.commutator(a, a), lambda a: cr.commutator_spectrum(a, a),
         lambda a: cr.commutator_interval(a, a), lambda a: cr.support_value(a, 0.0),
         lambda a: cr.rank1_commutator_radius(a, x),
-        lambda a: cr.range_boundary(a, 16), lambda a: cr.affine_sign_match(a, a),
+        lambda a: cr.range_boundary(a, 16),
         lambda a: cr.radius_equivalence_check(a, a, 5, rng),
         lambda a: MapSpec(dim=17, unitary=a),
         lambda a: apply_map(MapSpec(dim=2, unitary=np.eye(2)), a),
@@ -324,6 +324,15 @@ def test_boundary_non_finite_point_exits_internal(matrix_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("commrange: internal error: ")
+
+
+def test_equiv_near_the_float_limit_is_related(matrix_file, capsys):
+    # the rank-1 radii run on A/||A||_max, so 1e308 * J overflows nowhere
+    path = matrix_file("big.json", 1e308 * np.ones((2, 2)))
+    assert main(["equiv", path, path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "related"
+    assert np.isfinite(report["worst_gap"])
 
 
 def test_suite_smoke(tmp_path):

@@ -16,7 +16,7 @@ from commrange.matcore import (
     random_unitary,
     substream,
 )
-from commrange.nrange import commutator_interval, intervals_equal
+from commrange.nrange import CommutatorInterval, commutator_interval
 from commrange.maps import (
     DAGGER_TRANSPOSE,
     MODE_RADIUS,
@@ -31,10 +31,18 @@ from commrange.maps import (
     MapSpec,
     apply_map,
     check_preservation,
+    metric_violation,
     pool_size,
 )
 from commrange.pauli2 import psi
-from commrange.structure import affine_sign_match, asymmetry_witness
+from commrange.structure import asymmetry_witness, radius_equivalence_check
+
+
+def _range_gap(iv: CommutatorInterval, jv: CommutatorInterval) -> float:
+    """The range-mode distance of two commutator intervals, relative to
+    max(1, largest endpoint modulus)."""
+    scale = max(1.0, *(abs(t) for t in iv + jv))
+    return metric_violation(np.array(iv), np.array(jv), MODE_RANGE) / scale
 
 
 def test_identity_map_is_identity():
@@ -173,7 +181,7 @@ def test_range_mode_transpose_fails_with_counterexample():
     a, b = report.first_counterexample
     iv = commutator_interval(a, b)
     iv_img = commutator_interval(apply_map(m, a), apply_map(m, b))
-    assert not intervals_equal(iv, iv_img, 1e-9)
+    assert _range_gap(iv, iv_img) > 1e-9
     # the transpose reflects the interval, which only shows on asymmetry
     assert abs(iv.t_min + iv.t_max) > 1e-9
 
@@ -188,7 +196,7 @@ def test_transpose_fixture_pair_violates_range():
     iv = commutator_interval(b1, b2)
     assert abs(iv.t_min + iv.t_max) > 1e-6
     ivt = commutator_interval(b1.T.copy(), b2.T.copy())
-    assert not intervals_equal(iv, ivt, 1e-9)
+    assert _range_gap(iv, ivt) > 1e-9
 
 
 def test_exceptional_set_members_are_two_level():
@@ -326,7 +334,7 @@ def _sign_flip_invisible(a, probes) -> bool:
     # the sign of a range-preserver form may flip on A exactly when no
     # commutator interval W([A, B]) can tell A from -A
     return all(
-        intervals_equal(commutator_interval(a, b), commutator_interval(-a, b), 1e-8)
+        _range_gap(commutator_interval(a, b), commutator_interval(-a, b)) <= 1e-8
         for b in probes
     )
 
@@ -350,11 +358,15 @@ def test_sign_flip_invisible_on_zero():
 
 
 def test_affine_sign_match_cases():
+    def match(a, b):
+        v = radius_equivalence_check(a, b, 1, substream(91, 1))
+        return None if v.alpha is None else (v.alpha, v.beta)
+
     a = random_hermitian(3, substream(91, 0))
-    assert affine_sign_match(a, hermitian(-a + 3 * np.eye(3))) == (-1, pytest.approx(3.0))
-    assert affine_sign_match(a, a) == (1, pytest.approx(0.0))
+    assert match(a, hermitian(-a + 3 * np.eye(3))) == (-1, pytest.approx(3.0))
+    assert match(a, a) == (1, pytest.approx(0.0))
     b = np.array([[1.0, 2 + 3j], [2 - 3j, 4.0]])
-    assert affine_sign_match(b, hermitian(b.T.copy())) is None
+    assert match(b, hermitian(b.T.copy())) is None
 
 
 def test_map_json_round_trip():
@@ -395,7 +407,7 @@ def test_report_embeds_counterexample_matrices():
     )
     iv = commutator_interval(a, b)
     ivt = commutator_interval(a.T.copy(), b.T.copy())
-    assert not intervals_equal(iv, ivt, report.tolerance)
+    assert _range_gap(iv, ivt) > report.tolerance
 
 
 def test_trials_validate_only_inexact_matrices(validated_stacks):

@@ -19,7 +19,6 @@ from commrange.matcore import (
     matrix_to_json,
     max_abs,
     random_hermitian,
-    random_rank_k_hermitian,
     random_unit_vector,
     random_unitary,
     rank_numeric,
@@ -50,15 +49,36 @@ def test_hermitian_validates_and_symmetrizes():
 
 
 def test_hermitian_halves_before_adding():
-    # (M + M*)/2 overflows here; M/2 + M*/2 does not
+    # (M + M*)/2 overflows here, so entries from 2**1022 up are halved first
     m = 1e308 * np.ones((2, 2))
     assert np.array_equal(hermitian(m), m)
-    # and halving is exact, so normal-range inputs keep every bit
+    # below that the sum is halved, which equals M/2 + M*/2 bit for bit
     for i in range(50):
         rng = substream(3, i)
         n = 1 + i % 6
         a = random_hermitian(n, rng) + 1e-14 * rng.standard_normal((n, n))
         assert np.array_equal(hermitian(a), (a + a.conj().T) / 2)
+
+
+def test_symmetrization_keeps_subnormal_entries_bitwise():
+    # halving before the sum would round 5e-324 to 0
+    tiny = 5e-324
+    m = np.array([[tiny, 3 * tiny + 1j * tiny], [3 * tiny - 1j * tiny, -2 * tiny]])
+    assert hermitian(m).tobytes() == m.tobytes()
+    stack = np.stack([m, 2 * m, np.eye(2) + m])
+    assert matcore._hermitian_stack(stack).tobytes() == stack.tobytes()
+
+
+def test_symmetrization_is_finite_near_the_float_limit():
+    exact = 1e308 * np.ones((2, 2), dtype=complex)
+    near = exact.copy()
+    near[0, 1] *= 1 + 1e-14  # within the 1e-12 relative symmetry tolerance
+    for m in (exact, near):
+        for out in (hermitian(m), matcore._hermitian_stack(np.stack([m, m / 3]))[0]):
+            assert np.isfinite(out).all()
+            assert max_abs(out - out.conj().T) == 0.0
+            assert max_abs(out - m) <= 1e-14 * 1e308
+    assert matcore._hermitian_stack(exact[None]).tobytes() == exact[None].tobytes()
 
 
 def test_commutator_pauli_pair():
@@ -272,7 +292,8 @@ def test_commutator_spectrum_matches_general_eigensolver():
         rng = substream(15, i)
         n = 1 + i % MAX_DIM
         a = random_hermitian(n, rng)
-        b = random_rank_k_hermitian(n, 1 + i % n, rng)
+        u = random_unitary(n, rng)
+        b = matcore._rank_k(u, matcore._rank_k_coeffs(1 + i % n, rng))
         ref = np.sort(np.linalg.eigvals(a @ b - b @ a).imag)
         bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
         assert np.abs(commutator_spectrum(a, b) - ref).max() <= bound
@@ -439,7 +460,8 @@ def test_random_rank_k_has_rank_k():
         rng = substream(11, i)
         n = 4
         k = 1 + i % 3
-        a = random_rank_k_hermitian(n, k, rng)
+        u = random_unitary(n, rng)
+        a = matcore._rank_k(u, matcore._rank_k_coeffs(k, rng))
         assert rank_numeric(a) == k
 
 

@@ -18,7 +18,8 @@ from commrange.matcore import (
 from commrange.nrange import _rank1_radii, commutator_interval, interval_symmetric
 from commrange.structure import (
     EQUIV_GAP_TOL,
-    affine_sign_match,
+    EQUIV_RESIDUAL_TOL,
+    _affine_sign_match,
     classify_two_level,
     asymmetry_witness,
     independence_vector,
@@ -237,7 +238,7 @@ def _equivalence_reference(a, b, n_projections, rng):
     xs = np.stack(xs)
     gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
     k = int(np.argmax(gaps))
-    match = affine_sign_match(a, b)
+    match = _affine_sign_match(a, b, EQUIV_RESIDUAL_TOL)
     if match is not None:
         return "related", match[0], match[1], float(gaps[k]), None
     status = "not-related" if gaps[k] > EQUIV_GAP_TOL else "inconclusive"

@@ -45,7 +45,7 @@ from commrange.maps import (
     sample_trial_pair,
 )
 from commrange.pauli2 import _psi, psi
-from commrange.structure import GAP_TOL, _two_level_mask, classify_two_level
+from commrange.structure import GAP_TOL, _split, classify_two_level
 
 # Every sign rule (radius forms, epsilon None) and every exceptional-set
 # rule (range forms, epsilon +/-1), under every dagger and shift rule.
@@ -324,9 +324,21 @@ def test_stacked_two_level_mask_matches_classifier():
     for n in (2, 3, 6):
         a, b = _sample_block(n, 64 + n, 0, 40)
         stack = np.concatenate([a, b])
-        mask = _two_level_mask(stack, GAP_TOL)
+        mask = _split(stack, GAP_TOL).two_level
         assert mask.tolist() == [classify_two_level(x).two_level for x in stack]
         assert 0 < mask.sum() <= len(stack)
+    # a middle gap of GAP_TOL * diameter * (1 -/+ 1e-9): two clusters just
+    # below the threshold, three just above it, on diagonal matrices (exact
+    # spectra) and on their unitary rotations (rounded spectra)
+    near = []
+    for scale in (1.0, 3.7, 1e-5):
+        for rel in (1.0 - 1e-9, 1.0 + 1e-9):
+            near.append(np.diag([0.0, GAP_TOL * rel * scale, scale]).astype(complex))
+    rotations = [random_unitary(3, substream(66, k)) for k in range(len(near))]
+    near += [hermitian(u @ d @ u.conj().T) for u, d in zip(rotations, near)]
+    mask = _split(np.array(near), GAP_TOL).two_level
+    assert mask.tolist() == [classify_two_level(x).two_level for x in near]
+    assert mask[:6].tolist() == [True, False] * 3
 
 
 def test_stacked_mirror_map_matches_one_matrix_map():
