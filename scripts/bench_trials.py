@@ -29,6 +29,10 @@ per call; and the wall time in seconds of acceptance criterion 9 at scale
 ``boundary``: microseconds per ``range_boundary(A, 360)`` call on the same
 50 matrices at each n.
 
+``suite``: the wall time in seconds of ``run_acceptance_suite`` at scales
+0.02 and 0.05 with ``workers`` 1 and 2.  Each run opens its own process
+pool, as one ``commrange suite`` command does.
+
 Every figure is the median over ``--reps`` runs after one warm-up run.
 BLAS runs on one thread.  The JSON names the host, Python and NumPy
 versions next to the numbers.
@@ -71,6 +75,8 @@ CRITERIA = {
     "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
 }
 RADIUS_CRITERIA = {"crit09_sweep_vs_sampling": suite.crit_sweep_vs_sampling}
+SUITE_SCALES = (0.02, 0.05)
+SUITE_WORKERS = (1, 2)
 
 
 def _spec(n: int, seed: int) -> maps.MapSpec:
@@ -245,6 +251,21 @@ def measure_boundary(seed: int, reps: int) -> dict:
     return out
 
 
+def measure_suite(seed: int, reps: int) -> dict:
+    """Median wall time in seconds of each whole suite run."""
+    out = {"wall_s": {}}
+    for scale in SUITE_SCALES:
+        for workers in SUITE_WORKERS:
+            walls = []
+            for _ in range(reps + 1):
+                t0 = perf_counter()
+                suite.run_acceptance_suite(seed, scale, workers)
+                walls.append(perf_counter() - t0)
+            key = f"scale{scale}_workers{workers}"
+            out["wall_s"][key] = float(np.median(walls[1:]))
+    return out
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
@@ -268,6 +289,7 @@ def main() -> None:
     oracles = measure_oracles(args.seed, args.reps)
     radius = measure_radius(args.seed, args.reps)
     boundary = measure_boundary(args.seed, args.reps)
+    suite_runs = measure_suite(args.seed, args.reps)
     report = {
         "host": {
             "machine": platform.machine(),
@@ -286,12 +308,13 @@ def main() -> None:
         "oracles": oracles,
         "radius": radius,
         "boundary": boundary,
+        "suite": suite_runs,
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key, val in engine.items():
         phases = " ".join(f"{p}={us:.1f}" for p, us in val["phase_us_per_trial"].items())
         print(f"{key}: {val['trials_per_s']:.0f} trials/s; us/trial {phases}")
-    for section in (oracles, radius, boundary):
+    for section in (oracles, radius, boundary, suite_runs):
         for key, val in section.items():
             print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))
 

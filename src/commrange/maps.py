@@ -16,17 +16,18 @@ functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
 pairs through a block engine.  For each trial index i it first makes the
-draws of trial i from the (seed, i) stream; then, for a block of a few
-hundred trials at once, it forms the sampled matrices (Haar QR, products,
+draws of trial i from the (seed, i) stream; then, for a block of 256
+trials at once, it forms the sampled matrices (Haar QR, products,
 validation), applies the map (one quantization per matrix shared by the
 hash rules, one stacked ``eigh`` for the exceptional set) and takes both
 commutator spectra and the violation metric, each in stacked calls.  The
 one-matrix entries ``sample_trial_pair``, ``apply_map`` and the rule
-methods run the same code on a stack of one.  No number depends on the
-position of a trial in its block, and the fold is ordered by trial index,
-so reports are identical for any worker count and any split into blocks.
-Parallel calls run on a spawn process pool; ``worker_pool`` keeps one pool
-open for every call inside its block.
+methods run the same code on a stack of one.  ``workers`` = N splits the
+trials into at most N chunks of whole blocks, so every N forms the same
+blocks and, the fold being ordered by trial index, gives the same report.
+One chunk runs in the calling process and starts no process; two or more
+run on a spawn process pool, which ``worker_pool`` keeps open for every
+call inside its block.
 """
 
 from __future__ import annotations
@@ -507,6 +508,13 @@ def _run_chunk(args):
     return list(zip(worst, first))
 
 
+def _chunks(trials: int, workers: int) -> list:
+    """The [lo, hi) trial ranges of a run: at most ``workers`` chunks of
+    whole engine blocks, the last one cut at ``trials``."""
+    per = -(-trials // (_BLOCK_TRIALS * workers)) * _BLOCK_TRIALS
+    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
+
+
 # The pool opened by the outermost open ``worker_pool`` block, if any.
 _ACTIVE_POOL: ContextVar[Optional["ProcessPoolExecutor"]] = ContextVar(
     "commrange_worker_pool", default=None
@@ -522,7 +530,7 @@ def pool_size(workers: int, cpu_count: Optional[int]) -> int:
 @contextmanager
 def worker_pool(workers: int) -> Iterator["ProcessPoolExecutor"]:
     """Open one spawn process pool for every ``check_preservation`` call in
-    the block.
+    the block that runs two or more chunks; one-chunk calls never use it.
 
     The pool has ``pool_size(workers, os.cpu_count())`` processes, started
     on first use.  Inside an open block this yields the open pool, so
@@ -601,13 +609,14 @@ def check_preservation(
     seeded trials.
 
     mode "radius" compares numerical radii, "range" the full intervals,
-    "spectrum" (dim 2 only) the sorted skew spectra.  With ``workers`` > 1
-    the trials are cut into ``workers`` chunks and run on the pool of the
-    open ``worker_pool`` block (a suite run shares one pool across all its
-    calls), or else on a pool opened for this call only.  Each chunk runs
-    in blocks through the trial engine, and the fold is ordered by trial
-    index, so the report is identical for any worker count and any split
-    into blocks.
+    "spectrum" (dim 2 only) the sorted skew spectra.  ``workers`` = N
+    splits the trials into at most N chunks of whole 256-trial engine
+    blocks.  One chunk (at most 256 trials, or N = 1) runs in this process
+    and starts no process.  Two or more run on the pool of the open
+    ``worker_pool`` block (a suite run shares one pool across its calls),
+    or else on a pool opened for this call only.  Every N forms the same
+    blocks and the fold is ordered by trial index, so the report is
+    identical for any worker count.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(mode)
@@ -637,26 +646,18 @@ def _preservation_reports(
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    if workers == 1:
-        results = _run_chunk((m, modes, n, seed, 0, trials, tols))
+    chunks = [(m, modes, n, seed, *bounds, tols) for bounds in _chunks(trials, workers)]
+    if len(chunks) == 1:
+        per_chunk = [_run_chunk(chunks[0])]
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        chunks = [
-            (m, modes, n, seed, int(lo), int(hi), tols)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        results = [(0.0, None)] * len(modes)
-        # A pool opened for this call alone needs no process per empty chunk.
         with worker_pool(len(chunks)) as pool:
-            for chunk in pool.map(_run_chunk, chunks):
-                results = [
-                    (max(worst, c_worst), c_first if first is None else first)
-                    for (worst, first), (c_worst, c_first) in zip(results, chunk)
-                ]
+            per_chunk = list(pool.map(_run_chunk, chunks))
 
     reports = []
-    for mode, tol, (worst, first_idx) in zip(modes, tols, results):
+    # Chunks are in trial order, so the first index found is the first.
+    for mode, tol, found in zip(modes, tols, zip(*per_chunk)):
+        worst = max(w for w, _ in found)
+        first_idx = next((i for _, i in found if i is not None), None)
         counterexample = None
         if first_idx is not None:
             counterexample = sample_trial_pair(n, substream(seed, first_idx), first_idx)

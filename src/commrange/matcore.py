@@ -67,13 +67,22 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _asymmetry(m: np.ndarray, skew: bool = False):
+    """||M - M*||_max (||M + M*||_max when skew) and max(1, ||M||_max) per
+    matrix of a stack, both taken on M/4 so that no modulus can overflow;
+    quartering is exact but for subnormal parts, far below the tolerance."""
+    q = m * 0.25
+    adj = q.conj().swapaxes(-1, -2)
+    defect = np.abs(q + adj if skew else q - adj).max(axis=(-2, -1))
+    return defect, np.maximum(0.25, np.abs(q).max(axis=(-2, -1)))
+
+
 def is_hermitian(m: np.ndarray, skew: bool = False):
     """True iff ||M - M*||_max (||M + M*||_max when skew) is at most
-    1e-12 * max(1, ||M||_max); the package's one symmetry test.  Over a
-    stack of matrices (leading axes) it gives one verdict per matrix."""
-    adj = m.conj().swapaxes(-1, -2)
-    defect = np.abs(m + adj if skew else m - adj).max(axis=(-2, -1))
-    return defect <= HERMITIAN_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    1e-12 * max(1, ||M||_max), by :func:`_asymmetry`; the package's one
+    symmetry test, with one verdict per matrix of a stack."""
+    defect, scale = _asymmetry(m, skew)
+    return defect <= HERMITIAN_TOL * scale
 
 
 def is_unitary(u: np.ndarray) -> bool:
@@ -117,9 +126,9 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     if not ok.all():
         k = int(np.argmin(ok))
         which = f"matrix {k} of the stack" if len(m) > 1 else "matrix"
+        defect, scale = _asymmetry(m[k])
         raise MatrixError(
-            f"{which} is not self-adjoint "
-            f"(asymmetry {max_abs(m[k] - m[k].conj().T):.3e})"
+            f"{which} is not self-adjoint (relative asymmetry {defect / scale:.3e})"
         )
     return _sym(m)
 
@@ -161,8 +170,9 @@ def skew_hermitian_eigenvalues(c) -> np.ndarray:
     """
     m = as_matrix(c)
     if not is_hermitian(m, skew=True):
+        defect, scale = _asymmetry(m, skew=True)
         raise MatrixError(
-            f"matrix is not skew-Hermitian (defect {max_abs(m + m.conj().T):.3e})"
+            f"matrix is not skew-Hermitian (relative defect {defect / scale:.3e})"
         )
     return _skew_eigenvalues(m)
 

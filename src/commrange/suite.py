@@ -4,8 +4,9 @@ Each criterion is a pure function of (seed, scale, workers) returning a
 JSON-able result dict.  ``scale`` multiplies the trial counts (1.0 is the
 full battery); reports contain no timing or host information, so a given
 (seed, scale) always produces byte-identical output regardless of worker
-count or execution order.  A suite run opens one process pool, which
-every parallel ``check_preservation`` call in it shares.
+count or execution order.  ``workers`` = N splits each trial run into at
+most N chunks of whole 256-trial blocks.  Runs of two or more chunks share
+one process pool per suite run; a run of one block starts no process.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def _seeded_spec(seed: int, label: str, n: int, **rules) -> MapSpec:
         sset_seed=_derived_seed(seed, label + ":s"),
         **rules,
     )
+
+
+def _form_report(seed, label, n, mode, trials, workers, **rules):
+    """``check_preservation`` at tolerance 1e-9 of the seeded map of
+    ``label`` over the trial stream derived from ``label``."""
+    m = _seeded_spec(seed, label, n, **rules)
+    run_seed = _derived_seed(seed, label + ":trials")
+    return check_preservation(m, mode, trials, n, run_seed, tol=1e-9, workers=workers)
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -339,17 +348,9 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
             for sign in (SIGN_PLUS, SIGN_HASH):
                 for shift in (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH):
                     label = f"radius:{n}:{dagger}:{sign}:{shift}"
-                    m = _seeded_spec(
-                        seed, label, n, dagger=dagger, sign=sign, shift=shift
-                    )
-                    report = check_preservation(
-                        m,
-                        MODE_RADIUS,
-                        trials,
-                        n,
-                        _derived_seed(seed, label + ":trials"),
-                        tol=1e-9,
-                        workers=workers,
+                    rules = dict(dagger=dagger, sign=sign, shift=shift)
+                    report = _form_report(
+                        seed, label, n, MODE_RADIUS, trials, workers, **rules
                     )
                     worst = max(worst, report.max_violation)
                     runs.append(
@@ -387,18 +388,8 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     for epsilon in (1, -1):
         for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM):
             label = f"range:{n}:{epsilon}:{sset}"
-            m = _seeded_spec(
-                seed, label, n, epsilon=epsilon, sset=sset, shift=SHIFT_HASH
-            )
-            report = check_preservation(
-                m,
-                MODE_RANGE,
-                trials,
-                n,
-                _derived_seed(seed, label + ":trials"),
-                tol=1e-9,
-                workers=workers,
-            )
+            rules = dict(epsilon=epsilon, sset=sset, shift=SHIFT_HASH)
+            report = _form_report(seed, label, n, MODE_RANGE, trials, workers, **rules)
             worst = max(worst, report.max_violation)
             runs.append(
                 {
@@ -409,16 +400,9 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
                 }
             )
 
-    label = "range-transpose"
-    m_t = _seeded_spec(seed, label, n, dagger=DAGGER_TRANSPOSE, epsilon=1)
-    refute = check_preservation(
-        m_t,
-        MODE_RANGE,
-        trials,
-        n,
-        _derived_seed(seed, label + ":trials"),
-        tol=1e-9,
-        workers=workers,
+    transpose = dict(dagger=DAGGER_TRANSPOSE, epsilon=1)
+    refute = _form_report(
+        seed, "range-transpose", n, MODE_RANGE, trials, workers, **transpose
     )
     return {
         "passed": all(r["passed"] for r in runs) and not refute.passed,
@@ -598,7 +582,9 @@ def crit_sweep_vs_sampling(seed: int, scale: float, workers: int) -> dict:
 
 def crit_determinism_probe(seed: int, scale: float, workers: int) -> dict:
     """Identical seeds reproduce identical serialized reports, including
-    across worker counts."""
+    across worker counts.  Its 40 trials fit one engine block, so they never
+    leave this process: ``tests/test_maps.py`` covers the process split in
+    ``test_reports_byte_identical_across_worker_counts``."""
     label = "determinism"
     m = _seeded_spec(seed, label, 3, sign=SIGN_HASH, shift=SHIFT_HASH)
     run_seed = _derived_seed(seed, label + ":trials")
@@ -636,9 +622,10 @@ def run_acceptance_suite(
 ) -> dict:
     """Run the whole battery; the report is deterministic in (seed, scale).
 
-    Every parallel ``check_preservation`` call of the run shares one spawn
-    process pool of at most ``os.cpu_count()`` processes, shut down when
-    the run ends, also when a criterion raises.
+    ``workers`` = N splits each trial run into at most N chunks of whole
+    256-trial blocks; a run of one block starts no process.  Runs of two or
+    more chunks share one spawn pool of at most ``os.cpu_count()``
+    processes, shut down when the suite ends, also when a criterion raises.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

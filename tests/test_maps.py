@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 from concurrent import futures
 
 import numpy as np
@@ -22,6 +23,7 @@ from commrange.maps import (
     MODE_RADIUS,
     MODE_RANGE,
     MODE_SPECTRUM,
+    MODES,
     SHIFT_HASH,
     SHIFT_TRACELESS,
     SIGN_HASH,
@@ -29,13 +31,21 @@ from commrange.maps import (
     SSET_RANDOM,
     MapConfigError,
     MapSpec,
+    _BLOCK_TRIALS,
+    _chunks,
+    _preservation_reports,
     apply_map,
     check_preservation,
     metric_violation,
     pool_size,
+    worker_pool,
 )
 from commrange.pauli2 import psi
 from commrange.structure import asymmetry_witness, radius_equivalence_check
+
+
+# Trials in three engine blocks, the last one holding a single trial.
+_MULTI_BLOCK = 2 * _BLOCK_TRIALS + 1
 
 
 def _range_gap(iv: CommutatorInterval, jv: CommutatorInterval) -> float:
@@ -240,15 +250,6 @@ def test_check_preservation_deterministic():
     )
 
 
-def test_check_preservation_worker_count_invariant():
-    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
-    r1 = check_preservation(m, MODE_RADIUS, 24, 3, 999, workers=1)
-    r2 = check_preservation(m, MODE_RADIUS, 24, 3, 999, workers=3)
-    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
-        r2.to_json(), sort_keys=True
-    )
-
-
 def test_worker_counts_below_one_rejected():
     m = MapSpec(dim=3, unitary=np.eye(3))
     for workers in (0, -3):
@@ -274,16 +275,21 @@ def test_pool_size_bounds(workers, cpu_count):
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Record every pool the maps module builds and every shutdown.
+    """Record every pool the maps module builds, every batch of chunks
+    sent to a pool and every shutdown.
 
     ``worker_pool`` looks the executor up in ``concurrent.futures`` when it
     opens a pool, so the counting class is installed there."""
-    log = {"max_workers": [], "shutdowns": 0}
+    log = {"max_workers": [], "maps": 0, "shutdowns": 0}
 
     class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             log["max_workers"].append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            log["maps"] += 1
+            return super().map(*args, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             log["shutdowns"] += 1
@@ -293,20 +299,68 @@ def pool_log(monkeypatch):
     return log
 
 
+def test_check_preservation_worker_count_invariant(pool_log):
+    # 513 trials are three engine blocks, so workers=3 runs three chunks on
+    # the pool
+    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
+    r1 = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=1)
+    r2 = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=3)
+    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
+        r2.to_json(), sort_keys=True
+    )
+    assert pool_log["max_workers"] == [pool_size(3, os.cpu_count())]
+    assert pool_log["maps"] == 1
+
+
+def test_chunks_are_runs_of_whole_blocks():
+    assert _chunks(1000, 2) == _chunks(1000, 3) == [(0, 512), (512, 1000)]
+    assert _chunks(256, 64) == [(0, 256)]
+    assert _chunks(257, 64) == [(0, 256), (256, 257)]
+
+
+@given(st.integers(1, 10**5), st.integers(1, 10**4))
+def test_chunk_bounds_cover_the_trials_in_blocks(trials, workers):
+    bounds = _chunks(trials, workers)
+    assert 1 <= len(bounds) <= workers
+    assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+    assert bounds[0][0] == 0 and bounds[-1][1] == trials
+    assert all(lo % _BLOCK_TRIALS == 0 and hi > lo for lo, hi in bounds)
+
+
+def test_one_block_call_starts_no_pool(pool_log):
+    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
+    serial = check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS, 3, 999, workers=1)
+    split = check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS, 3, 999, workers=64)
+    assert split.to_json() == serial.to_json()
+    assert pool_log["max_workers"] == []
+    assert multiprocessing.active_children() == []
+
+
 def test_lone_call_pool_capped_at_chunk_count(pool_log):
     m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
-    serial = check_preservation(m, MODE_RADIUS, 1, 3, 999, workers=1)
-    split = check_preservation(m, MODE_RADIUS, 1, 3, 999, workers=64)
+    trials = _BLOCK_TRIALS + 1
+    serial = check_preservation(m, MODE_RADIUS, trials, 3, 999, workers=1)
+    split = check_preservation(m, MODE_RADIUS, trials, 3, 999, workers=64)
     assert split.to_json() == serial.to_json()
-    assert pool_log["max_workers"] == [1]  # one trial, one non-empty chunk
+    # two blocks, two chunks: the pool asks for two processes, not 64
+    assert pool_log["max_workers"] == [pool_size(2, os.cpu_count())]
+    assert pool_log["maps"] == 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
 
 
-def test_suite_run_builds_one_pool(pool_log):
-    report = suite_mod.run_acceptance_suite(seed=2026, scale=0.02, workers=2)
+def _pool_criteria(*ids):
+    return tuple(c for c in suite_mod.CRITERIA if c[0] in ids)
+
+
+def test_suite_run_builds_one_pool(pool_log, monkeypatch):
+    # at scale 0.3 criterion 7 runs 7 calls of 300 trials and criterion 8
+    # 4 calls of 600 trials, each more than one engine block
+    monkeypatch.setattr(suite_mod, "CRITERIA", _pool_criteria(7, 8))
+    report = suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
     assert report["passed"] is True
     assert len(pool_log["max_workers"]) == 1
+    assert pool_log["maps"] == 7 + 4
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
 
@@ -315,19 +369,69 @@ def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
     def boom(seed, scale, workers):
         raise RuntimeError("criterion failed mid-run")
 
-    # criteria 6 and 7 run on the pool before criterion 8 raises
-    criteria = [c if c[0] != 8 else (8, c[1], boom) for c in suite_mod.CRITERIA]
-    monkeypatch.setattr(suite_mod, "CRITERIA", tuple(criteria))
+    # criterion 7's seven multi-block calls run on the pool before the
+    # next criterion raises
+    criteria = _pool_criteria(7) + ((8, "boom", boom),)
+    monkeypatch.setattr(suite_mod, "CRITERIA", criteria)
     with pytest.raises(RuntimeError, match="criterion failed mid-run"):
-        suite_mod.run_acceptance_suite(seed=2026, scale=0.02, workers=2)
+        suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
     assert len(pool_log["max_workers"]) == 1
+    assert pool_log["maps"] == 7
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
     # the closed pool is not handed to later calls
     m = MapSpec(dim=3, unitary=np.eye(3))
-    check_preservation(m, MODE_RADIUS, 4, 3, 1, workers=2)
+    check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS + 1, 3, 1, workers=2)
     assert len(pool_log["max_workers"]) == 2
+    assert pool_log["maps"] == 8
     assert multiprocessing.active_children() == []
+
+
+def test_reports_byte_identical_across_worker_counts():
+    # every worker count forms the same engine blocks, so chunks run in
+    # other processes fold to the serial bytes: a passing radius form, the
+    # failing range-transpose form (first index and counterexample) and one
+    # pass over all three dim-2 modes
+    radius = MapSpec(
+        dim=4,
+        unitary=random_unitary(4, substream(90, 0)),
+        sign=SIGN_HASH,
+        sign_seed=3,
+        shift=SHIFT_HASH,
+        shift_seed=4,
+    )
+    transpose = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
+    dim2 = MapSpec(
+        dim=2,
+        unitary=random_unitary(2, substream(91, 0)),
+        psi=True,
+        sign=SIGN_HASH,
+        sign_seed=6,
+        shift=SHIFT_HASH,
+        shift_seed=7,
+    )
+    cases = [
+        (radius, (MODE_RADIUS,), 4, (1e-9,)),
+        (transpose, (MODE_RANGE,), 3, (1e-9,)),
+        (dim2, MODES, 2, (1e-10,) * 3),
+    ]
+    outcomes = []
+    with worker_pool(3):
+        for index, (m, modes, n, tols) in enumerate(cases):
+            blobs = set()
+            for workers in (1, 2, 3):
+                reports = _preservation_reports(
+                    m, modes, _MULTI_BLOCK, n, 50 + index, tols, workers
+                )
+                blobs.add(tuple(json.dumps(r.to_json()) for r in reports))
+            assert len(blobs) == 1, modes
+            outcomes.append(reports)
+    assert [[r.passed for r in reports] for reports in outcomes] == [
+        [True],
+        [False],
+        [True, True, True],
+    ]
+    assert outcomes[1][0].first_counterexample is not None
 
 
 def _sign_flip_invisible(a, probes) -> bool:

@@ -81,6 +81,34 @@ def test_symmetrization_is_finite_near_the_float_limit():
     assert matcore._hermitian_stack(exact[None]).tobytes() == exact[None].tobytes()
 
 
+def test_symmetry_test_refuses_asymmetry_beyond_the_float_range():
+    # M - M* and |M| overflow here: the first matrix's defect 3e308 i and
+    # its scale |1.5e308 (1 + i)| would both read inf, and inf <= 1e-12 inf
+    for m in ([[1.5e308 + 1.5e308j, 0], [1, 0]], [[0, 1e308], [-1e308, 0]]):
+        with pytest.raises(MatrixError, match="not self-adjoint"):
+            hermitian(m)
+        with pytest.raises(MatrixError, match="matrix 1 of the stack"):
+            matcore._hermitian_stack(np.array([np.eye(2), m], dtype=complex))
+    skew = np.array([[0, 1e308], [-1e308, 0]], dtype=complex)
+    assert matcore.is_hermitian(skew, skew=True)
+    assert not matcore.is_hermitian(1j * skew, skew=True)
+
+
+def test_symmetry_verdict_is_invariant_under_power_of_two_scaling():
+    # above the max(1, ||M||) floor the test is relative, so 2**k M gets the
+    # verdict of M up to the float limit; the last k lifts the parts of
+    # the 0.75 + 0.75i entry to 1.35e308, where its modulus overflows
+    h = np.array(
+        [[0.5, 0.75 + 0.75j, 0], [0.75 - 0.75j, -0.5, 0.25j], [0, -0.25j, 0.125]]
+    )
+    for factor, expected in ((0.5, True), (2.0, False)):
+        m = h.copy()
+        m[0, 2] += factor * 1e-12 * max_abs(h)
+        for k in [*range(0, 1024, 20), 1024]:
+            scaled = np.ldexp(1.0, k // 2) * m * np.ldexp(1.0, k - k // 2)
+            assert matcore.is_hermitian(scaled) == expected, k
+
+
 def test_commutator_pauli_pair():
     # [X, Y] = sqrt(2) i Z since XY = (i/sqrt 2) Z = -YX
     k = commutator(PAULI_X, PAULI_Y)
