@@ -16,9 +16,10 @@ trial:
 * ``spectra``: both commutator spectra and the violation metric.
 
 ``oracles``: at n = 3, 6 and 16, microseconds per
-``radius_equivalence_check`` call (200 projections, an unrelated GUE pair)
-and per draw of its 200 unit vectors; and the wall time in seconds of
-acceptance criteria 4 and 5 at scale 1.0.
+``radius_equivalence_check`` call (200 projections, an unrelated GUE pair),
+per draw of its 200 unit vectors and per ``asymmetry_witness`` call on 50
+GUE matrices; and the wall time in seconds of acceptance criteria 4 and 5
+at scale 1.0.
 
 ``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
 call on 50 Ginibre matrices scaled by 1/sqrt(2), as criterion 9 draws them,
@@ -62,7 +63,10 @@ from commrange.matcore import (  # noqa: E402
     substream,
 )
 from commrange.nrange import numerical_radius, range_boundary  # noqa: E402
-from commrange.structure import radius_equivalence_check  # noqa: E402
+from commrange.structure import (  # noqa: E402
+    asymmetry_witness,
+    radius_equivalence_check,
+)
 
 DIMS = (2, 3, 6, 16)
 ORACLE_DIMS = (3, 6, 16)
@@ -165,7 +169,12 @@ def _us_per_call(fn, seed: int, reps: int) -> float:
 
 
 def measure_oracles(seed: int, reps: int) -> dict:
-    out = {"equiv_us_per_call": {}, "draw200_us": {}, "criteria_s": {}}
+    out = {
+        "equiv_us_per_call": {},
+        "draw200_us": {},
+        "witness_us_per_call": {},
+        "criteria_s": {},
+    }
     for n in ORACLE_DIMS:
         a = random_hermitian(n, substream(seed, 2 * n))
         b = random_hermitian(n, substream(seed, 2 * n + 1))
@@ -174,6 +183,10 @@ def measure_oracles(seed: int, reps: int) -> dict:
         )
         out["draw200_us"][f"n{n}"] = _us_per_call(
             lambda rng: _draw_vectors(n, rng), seed, reps
+        )
+        mats = [random_hermitian(n, substream(seed + n, k)) for k in range(CALLS)]
+        out["witness_us_per_call"][f"n{n}"] = _us_per_matrix(
+            asymmetry_witness, mats, reps
         )
     out["criteria_s"] = _criteria_s(CRITERIA, seed, reps)
     return out

@@ -15,10 +15,14 @@ All randomness is seeded (--seed, or the COMMRANGE_SEED environment
 variable); identical invocations produce byte-identical reports.  Each
 option is declared on the subcommands that read it; tolerance overrides
 are --tol.radius, --tol.range and --tol.spectrum on verify and --tol.gap
-and --tol.witness on classify.  Exit
-codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
-falsification event, 4 internal error (a crash or a non-finite value in
-a report, never a verdict).
+and --tol.witness on classify.  A classify witness reports its "defect"
+|t_min + t_max| / (d ||B||_2), d the spectral diameter of A, and
+"certified" (defect above --tol.witness); an uncertified witness, as a
+middle cluster just above the --tol.gap threshold gives, still exits 0.
+Exit codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
+falsification event (a spectral projection failing its idempotency
+check), 4 internal error (a crash or a non-finite value in a report,
+never a verdict).
 """
 
 from __future__ import annotations
@@ -253,11 +257,16 @@ def _cmd_classify(args) -> int:
         )
         payload["witness"] = None
     else:
-        witness, interval = asymmetry_witness(a, args.tol_witness)
+        witness, interval = asymmetry_witness(a, args.tol_gap)
+        eigs = np.linalg.eigvalsh(a)
+        scale = (eigs[-1] - eigs[0]) * np.linalg.norm(witness, 2)
+        defect = abs(interval.t_min + interval.t_max) / scale
         payload["conjugation_unitary"] = None
         payload["witness"] = {
             "matrix": matrix_to_json(witness),
             "interval": [interval.t_min, interval.t_max],
+            "defect": defect,
+            "certified": bool(defect > args.tol_witness),
         }
     _emit(_dump(payload), args.out)
     return EXIT_PASS

@@ -206,15 +206,6 @@ class MapSpec:
         if self.epsilon not in (None, 1, -1):
             raise MapConfigError("epsilon must be +1, -1 or None")
 
-    def sign_value(self, a: np.ndarray) -> int:
-        return int(self._signs(_Quanta(np.asarray(a)[None]))[0])
-
-    def shift_value(self, a: np.ndarray) -> float:
-        return float(self._shifts(_Quanta(np.asarray(a)[None]))[0])
-
-    def sset_member(self, a: np.ndarray) -> bool:
-        return bool(self._sset_members(_Quanta(np.asarray(a)[None]))[0])
-
     def _signs(self, q: _Quanta) -> np.ndarray:
         """The sign rule on each matrix of ``q``'s stack, as +1/-1 ints."""
         if self.sign == SIGN_PLUS:

@@ -364,8 +364,3 @@ def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))
 
-
-def save_matrix(path, a) -> None:
-    """Write a matrix JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh)

@@ -11,8 +11,9 @@ B; both directions come with constructive certificates:
 
 One stacked kernel, ``_split``, holds the two-level rule: one ``eigh``
 per stack, the cluster split, the classification margin and the checked
-upper-cluster projection.  ``classify_two_level``, the independence vector
-and the trial engine's exceptional-set rule all read from it.
+upper-cluster projection.  ``classify_two_level``, the asymmetry witness
+and the trial engine's exceptional-set rule all read from it; the witness
+is built in closed form from three of the split's eigenvectors.
 
 Also houses the rank-1-projection radius test that characterizes pairs
 related by B = +/-A + beta*I.  Each public function validates its matrices
@@ -38,18 +39,16 @@ from .matcore import (
 from .nrange import CommutatorInterval, _rank1_radii
 
 GAP_TOL = 1e-6
+# A witness is certified when |t_min + t_max| exceeds this times d ||B||_2,
+# d the spectral diameter of A (read by ``commrange classify``).
 WITNESS_ASYMMETRY_TOL = 1e-6
 EQUIV_RESIDUAL_TOL = 1e-8
 EQUIV_GAP_TOL = 1e-6
 
-# Off-diagonal phases tried for the asymmetry witness, in order.  The first
-# is the canonical choice (pure imaginary, minimal); the rest only exist for
-# numerically degenerate spectra and are fixed for determinism.
-WITNESS_PHASES = (1j, 1 + 1j, 2 + 1j, 1 + 2j)
-
 
 class WitnessSearchError(RuntimeError):
-    """Raised when a constructive witness that must exist cannot be found.
+    """Raised when the spectral projection of a two-cluster split fails its
+    idempotency check.
 
     This is a falsification event: it means either a library defect or a
     violation of the symmetry dichotomy the witnesses certify.
@@ -159,74 +158,63 @@ def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
     """A unit x with {x, Ax, A^2 x} linearly independent, or None.
 
     Exists exactly when A has at least three spectral points, i.e. is not
-    two-level.  The canonical candidate averages one eigenvector per
-    cluster; its conditioning is verified through the smallest singular
-    value of [x | Ax | A^2 x].
+    two-level.  It is the witness's e1 (see :func:`_witness_basis`), with
+    equal weight on eigenvectors of three distinct eigenvalues.
     """
     a = hermitian(a)
     if a.shape[0] < 3:
         raise MatrixError("independence vector requires dimension >= 3")
-    return _independence_vector(a, gap_tol)
+    basis = _witness_basis(a, gap_tol)
+    return None if basis is None else basis[0]
 
 
-def _independence_vector(a: np.ndarray, gap_tol: float) -> Optional[np.ndarray]:
+def _witness_basis(
+    a: np.ndarray, gap_tol: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The orthonormal pair e1 = (v_lo + v_hi + v_m)/sqrt(3) and
+    e2 = (v_lo - v_m)/sqrt(2), or None when A is two-level.
+
+    v_lo and v_hi belong to the lowest and highest eigenvalues, v_m to the
+    eigenvalue outside their clusters nearest the spectral midpoint.
+    """
     s = _split(a[None], gap_tol)
-    k = int(s.clusters[0])
-    if k <= 2:
+    if s.clusters[0] <= 2:
         return None
-    cluster_starts = [0] + (1 + s.starts[0].nonzero()[0]).tolist()
-    reps = np.stack([s.vectors[0, :, j] for j in cluster_starts], axis=1)
-    scale = max(1.0, float(np.abs(s.eigenvalues[0]).max()))
-    threshold = 1e-6 * scale * scale
-    # The all-plus combination works whenever the cluster means are
-    # distinct; alternate sign patterns are a numerical safety net.
-    for signs in ((1.0,) * k, (1.0, -1.0) * ((k + 1) // 2), (1.0, 1.0, -1.0) * k):
-        x = reps @ (np.asarray(signs[:k]) / np.sqrt(k))
-        x = x / np.linalg.norm(x)
-        krylov = np.stack([x, a @ x, a @ (a @ x)], axis=1)
-        if np.linalg.svd(krylov, compute_uv=False)[-1] > threshold:
-            return x
-    raise WitnessSearchError(
-        "no well-conditioned independence vector found for a matrix with "
-        f"{k} spectral clusters"
-    )
+    eigs, vectors = s.eigenvalues[0], s.vectors[0]
+    starts = s.starts[0].nonzero()[0]
+    middle = eigs[starts[0] + 1 : starts[-1] + 1]
+    m = starts[0] + 1 + int(np.argmin(np.abs(middle - (eigs[0] + eigs[-1]) / 2)))
+    v_lo, v_hi, v_m = vectors[:, 0], vectors[:, -1], vectors[:, m]
+    return (v_lo + v_hi + v_m) / np.sqrt(3.0), (v_lo - v_m) / np.sqrt(2.0)
 
 
 def asymmetry_witness(
-    a, tol: float = WITNESS_ASYMMETRY_TOL
+    a, gap_tol: float = GAP_TOL
 ) -> Optional[tuple[np.ndarray, CommutatorInterval]]:
-    """A rank-2 Hermitian B with W([A,B]) asymmetric, or None if two-level.
+    """A rank-2 Hermitian B and its interval W([A,B]) = i[t_min, t_max],
+    or None if A is two-level at gap_tol.
 
-    Orthonormalizes {x, Ax, A^2 x} for an independence vector x into
-    {e1, e2, e3} and sets B = e1 e1* + beta e1 e2* + conj(beta) e2 e1* with
-    beta = i.  In that basis the commutator is a rank-3 traceless skew
-    block, so its interval cannot be symmetric.  Degenerate phases are
-    retried from a fixed list; exhausting it raises WitnessSearchError.
+    B = e1 e1* + i e1 e2* - i e2 e1* on the pair of
+    :func:`_witness_basis`.  On span{v_lo, v_hi, v_m}, A acts as the
+    diagonal of their three eigenvalues, and [A, B] vanishes off that span,
+    so [A, B] is a traceless 3x3 skew block whose middle eigenvalue
+    -(t_min + t_max) is a closed-form function of the three eigenvalues:
+    nonzero when they are distinct, and multiplied by c under
+    A -> cA + dI with c > 0.  The caller judges the defect
+    |t_min + t_max|; it is about 0.49 g d, with d the spectral diameter and
+    g d the distance of v_m's eigenvalue from the nearer end.
     """
     a = hermitian(a)
     if a.shape[0] < 3:
         raise MatrixError("asymmetry witness requires dimension >= 3")
-    x = _independence_vector(a, GAP_TOL)
-    if x is None:
+    basis = _witness_basis(a, gap_tol)
+    if basis is None:
         return None
-    e1 = x
-    w2 = a @ e1
-    w2 = w2 - np.vdot(e1, w2) * e1
-    e2 = w2 / np.linalg.norm(w2)
-    for beta in WITNESS_PHASES:
-        b = (
-            np.outer(e1, e1.conj())
-            + beta * np.outer(e1, e2.conj())
-            + np.conj(beta) * np.outer(e2, e1.conj())
-        )
-        b = hermitian(b)
-        ts = _commutator_spectrum(a, b)
-        if abs(ts[0] + ts[-1]) > tol:
-            return b, CommutatorInterval(float(ts[0]), float(ts[-1]))
-    raise WitnessSearchError(
-        "all witness phases produced a symmetric interval for a matrix "
-        "with three or more spectral points"
-    )
+    e1, e2 = basis
+    # _sym(e1 e1* + 2i e1 e2*) is e1 e1* + i e1 e2* - i e2 e1*, exactly Hermitian
+    b = _sym(np.outer(e1, e1.conj()) + 2j * np.outer(e1, e2.conj()))
+    ts = _commutator_spectrum(a, b)
+    return b, CommutatorInterval(float(ts[0]), float(ts[-1]))
 
 
 def symmetry_witness_unitary(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:

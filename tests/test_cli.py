@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commrange.cli import main
-from commrange.matcore import save_matrix
+from commrange.matcore import matrix_to_json
 from commrange.pauli2 import PAULI_X
 
 
@@ -12,7 +12,9 @@ from commrange.pauli2 import PAULI_X
 def matrix_file(tmp_path):
     def write(name, a):
         path = tmp_path / name
-        save_matrix(path, np.asarray(a, dtype=complex))
+        path.write_text(
+            json.dumps(matrix_to_json(np.asarray(a, dtype=complex))), encoding="utf-8"
+        )
         return str(path)
 
     return write
@@ -277,9 +279,52 @@ def test_verify_reports_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_classify_falsification_exit_code(matrix_file, monkeypatch):
-    # a witness-search failure is an internal falsification event (exit 3)
+@pytest.mark.parametrize(
+    "diagonal, argv, certified",
+    [
+        ([1001.0, 1002.0, 1003.0], [], True),
+        ([0.0, 1e-5, 1.0], [], True),
+        ([1e-3, 2e-3, 3e-3], [], True),
+        ([1e6, 2e6, 3e6], [], True),
+        ([0.0, 1e-8, 1.0], ["--tol.gap", "1e-9"], False),
+        ([0.0, 1e-8, 1.0], ["--tol.gap", "1e-9", "--tol.witness", "1e-9"], True),
+    ],
+)
+def test_classify_reports_the_witness_defect(
+    matrix_file, capsys, diagonal, argv, certified
+):
+    # the witness exists for three or more clusters at every scale and
+    # shift; its defect is relative to d ||B||_2 and judged by --tol.witness
+    path = matrix_file("a.json", np.diag(diagonal))
+    assert main(["classify", path, *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["two_level"] is False
+    witness = report["witness"]
+    t_min, t_max = witness["interval"]
+    b = np.array(witness["matrix"]["re"]) + 1j * np.array(witness["matrix"]["im"])
+    scale = (max(diagonal) - min(diagonal)) * np.linalg.norm(b, 2)
+    defect = witness["defect"]
+    assert abs(defect - abs(t_min + t_max) / scale) <= 1e-9 * defect
+    assert witness["certified"] is certified
+
+
+def test_classify_reports_the_band_above_the_gap_threshold(matrix_file, capsys):
+    # a middle eigenvalue just above the cluster threshold gives a defect
+    # of about 0.3 g relative to d ||B||_2, under --tol.witness: reported
+    # uncertified with its small margin, never as a falsification
+    path = matrix_file("a.json", np.diag([0.0, 2e-6, 1.0]))
+    assert main(["classify", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["two_level"] is False
+    assert abs(report["margin"] - 1e-6) <= 1e-12
+    assert report["witness"]["certified"] is False
+    assert 5e-7 < report["witness"]["defect"] < 1e-6
+
+
+def test_classify_falsification_exit_code(matrix_file, monkeypatch, capsys):
+    # a WitnessSearchError is an internal falsification event (exit 3)
     import commrange.cli as cli_mod
+    import commrange.structure as structure_mod
     from commrange.structure import WitnessSearchError
 
     def boom(*args, **kwargs):
@@ -288,6 +333,13 @@ def test_classify_falsification_exit_code(matrix_file, monkeypatch):
     monkeypatch.setattr(cli_mod, "asymmetry_witness", boom)
     path = matrix_file("a.json", np.diag([1.0, 2.0, 3.0]))
     assert main(["classify", path]) == 3
+    # the one source of the error: a two-cluster split whose spectral
+    # projection fails its idempotency check, forced here
+    monkeypatch.setattr(structure_mod, "max_abs", lambda m: 1.0)
+    path = matrix_file("p.json", np.diag([1.0, 1.0, 0.0]))
+    capsys.readouterr()
+    assert main(["classify", path]) == 3
+    assert "idempotency" in capsys.readouterr().err
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

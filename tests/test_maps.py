@@ -32,6 +32,7 @@ from commrange.maps import (
     MapConfigError,
     MapSpec,
     _BLOCK_TRIALS,
+    _Quanta,
     _chunks,
     _preservation_reports,
     apply_map,
@@ -101,6 +102,11 @@ def test_dim_one_map_is_refused():
         check_preservation(MapSpec(dim=1, unitary=np.eye(1)), MODE_RADIUS, 8, 1, 0)
 
 
+def _sign(m: MapSpec, a: np.ndarray) -> int:
+    """The map's sign rule on one matrix, as a stack of one."""
+    return int(m._signs(_Quanta(a[None]))[0])
+
+
 def test_hash_rules_deterministic_and_stable():
     m = MapSpec(
         dim=3,
@@ -111,19 +117,19 @@ def test_hash_rules_deterministic_and_stable():
         shift_seed=8,
     )
     a = random_hermitian(3, substream(84, 0))
-    assert m.sign_value(a) == m.sign_value(a.copy())
-    assert m.sign_value(a) in (-1, 1)
-    f = m.shift_value(a)
+    assert _sign(m, a) == _sign(m, a.copy())
+    assert _sign(m, a) in (-1, 1)
+    f = m._shifts(_Quanta(a[None]))[0]
     assert -1.0 <= f <= 1.0
-    assert f == m.shift_value(a.copy())
+    assert f == m._shifts(_Quanta(a.copy()[None]))[0]
     # quantization makes the rules blind to sub-1e-9-scale noise
     noisy = a + 1e-13 * np.eye(3)
-    assert m.sign_value(noisy) == m.sign_value(a)
+    assert _sign(m, noisy) == _sign(m, a)
     other = MapSpec(
         dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=9
     )
     flips = sum(
-        other.sign_value(random_hermitian(3, substream(85, i))) == -1
+        _sign(other, random_hermitian(3, substream(85, i))) == -1
         for i in range(200)
     )
     assert 40 < flips < 160  # the hash rule genuinely varies
@@ -145,7 +151,7 @@ def test_hash_rules_reject_entries_beyond_quantization_range():
     for a in huge:
         assert np.array_equal(apply_map(plain, a), a)
     # just inside the range the digest is still defined
-    assert hashed[0].sign_value(np.diag([9e9, 2.0, 3.0])) in (-1, 1)
+    assert _sign(hashed[0], np.diag([9e9, 2.0, 3.0])) in (-1, 1)
 
 
 def test_identity_map_zero_violation_each_mode():
@@ -218,7 +224,7 @@ def test_exceptional_set_members_are_two_level():
     members = 0
     for i in range(200):
         a, _ = sample_trial_pair(3, substream(94, i), i)
-        if m.sset_member(a):
+        if m._sset_members(_Quanta(a[None]))[0]:
             members += 1
             assert classify_two_level(a).two_level
     assert members > 0  # the pool feeds the set

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commrange import matcore
 from commrange.matcore import (
     MAX_DIM,
     MatrixError,
     _gue,
+    _sym,
     commutator,
     hermitian,
     max_abs,
@@ -100,6 +103,126 @@ def test_asymmetry_witness_rank3_commutator():
     b, iv = asymmetry_witness(a)
     assert abs(iv.t_min + iv.t_max) > 1e-6
     assert rank_numeric(commutator(a, b)) == 3
+
+
+def _closed_form_defect(lo: float, hi: float, m: float) -> float:
+    """|t_min + t_max| of the witness of a matrix whose lowest, highest and
+    chosen middle eigenvalues are lo, hi and m.
+
+    In the basis (v_lo, v_hi, v_m) the witness is B_jk = 1/3 +
+    i (s_k - s_j)/sqrt(6) with s = (1, 0, -1), and H = -i[A, B] has
+    H_jk = -i (a_j - a_k) B_jk with a = (lo, hi, m).  H is traceless, so
+    t_min + t_max = -t_mid, the middle root of t^3 - p t - q with
+    p = sum_{j<k} |H_jk|^2 and q = det H = 2 Re(H_12 H_23 H_31).
+    """
+    p = (5 * (lo - hi) ** 2 + 5 * (hi - m) ** 2 + 14 * (lo - m) ** 2) / 18
+    q = 2 * (lo - hi) * (hi - m) * (m - lo) / (3 * np.sqrt(6))
+    phi = np.arccos(np.clip(1.5 * q / p * np.sqrt(3 / p), -1.0, 1.0))
+    return abs(2 * np.sqrt(p / 3) * np.cos(phi / 3 - 2 * np.pi / 3))
+
+
+def test_witness_defect_matches_the_closed_form():
+    spectra = [
+        [1.0, 2.0, 3.0],
+        [0.0, 2e-6, 1.0],
+        [0.0, 1e-5, 1.0],
+        [0.0, 1e-3, 1.0],
+        [1001.0, 1002.0, 1003.0],
+        [0.0, 0.3, 0.3, 0.9, 1.0, 1.0],
+        [-5.0, -5.0, 0.1, 2.0, 7.0],
+        [-2.0, -2.0, -2.0, 4.0, 4.0, 9.0, 9.0],
+    ]
+    rng = substream(55, 0)
+    for i in range(40):
+        n = 3 + i % 14
+        spectra.append(rng.choice(np.arange(-6.0, 7.0), n))
+    seen = 0
+    for i, lam in enumerate(spectra):
+        lam = np.sort(np.asarray(lam, dtype=float))
+        values = np.unique(lam)
+        if len(values) < 3:
+            continue
+        u = random_unitary(len(lam), substream(56, i))
+        a = _sym(u @ np.diag(lam) @ u.conj().T)
+        lo, hi = values[0], values[-1]
+        middle = values[1:-1]
+        distance = np.abs(middle - (lo + hi) / 2)
+        if len(middle) > 1 and np.sort(distance)[1] - distance.min() < 1e-3:
+            continue  # a tie for v_m: either choice is a witness
+        m = middle[np.argmin(distance)]
+        b, iv = asymmetry_witness(a)
+        want = _closed_form_defect(lo, hi, m)
+        diameter = hi - lo
+        assert abs(abs(iv.t_min + iv.t_max) - want) <= 1e-9 * want + 1e-13 * diameter
+        # about 0.49 g d for a middle eigenvalue g d from the nearer end
+        g = min(m - lo, hi - m) / diameter
+        assert g > 0.01 or 0.48 * g * diameter < want < 0.5 * g * diameter
+        assert rank_numeric(b) == 2
+        assert abs(np.linalg.norm(b, 2) - (1 + np.sqrt(5)) / 2) <= 1e-12
+        seen += 1
+    assert seen > 30
+
+
+def test_asymmetry_witness_splits_at_the_given_gap():
+    a = np.diag([0.0, 1e-8, 1.0])
+    assert asymmetry_witness(a) is None  # two clusters at GAP_TOL
+    assert classify_two_level(a).two_level
+    b, iv = asymmetry_witness(a, gap_tol=1e-9)
+    assert not classify_two_level(a, 1e-9).two_level
+    defect = abs(iv.t_min + iv.t_max)
+    assert abs(defect - _closed_form_defect(0.0, 1.0, 1e-8)) <= 1e-6 * defect
+    assert independence_vector(a) is None
+    assert independence_vector(a, 1e-9) is not None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    middle=st.lists(
+        st.floats(-1.0, 1.0), min_size=1, max_size=MAX_DIM - 2, unique=True
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-150.0, 150.0),
+    negative=st.booleans(),
+    delta=st.floats(-1e3, 1e3),
+)
+@example(middle=[0.0], seed=0, exponent=0.0, negative=False, delta=1002.0)
+@example(middle=[0.0], seed=1, exponent=6.0, negative=False, delta=2.0)
+@example(middle=[0.0], seed=2, exponent=-3.0, negative=True, delta=-2.0)
+@example(middle=[-1.0 + 4.1e-6, 0.5], seed=3, exponent=150.0, negative=True, delta=1e3)
+def test_witness_is_covariant_under_scale_and_shift(
+    middle, seed, exponent, negative, delta
+):
+    # A has spectral endpoints -1 and 1; every Hermitian A with three or
+    # more clusters is c'A + d'I for such an A
+    lam = np.array([-1.0, *middle, 1.0])
+    n = len(lam)
+    u = random_unitary(n, substream(seed, 0))
+    a = _sym(u @ np.diag(lam) @ u.conj().T)
+    ref = classify_two_level(a)
+    if ref.two_level or not ref.margin > 1e-6:
+        return
+    eigs = np.linalg.eigvalsh(a)
+    distance = np.sort(np.abs(eigs[1:-1] - (eigs[0] + eigs[-1]) / 2))
+    if n > 3 and distance[1] - distance[0] <= 1e-6 * (eigs[-1] - eigs[0]):
+        return  # a near tie for v_m, which rounding may break either way
+    c = (-1.0 if negative else 1.0) * 10.0**exponent
+    norm = max_abs(a)
+    scaled = c * a + delta * abs(c) * norm * np.eye(n)
+    sign_a = np.sign(c) * a
+    got = classify_two_level(scaled)
+    assert not got.two_level and not classify_two_level(sign_a).two_level
+    assert abs(got.margin - ref.margin) <= 1e-9
+    b, iv = asymmetry_witness(scaled)
+    b_ref, iv_ref = asymmetry_witness(sign_a)
+    # cA + dI is sign(c) A scaled by |c| after one rounding of order
+    # eps (1 + |delta|) |c| ||A||_max, which moves the defect by as much
+    floor = 32 * np.finfo(float).eps * (1 + abs(delta)) * norm
+    defect = abs(iv.t_min + iv.t_max) / abs(c)
+    defect_ref = abs(iv_ref.t_min + iv_ref.t_max)
+    assert abs(defect - defect_ref) <= 1e-11 * defect_ref + floor
+    assert abs(iv.t_min / abs(c) - iv_ref.t_min) <= 1e-11 * abs(iv_ref.t_min) + floor
+    assert abs(iv.t_max / abs(c) - iv_ref.t_max) <= 1e-11 * abs(iv_ref.t_max) + floor
+    assert abs(np.linalg.norm(b, 2) - np.linalg.norm(b_ref, 2)) <= 1e-12
 
 
 def test_symmetry_witness_two_cluster():
@@ -352,8 +475,8 @@ def test_public_routes_validate_once(hermitian_calls):
     a = random_hermitian(6, substream(47, 0))
     b = random_hermitian(6, substream(47, 1))
     routes = (
-        # A, then the witness B, which is formed inexactly
-        (lambda: asymmetry_witness(a) is not None, 2),
+        # A only: the witness B is formed exactly Hermitian
+        (lambda: asymmetry_witness(a) is not None, 1),
         (lambda: radius_equivalence_check(a, b, 50, substream(47, 2)), 2),
         (lambda: classify_two_level(a), 1),
         (lambda: symmetry_witness_unitary(np.diag([1.0, 1.0, 2.0])) is not None, 1),

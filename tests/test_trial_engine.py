@@ -236,9 +236,10 @@ def test_rule_values_follow_the_digest():
     for k, x in enumerate(stack):
         sign_digest = _quantized_digest(x, m.sign_seed, "sign")
         shift_digest = _quantized_digest(x, m.shift_seed, "shift")
-        assert signs[k] == m.sign_value(x) == (1 if sign_digest[0] & 1 == 0 else -1)
+        one = _Quanta(x[None])
+        assert signs[k] == m._signs(one)[0] == (1 if sign_digest[0] & 1 == 0 else -1)
         word = int.from_bytes(shift_digest[:8], "little")
-        assert shifts[k] == m.shift_value(x) == word / float(1 << 64) * 2.0 - 1.0
+        assert shifts[k] == m._shifts(one)[0] == word / float(1 << 64) * 2.0 - 1.0
     traceless = _spec(3, 2, shift=SHIFT_TRACELESS)
     expected = [-float(np.trace(x).real) / 3 for x in stack]
     assert traceless._shifts(q).tolist() == expected
