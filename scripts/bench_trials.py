@@ -32,7 +32,10 @@ per call; and the wall time in seconds of acceptance criterion 9 at scale
 
 ``suite``: the wall time in seconds of ``run_acceptance_suite`` at scales
 0.02 and 0.05 with ``workers`` 1 and 2.  Each run opens its own process
-pool, as one ``commrange suite`` command does.
+pool, as one ``commrange suite`` command does.  Also the wall time in
+seconds of acceptance criteria 6, 7 and 8, which run the preserver forms
+through the trial engine, each called alone at scales 0.02 and 1.0 with
+``workers`` 1.
 
 Every figure is the median over ``--reps`` runs after one warm-up run.
 BLAS runs on one thread.  The JSON names the host, Python and NumPy
@@ -81,6 +84,12 @@ CRITERIA = {
 RADIUS_CRITERIA = {"crit09_sweep_vs_sampling": suite.crit_sweep_vs_sampling}
 SUITE_SCALES = (0.02, 0.05)
 SUITE_WORKERS = (1, 2)
+FORM_CRITERIA = {
+    "crit06_radius_preserver_forms": suite.crit_radius_preserver_forms,
+    "crit07_range_preserver_forms": suite.crit_range_preserver_forms,
+    "crit08_dim2_forms": suite.crit_dim2_forms,
+}
+FORM_SCALES = (0.02, 1.0)
 
 
 def _spec(n: int, seed: int) -> maps.MapSpec:
@@ -108,7 +117,10 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     maps._Draws.assemble = timed_assemble
     try:
         t0 = perf_counter()
-        a, b = maps._sample_block(n, seed, 0, BLOCK)
+        try:
+            a, b = maps._sample_block(n, [(seed, 0, BLOCK)])
+        except TypeError:  # a tree whose _sample_block takes (n, seed, lo, hi)
+            a, b = maps._sample_block(n, seed, 0, BLOCK)
         t1 = perf_counter()
     finally:
         maps._Draws.assemble = assemble
@@ -192,14 +204,15 @@ def measure_oracles(seed: int, reps: int) -> dict:
     return out
 
 
-def _criteria_s(criteria: dict, seed: int, reps: int) -> dict:
-    """Median wall time in seconds of each criterion at scale 1.0."""
+def _criteria_s(criteria: dict, seed: int, reps: int, scale: float = 1.0) -> dict:
+    """Median wall time in seconds of each criterion at ``scale``, with
+    ``workers`` 1."""
     out = {}
     for name, crit in criteria.items():
         walls = []
         for _ in range(reps + 1):
             t0 = perf_counter()
-            crit(seed, 1.0, 1)
+            crit(seed, scale, 1)
             walls.append(perf_counter() - t0)
         out[name] = float(np.median(walls[1:]))
     return out
@@ -265,7 +278,8 @@ def measure_boundary(seed: int, reps: int) -> dict:
 
 
 def measure_suite(seed: int, reps: int) -> dict:
-    """Median wall time in seconds of each whole suite run."""
+    """Median wall time in seconds of each whole suite run, and of each
+    form criterion called alone."""
     out = {"wall_s": {}}
     for scale in SUITE_SCALES:
         for workers in SUITE_WORKERS:
@@ -276,6 +290,11 @@ def measure_suite(seed: int, reps: int) -> dict:
                 walls.append(perf_counter() - t0)
             key = f"scale{scale}_workers{workers}"
             out["wall_s"][key] = float(np.median(walls[1:]))
+    out["criteria_s"] = {
+        f"scale{scale}_{name}": wall
+        for scale in FORM_SCALES
+        for name, wall in _criteria_s(FORM_CRITERIA, seed, reps, scale).items()
+    }
     return out
 
 

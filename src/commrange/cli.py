@@ -39,6 +39,7 @@ from .matcore import (
     DEFAULT_SEED,
     MAX_DIM,
     MatrixError,
+    hermitian,
     load_matrix,
     matrix_to_json,
     random_unitary,
@@ -49,10 +50,11 @@ from .structure import (
     GAP_TOL,
     WITNESS_ASYMMETRY_TOL,
     WitnessSearchError,
-    asymmetry_witness,
-    classify_two_level,
+    _conjugation_unitary,
+    _decomposition,
+    _split,
+    _witness,
     radius_equivalence_check,
-    symmetry_witness_unitary,
 )
 from .pauli2 import to_pauli
 from .maps import (
@@ -248,20 +250,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    a = load_matrix(args.matrix_file)
-    decomp = classify_two_level(a, args.tol_gap)
+    # One split gives the classification, its certificate and the diameter.
+    a = hermitian(load_matrix(args.matrix_file))
+    s = _split(a[None], args.tol_gap)
+    decomp = _decomposition(s)
     payload = decomp.to_json()
+    payload["conjugation_unitary"] = None
+    payload["witness"] = None
     if decomp.two_level:
-        payload["conjugation_unitary"] = matrix_to_json(
-            symmetry_witness_unitary(a, args.tol_gap)
-        )
-        payload["witness"] = None
+        unitary = _conjugation_unitary(decomp, a.shape[0])
+        payload["conjugation_unitary"] = matrix_to_json(unitary)
     else:
-        witness, interval = asymmetry_witness(a, args.tol_gap)
-        eigs = np.linalg.eigvalsh(a)
-        scale = (eigs[-1] - eigs[0]) * np.linalg.norm(witness, 2)
+        witness, interval = _witness(a, s)
+        scale = float(s.diameter[0]) * np.linalg.norm(witness, 2)
         defect = abs(interval.t_min + interval.t_max) / scale
-        payload["conjugation_unitary"] = None
         payload["witness"] = {
             "matrix": matrix_to_json(witness),
             "interval": [interval.t_min, interval.t_max],

@@ -15,19 +15,20 @@ seeded-hash rules over the quantized matrix bytes) so that "arbitrary"
 functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
-pairs through a block engine.  For each trial index i it first makes the
-draws of trial i from the (seed, i) stream; then, for a block of 256
-trials at once, it forms the sampled matrices (Haar QR, products,
-validation), applies the map (one quantization per matrix shared by the
-hash rules, one stacked ``eigh`` for the exceptional set) and takes both
+pairs through a block engine, which lays (map, seed) runs end to end.  For
+each trial index i of a run it first makes the draws of trial i from the
+run's (seed, i) stream; then, for a block of 256 trials at once, it forms
+the sampled matrices (Haar QR, products, validation), applies each run's
+map to its own trials (one quantization per matrix shared by the hash
+rules, one stacked ``eigh`` for the exceptional set) and takes both
 commutator spectra and the violation metric, each in stacked calls.  The
 one-matrix entries ``sample_trial_pair``, ``apply_map`` and the rule
 methods run the same code on a stack of one.  ``workers`` = N splits the
 trials into at most N chunks of whole blocks, so every N forms the same
 blocks and, the fold being ordered by trial index, gives the same report.
 One chunk runs in the calling process and starts no process; two or more
-run on a spawn process pool, which ``worker_pool`` keeps open for every
-call inside its block.
+run on a spawn process pool, which ``worker_pool`` builds on first use
+and keeps for every call inside its block.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -61,9 +62,6 @@ from .matcore import (
 )
 from .structure import GAP_TOL, _split
 from .pauli2 import _psi
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 DAGGER_IDENTITY = "identity"
 DAGGER_TRANSPOSE = "transpose"
@@ -439,15 +437,17 @@ def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
     return a, b
 
 
-def _sample_block(n: int, seed: int, lo: int, hi: int):
-    """The A and B stacks of trials lo .. hi-1, trial i drawn from the
-    (seed, i) stream with pool kind i.  One generator is reopened at each
-    index, which draws exactly what ``substream(seed, i)`` would."""
+def _sample_block(n: int, segments):
+    """The A and B stacks of the trials of ``segments``, (seed, lo, hi)
+    each, end to end: trial i drawn from the (seed, i) stream with pool
+    kind i.  One generator is reopened at each index, which draws exactly
+    what ``substream(seed, i)`` would."""
     draws = _Draws(n)
-    rng = substream(seed, lo)
-    for i in range(lo, hi):
-        _reopen_stream(rng, seed, i)
-        draws.draw_pair(rng, i)
+    rng = substream(*segments[0][:2])
+    for seed, lo, hi in segments:
+        for i in range(lo, hi):
+            _reopen_stream(rng, seed, i)
+            draws.draw_pair(rng, i)
     out = draws.assemble()
     return out[0::2], out[1::2]
 
@@ -470,33 +470,46 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str):
     return float(v) if v.ndim == 0 else v
 
 
-def _block_spectra(m: MapSpec, n: int, seed: int, lo: int, hi: int):
-    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)) for trials
-    lo .. hi-1, one row per trial."""
-    a, b = _sample_block(n, seed, lo, hi)
-    images = _images(m, np.concatenate([a, b]))
-    t = hi - lo
+def _block_spectra(n: int, segments):
+    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)), one row per
+    trial, for the trials of ``segments``, (map, seed, lo, hi) each."""
+    a, b = _sample_block(n, [seg[1:] for seg in segments])
+    image_a, image_b, k = [], [], 0
+    for m, _, lo, hi in segments:
+        t = hi - lo
+        images = _images(m, np.concatenate([a[k : k + t], b[k : k + t]]))
+        image_a.append(images[:t])
+        image_b.append(images[t:])
+        k += t
     spectra = _commutator_spectrum(
-        np.concatenate([a, images[:t]]), np.concatenate([b, images[t:]])
+        np.concatenate([a, *image_a]), np.concatenate([b, *image_b])
     )
-    return spectra[:t], spectra[t:]
+    return spectra[:k], spectra[k:]
 
 
 def _run_chunk(args):
-    """Worst violation and first index above tolerance, per mode, over
-    trials lo .. hi-1, taken block by block."""
-    m, modes, n, seed, lo, hi, tols = args
-    worst = [0.0] * len(modes)
-    first = [None] * len(modes)
+    """Worst violation and first trial index above tolerance, per run and
+    mode, over fused trials lo .. hi-1, taken block by block."""
+    runs, modes, n, trials, lo, hi, tols = args
+    worst = [[0.0] * len(modes) for _ in runs]
+    first = [[None] * len(modes) for _ in runs]
     for start in range(lo, hi, _BLOCK_TRIALS):
-        base, image = _block_spectra(m, n, seed, start, min(start + _BLOCK_TRIALS, hi))
+        stop = min(start + _BLOCK_TRIALS, hi)
+        # (run, lo, hi): fused trial v is trial v % trials of run v // trials
+        segments = [
+            (r, max(start - r * trials, 0), min(stop - r * trials, trials))
+            for r in range(start // trials, -(-stop // trials))
+        ]
+        base, image = _block_spectra(n, [(*runs[r], i0, i1) for r, i0, i1 in segments])
         for j, mode in enumerate(modes):
             v = metric_violation(base, image, mode)
-            worst[j] = max(worst[j], float(v.max()))
-            over = np.flatnonzero(v > tols[j])
-            if first[j] is None and over.size:
-                first[j] = start + int(over[0])
-    return list(zip(worst, first))
+            for r, i0, i1 in segments:
+                seg = v[r * trials + i0 - start : r * trials + i1 - start]
+                worst[r][j] = max(worst[r][j], float(seg.max()))
+                over = np.flatnonzero(seg > tols[j])
+                if first[r][j] is None and over.size:
+                    first[r][j] = i0 + int(over[0])
+    return [list(zip(w, f)) for w, f in zip(worst, first)]
 
 
 def _chunks(trials: int, workers: int) -> list:
@@ -506,8 +519,27 @@ def _chunks(trials: int, workers: int) -> list:
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
-# The pool opened by the outermost open ``worker_pool`` block, if any.
-_ACTIVE_POOL: ContextVar[Optional["ProcessPoolExecutor"]] = ContextVar(
+class _Pool:
+    """The spawn process pool of a ``worker_pool`` block, built on first use
+    (and imported then: serial runs never pay the pool's import time)."""
+
+    def __init__(self, workers: int):
+        self.workers, self.executor = workers, None
+
+    def map(self, fn, args: list) -> list:
+        if self.executor is None:
+            from concurrent import futures
+            from multiprocessing import get_context
+
+            self.executor = futures.ProcessPoolExecutor(
+                max_workers=pool_size(self.workers, os.cpu_count()),
+                mp_context=get_context("spawn"),
+            )
+        return list(self.executor.map(fn, args))
+
+
+# The pool of the outermost open ``worker_pool`` block, if any.
+_ACTIVE_POOL: ContextVar[Optional[_Pool]] = ContextVar(
     "commrange_worker_pool", default=None
 )
 
@@ -519,34 +551,26 @@ def pool_size(workers: int, cpu_count: Optional[int]) -> int:
 
 
 @contextmanager
-def worker_pool(workers: int) -> Iterator["ProcessPoolExecutor"]:
-    """Open one spawn process pool for every ``check_preservation`` call in
-    the block that runs two or more chunks; one-chunk calls never use it.
+def worker_pool(workers: int) -> Iterator[_Pool]:
+    """Open one spawn process pool for every engine call in the block
+    that runs two or more chunks; one-chunk calls never use it.
 
-    The pool has ``pool_size(workers, os.cpu_count())`` processes, started
-    on first use.  Inside an open block this yields the open pool, so
-    nested blocks share the outermost one.  The block that opened the pool
-    shuts it down and joins its workers on every way out.
+    The pool has ``pool_size(workers, os.cpu_count())`` processes, built by
+    the first call that uses it.  Nested blocks share the outermost pool;
+    its block shuts it down and joins its workers on every way out.
     """
     active = _ACTIVE_POOL.get()
     if active is not None:
         yield active
         return
-    # Imported here: the pool machinery costs import time that serial runs
-    # never need.
-    from concurrent import futures
-    from multiprocessing import get_context
-
-    pool = futures.ProcessPoolExecutor(
-        max_workers=pool_size(workers, os.cpu_count()),
-        mp_context=get_context("spawn"),
-    )
+    pool = _Pool(workers)
     token = _ACTIVE_POOL.set(pool)
     try:
         yield pool
     finally:
         _ACTIVE_POOL.reset(token)
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool.executor is not None:
+            pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -600,68 +624,72 @@ def check_preservation(
     seeded trials.
 
     mode "radius" compares numerical radii, "range" the full intervals,
-    "spectrum" (dim 2 only) the sorted skew spectra.  ``workers`` = N
-    splits the trials into at most N chunks of whole 256-trial engine
-    blocks.  One chunk (at most 256 trials, or N = 1) runs in this process
-    and starts no process.  Two or more run on the pool of the open
-    ``worker_pool`` block (a suite run shares one pool across its calls),
-    or else on a pool opened for this call only.  Every N forms the same
-    blocks and the fold is ordered by trial index, so the report is
-    identical for any worker count.
+    "spectrum" (dim 2 only) the sorted skew spectra; the engine call
+    :func:`_preservation_reports` on one run.  ``workers`` = N splits more
+    than 256 trials into at most N chunks of whole 256-trial blocks, run on
+    the pool of the open ``worker_pool`` block (a suite run shares one) or
+    else on a pool for this call only.  Every N forms the same blocks and
+    the fold is ordered by trial index, so the report is the same for any N.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.get(mode)
-    return _preservation_reports(m, (mode,), trials, n, seed, (tol,), workers)[0]
+    return _preservation_reports([(m, seed)], (mode,), trials, n, (tol,), workers)[0][0]
 
 
 def _preservation_reports(
-    m: MapSpec,
+    runs: list,
     modes: tuple,
     trials: int,
     n: int,
-    seed: int,
     tols: tuple,
     workers: int,
 ) -> list:
-    """``check_preservation`` in each of ``modes`` (with its tolerance in
-    ``tols``) from one pass over the trial stream."""
+    """``check_preservation`` of each (map, seed) run of ``runs`` in each
+    of ``modes`` (with its tolerance in ``tols``), one list per run, from
+    one pass over the runs laid end to end.  If each run fits one block
+    this runs in this process.  A trial's numbers do not depend on the
+    stack they are computed in, so each report is the run's own."""
     for mode in modes:
         if mode not in MODES:
             raise MapConfigError(f"unknown mode {mode!r}")
         if mode == MODE_SPECTRUM and n != 2:
             raise MapConfigError("spectrum mode is defined at dim 2 only")
-    if n != m.dim:
+    if any(m.dim != n for m, _ in runs):
         raise MapConfigError("trial dim does not match map dim")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    chunks = [(m, modes, n, seed, *bounds, tols) for bounds in _chunks(trials, workers)]
+    total = len(runs) * trials
+    bounds = [(0, total)] if trials <= _BLOCK_TRIALS else _chunks(total, workers)
+    chunks = [(runs, modes, n, trials, lo, hi, tols) for lo, hi in bounds]
     if len(chunks) == 1:
         per_chunk = [_run_chunk(chunks[0])]
     else:
         with worker_pool(len(chunks)) as pool:
-            per_chunk = list(pool.map(_run_chunk, chunks))
+            per_chunk = pool.map(_run_chunk, chunks)
 
-    reports = []
+    out = []
     # Chunks are in trial order, so the first index found is the first.
-    for mode, tol, found in zip(modes, tols, zip(*per_chunk)):
-        worst = max(w for w, _ in found)
-        first_idx = next((i for _, i in found if i is not None), None)
-        counterexample = None
-        if first_idx is not None:
-            counterexample = sample_trial_pair(n, substream(seed, first_idx), first_idx)
-        reports.append(
-            PreservationReport(
-                mode=mode,
-                trials=trials,
-                dim=n,
-                seed=seed,
-                tolerance=float(tol),
-                max_violation=float(worst),
-                first_violation_index=first_idx,
-                first_counterexample=counterexample,
+    for (_, seed), per_run in zip(runs, zip(*per_chunk)):
+        out.append([])
+        for mode, tol, found in zip(modes, tols, zip(*per_run)):
+            first_idx = next((i for _, i in found if i is not None), None)
+            counterexample = None
+            if first_idx is not None:
+                rng = substream(seed, first_idx)
+                counterexample = sample_trial_pair(n, rng, first_idx)
+            out[-1].append(
+                PreservationReport(
+                    mode=mode,
+                    trials=trials,
+                    dim=n,
+                    seed=seed,
+                    tolerance=float(tol),
+                    max_violation=float(max(w for w, _ in found)),
+                    first_violation_index=first_idx,
+                    first_counterexample=counterexample,
+                )
             )
-        )
-    return reports
+    return out

@@ -85,10 +85,11 @@ def is_hermitian(m: np.ndarray, skew: bool = False):
     return defect <= HERMITIAN_TOL * scale
 
 
-def is_unitary(u: np.ndarray) -> bool:
+def is_unitary(u: np.ndarray):
     """True iff ||U U* - I||_max is at most 1e-10; the package's one
-    unitarity test."""
-    return max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= UNITARY_TOL
+    unitarity test, with one verdict per matrix of a stack."""
+    gram = u @ u.conj().swapaxes(-1, -2)
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1)) <= UNITARY_TOL
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

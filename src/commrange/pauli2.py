@@ -6,6 +6,8 @@ basis {X, Y, Z} (Pauli matrices scaled by 1/sqrt(2), orthonormal under
 product up to a factor sqrt(2)i, unitary conjugation acts as a rotation in
 SO(3), and both the transpose and the off-diagonal mirror map are
 coordinate reflections.  Everything here is closed-form; no iteration.
+``to_pauli``, ``from_pauli`` and ``unitary_to_rotation`` run their stacked
+kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import MatrixError, as_matrix, hermitian, is_unitary
+from .matcore import MatrixError, _hermitian_stack, as_matrix, hermitian, is_unitary
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -67,20 +69,26 @@ def _require_2x2(a) -> np.ndarray:
 
 def to_pauli(a) -> PauliVector:
     """Coordinates a_k = tr(A B_k) plus the separated trace part."""
-    m = _require_2x2(a)
-    coords = [float(np.trace(m @ b).real) for b in PAULI_BASIS]
-    return PauliVector(*coords, trace_part=float(np.trace(m).real) / 2.0)
+    return PauliVector(*map(float, _pauli_coords(_require_2x2(a)[None])[0]))
+
+
+def _pauli_coords(m: np.ndarray) -> np.ndarray:
+    """Rows (a1, a2, a3, tr(A)/2) of the validated 2x2 Hermitians of a
+    stack, with a_k = tr(A B_k)."""
+    cols = [np.trace(m @ b, axis1=-2, axis2=-1).real for b in PAULI_BASIS]
+    cols.append(np.trace(m, axis1=-2, axis2=-1).real / 2.0)
+    return np.stack(cols, axis=-1)
 
 
 def from_pauli(v: PauliVector) -> np.ndarray:
     """Reconstruct a1 X + a2 Y + a3 Z + trace_part I."""
-    m = (
-        v.a1 * PAULI_X
-        + v.a2 * PAULI_Y
-        + v.a3 * PAULI_Z
-        + v.trace_part * np.eye(2)
-    )
-    return hermitian(m)
+    return hermitian(_pauli_sum(np.array([[v.a1, v.a2, v.a3, v.trace_part]]))[0])
+
+
+def _pauli_sum(coords: np.ndarray) -> np.ndarray:
+    """a1 X + a2 Y + a3 Z + t I for each row (a1, a2, a3, t) of a stack."""
+    a1, a2, a3, t = coords.T[:, :, None, None]
+    return a1 * PAULI_X + a2 * PAULI_Y + a3 * PAULI_Z + t * np.eye(2)
 
 
 def cross_commutator(a: PauliVector, b: PauliVector) -> PauliVector:
@@ -101,17 +109,21 @@ def unitary_to_rotation(u) -> Rotation3:
     u = as_matrix(u)
     if u.shape != (2, 2):
         raise MatrixError("expected a 2x2 unitary")
-    if not is_unitary(u):
+    t, det_sign = _rotations(u[None])
+    return Rotation3(matrix=t[0], det_sign=int(det_sign[0]))
+
+
+def _rotations(u: np.ndarray):
+    """The rotations induced by a stack of 2x2 unitaries, checked as in
+    :func:`unitary_to_rotation`, and their rounded determinants."""
+    if not is_unitary(u).all():
         raise MatrixError("matrix is not unitary")
-    cols = []
-    for basis in PAULI_BASIS:
-        v = to_pauli(u @ basis @ u.conj().T)
-        cols.append(v.coords)
-    t = np.stack(cols, axis=1)
-    if not is_unitary(t):
+    uh = u.conj().swapaxes(-1, -2)
+    cols = [_pauli_coords(_hermitian_stack(u @ b @ uh))[:, :3] for b in PAULI_BASIS]
+    t = np.stack(cols, axis=-1)
+    if not is_unitary(t).all():
         raise MatrixError("induced coordinate map failed orthogonality")
-    det = float(np.linalg.det(t))
-    return Rotation3(matrix=t, det_sign=int(round(det)))
+    return t, np.rint(np.linalg.det(t)).astype(int)
 
 
 def psi(a) -> np.ndarray:

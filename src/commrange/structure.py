@@ -141,7 +141,11 @@ def classify_two_level(a, gap_tol: float = GAP_TOL) -> TwoLevelDecomposition:
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
-    s = _split(hermitian(a)[None], gap_tol)
+    return _decomposition(_split(hermitian(a)[None], gap_tol))
+
+
+def _decomposition(s: _Split) -> TwoLevelDecomposition:
+    """The two-level decomposition of the matrix of a split stack of one."""
     eigs, diameter, clusters = s.eigenvalues[0], float(s.diameter[0]), s.clusters[0]
     # the smallest relative distance of a gap from the threshold
     margin = float(np.abs(s.distance[0]).min() / diameter) if diameter > 0.0 else np.inf
@@ -164,20 +168,18 @@ def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
     a = hermitian(a)
     if a.shape[0] < 3:
         raise MatrixError("independence vector requires dimension >= 3")
-    basis = _witness_basis(a, gap_tol)
+    basis = _witness_basis(_split(a[None], gap_tol))
     return None if basis is None else basis[0]
 
 
-def _witness_basis(
-    a: np.ndarray, gap_tol: float
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _witness_basis(s: _Split) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The orthonormal pair e1 = (v_lo + v_hi + v_m)/sqrt(3) and
-    e2 = (v_lo - v_m)/sqrt(2), or None when A is two-level.
+    e2 = (v_lo - v_m)/sqrt(2) of a split stack of one, or None when A is
+    two-level.
 
     v_lo and v_hi belong to the lowest and highest eigenvalues, v_m to the
     eigenvalue outside their clusters nearest the spectral midpoint.
     """
-    s = _split(a[None], gap_tol)
     if s.clusters[0] <= 2:
         return None
     eigs, vectors = s.eigenvalues[0], s.vectors[0]
@@ -207,7 +209,12 @@ def asymmetry_witness(
     a = hermitian(a)
     if a.shape[0] < 3:
         raise MatrixError("asymmetry witness requires dimension >= 3")
-    basis = _witness_basis(a, gap_tol)
+    return _witness(a, _split(a[None], gap_tol))
+
+
+def _witness(a: np.ndarray, s: _Split):
+    """:func:`asymmetry_witness` of A from its split ``s``."""
+    basis = _witness_basis(s)
     if basis is None:
         return None
     e1, e2 = basis
@@ -224,10 +231,14 @@ def symmetry_witness_unitary(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray
     U = P - (I - P) for the projection part P (U = -I for scalars, where
     the identity holds vacuously).
     """
-    decomp = classify_two_level(a, gap_tol)
+    return _conjugation_unitary(classify_two_level(a, gap_tol), np.asarray(a).shape[0])
+
+
+def _conjugation_unitary(decomp: TwoLevelDecomposition, n: int) -> Optional[np.ndarray]:
+    """:func:`symmetry_witness_unitary` of an n x n matrix from its
+    decomposition."""
     if not decomp.two_level:
         return None
-    n = np.asarray(a).shape[0]
     if decomp.projection is None:
         return -np.eye(n, dtype=complex)
     return 2.0 * decomp.projection - np.eye(n, dtype=complex)

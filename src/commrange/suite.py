@@ -4,9 +4,9 @@ Each criterion is a pure function of (seed, scale, workers) returning a
 JSON-able result dict.  ``scale`` multiplies the trial counts (1.0 is the
 full battery); reports contain no timing or host information, so a given
 (seed, scale) always produces byte-identical output regardless of worker
-count or execution order.  ``workers`` = N splits each trial run into at
-most N chunks of whole 256-trial blocks.  Runs of two or more chunks share
-one process pool per suite run; a run of one block starts no process.
+count or execution order.  Criteria 6, 7 and 8 run all preserver forms of
+one dimension in one engine call; calls that ``workers`` splits into two
+or more chunks share one process pool per suite run, built on first use.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .matcore import (
     DEFAULT_SEED,
     _commutator_spectrum,
     _gue,
+    _haar,
+    _hermitian_stack,
+    _reopen_stream,
     commutator,
     hermitian,
     max_abs,
@@ -41,13 +44,7 @@ from .structure import (
     radius_equivalence_check,
     symmetry_witness_unitary,
 )
-from .pauli2 import (
-    PAULI_BASIS,
-    cross_commutator,
-    from_pauli,
-    to_pauli,
-    unitary_to_rotation,
-)
+from .pauli2 import PAULI_BASIS, _pauli_coords, _pauli_sum, _rotations
 from .maps import (
     DAGGER_IDENTITY,
     DAGGER_TRANSPOSE,
@@ -85,6 +82,17 @@ def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
 
 
+def _normal_draws(seed: int, count: int, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` from each (seed, i) stream, i < count,
+    stacked; one generator is reopened at each index."""
+    rng = substream(seed, 0)
+    out = np.empty((count, *shape))
+    for i in range(count):
+        _reopen_stream(rng, seed, i)
+        out[i] = rng.standard_normal(shape)
+    return out
+
+
 def _seeded_spec(seed: int, label: str, n: int, **rules) -> MapSpec:
     """The map with ``rules`` whose Haar unitary is derived from ``label``
     and whose sign, shift and set seeds from ``label`` plus ":h", ":f" and
@@ -100,12 +108,15 @@ def _seeded_spec(seed: int, label: str, n: int, **rules) -> MapSpec:
     )
 
 
-def _form_report(seed, label, n, mode, trials, workers, **rules):
-    """``check_preservation`` at tolerance 1e-9 of the seeded map of
-    ``label`` over the trial stream derived from ``label``."""
-    m = _seeded_spec(seed, label, n, **rules)
-    run_seed = _derived_seed(seed, label + ":trials")
-    return check_preservation(m, mode, trials, n, run_seed, tol=1e-9, workers=workers)
+def _form_reports(seed, forms, n, modes, trials, tol, workers):
+    """The reports, one list per form in mode order, of the seeded map of
+    each (label, rules) of ``forms`` over the trial stream of its label, at
+    tolerance ``tol``, from one engine call."""
+    runs = [
+        (_seeded_spec(seed, label, n, **rules), _derived_seed(seed, label + ":trials"))
+        for label, rules in forms
+    ]
+    return _preservation_reports(runs, modes, trials, n, (tol,) * len(modes), workers)
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -344,25 +355,23 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     runs = []
     worst = 0.0
     for n in (3, 4, 6):
-        for dagger in (DAGGER_IDENTITY, DAGGER_TRANSPOSE):
-            for sign in (SIGN_PLUS, SIGN_HASH):
-                for shift in (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH):
-                    label = f"radius:{n}:{dagger}:{sign}:{shift}"
-                    rules = dict(dagger=dagger, sign=sign, shift=shift)
-                    report = _form_report(
-                        seed, label, n, MODE_RADIUS, trials, workers, **rules
-                    )
-                    worst = max(worst, report.max_violation)
-                    runs.append(
-                        {
-                            "dim": n,
-                            "dagger": dagger,
-                            "sign": sign,
-                            "shift": shift,
-                            "max_violation": report.max_violation,
-                            "passed": report.passed,
-                        }
-                    )
+        forms = [
+            (f"radius:{n}:{d}:{s}:{f}", dict(dagger=d, sign=s, shift=f))
+            for d in (DAGGER_IDENTITY, DAGGER_TRANSPOSE)
+            for s in (SIGN_PLUS, SIGN_HASH)
+            for f in (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH)
+        ]
+        reports = _form_reports(seed, forms, n, (MODE_RADIUS,), trials, 1e-9, workers)
+        for (_, rules), (report,) in zip(forms, reports):
+            worst = max(worst, report.max_violation)
+            runs.append(
+                {
+                    "dim": n,
+                    **rules,
+                    "max_violation": report.max_violation,
+                    "passed": report.passed,
+                }
+            )
     return {
         "passed": all(r["passed"] for r in runs),
         "details": {
@@ -383,27 +392,26 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     an explicit counterexample."""
     trials = _count(1000, scale)
     n = 3
+    forms = [
+        (f"range:{n}:{eps}:{sset}", dict(epsilon=eps, sset=sset, shift=SHIFT_HASH))
+        for eps in (1, -1)
+        for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM)
+    ]
+    forms.append(("range-transpose", dict(dagger=DAGGER_TRANSPOSE, epsilon=1)))
+    modes = (MODE_RANGE,)
+    *reports, (refute,) = _form_reports(seed, forms, n, modes, trials, 1e-9, workers)
     runs = []
     worst = 0.0
-    for epsilon in (1, -1):
-        for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM):
-            label = f"range:{n}:{epsilon}:{sset}"
-            rules = dict(epsilon=epsilon, sset=sset, shift=SHIFT_HASH)
-            report = _form_report(seed, label, n, MODE_RANGE, trials, workers, **rules)
-            worst = max(worst, report.max_violation)
-            runs.append(
-                {
-                    "epsilon": epsilon,
-                    "sset": sset,
-                    "max_violation": report.max_violation,
-                    "passed": report.passed,
-                }
-            )
-
-    transpose = dict(dagger=DAGGER_TRANSPOSE, epsilon=1)
-    refute = _form_report(
-        seed, "range-transpose", n, MODE_RANGE, trials, workers, **transpose
-    )
+    for (_, rules), (report,) in zip(forms, reports):
+        worst = max(worst, report.max_violation)
+        runs.append(
+            {
+                "epsilon": rules["epsilon"],
+                "sset": rules["sset"],
+                "max_violation": report.max_violation,
+                "passed": report.passed,
+            }
+        )
     return {
         "passed": all(r["passed"] for r in runs) and not refute.passed,
         "details": {
@@ -422,32 +430,32 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
 def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     """All four dim-2 forms pass spectrum mode; the three metrics agree on
     a shared sample stream; cross-product commutator identity; rotation
-    correspondence."""
+    correspondence.  The cross-product and rotation checks draw each
+    sample from its own (seed, i) stream and check them as one stack."""
     trials = _count(2000, scale)
+    hash_rules = dict(sign=SIGN_HASH, shift=SHIFT_HASH)
+    forms = [
+        (f"dim2:{d}:{mirror}", dict(dagger=d, psi=mirror, **hash_rules))
+        for d in (DAGGER_IDENTITY, DAGGER_TRANSPOSE)
+        for mirror in (False, True)
+    ]
+    # One pass over the trial streams gives all three metrics.
+    modes = (MODE_SPECTRUM, MODE_RANGE, MODE_RADIUS)
+    reports = _form_reports(seed, forms, 2, modes, trials, 1e-10, workers)
     form_runs = []
-    for dagger in (DAGGER_IDENTITY, DAGGER_TRANSPOSE):
-        for mirror in (False, True):
-            label = f"dim2:{dagger}:{mirror}"
-            rules = dict(dagger=dagger, psi=mirror, sign=SIGN_HASH, shift=SHIFT_HASH)
-            m = _seeded_spec(seed, label, 2, **rules)
-            run_seed = _derived_seed(seed, label + ":trials")
-            # One pass over the trial stream gives all three metrics.
-            modes = (MODE_SPECTRUM, MODE_RANGE, MODE_RADIUS)
-            reports = _preservation_reports(
-                m, modes, trials, 2, run_seed, (1e-10,) * 3, workers
-            )
-            mode_violations = {r.mode: r.max_violation for r in reports}
-            vals = list(mode_violations.values())
-            spread = max(vals) - min(vals)
-            form_runs.append(
-                {
-                    "dagger": dagger,
-                    "mirror": mirror,
-                    "violations": mode_violations,
-                    "mode_spread": float(spread),
-                    "passed": max(vals) <= 1e-10 and spread <= 1e-12,
-                }
-            )
+    for (_, rules), per_mode in zip(forms, reports):
+        mode_violations = {r.mode: r.max_violation for r in per_mode}
+        vals = list(mode_violations.values())
+        spread = max(vals) - min(vals)
+        form_runs.append(
+            {
+                "dagger": rules["dagger"],
+                "mirror": rules["psi"],
+                "violations": mode_violations,
+                "mode_spread": float(spread),
+                "passed": max(vals) <= 1e-10 and spread <= 1e-12,
+            }
+        )
 
     # A deliberately wrong transformation (A -> 2A) must be caught by all
     # three metrics at the same trials, with numerically equal violations.
@@ -456,43 +464,34 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     # fails the check otherwise; at least one trial must not be skipped.
     agree_seed = _derived_seed(seed, "dim2:agree")
     agree_trials = _count(200, scale)
-    agreement_ok = True
-    caught = 0
-    skipped = 0
-    a, b = _sample_block(2, agree_seed, 0, agree_trials)
+    a, b = _sample_block(2, [(agree_seed, 0, agree_trials)])
     base = _commutator_spectrum(a, b)
     image = _commutator_spectrum(2.0 * a, 2.0 * b)
     violations = np.array([metric_violation(base, image, mode) for mode in MODES])
-    if np.any(violations.max(axis=0) - violations.min(axis=0) > 1e-12):
-        agreement_ok = False
-    for i in range(agree_trials):
-        if violations[:, i].min() > 1e-10:
-            caught += 1
-        elif np.abs(base[i]).max() <= (
-            1e-12 * np.linalg.norm(a[i], 2) * np.linalg.norm(b[i], 2)
-        ):
-            skipped += 1
-        else:
-            agreement_ok = False
-    agreement_ok = agreement_ok and skipped < agree_trials
+    caught = violations.min(axis=0) > 1e-10
+    norms = np.linalg.norm(a, 2, axis=(1, 2)) * np.linalg.norm(b, 2, axis=(1, 2))
+    skipped = ~caught & (np.abs(base).max(axis=1) <= 1e-12 * norms)
+    agreement_ok = bool(
+        not np.any(violations.max(axis=0) - violations.min(axis=0) > 1e-12)
+        and np.all(caught | skipped)
+        and skipped.sum() < agree_trials
+    )
 
     cross_trials = _count(1000, scale)
+    # the parts of A and then of B, as two ``random_hermitian`` calls draw them
     cross_seed = _derived_seed(seed, "dim2:cross")
-    cross_worst = 0.0
-    for i in range(cross_trials):
-        rng = substream(cross_seed, i)
-        a = random_hermitian(2, rng)
-        b = random_hermitian(2, rng)
-        recon = np.sqrt(2.0) * 1j * from_pauli(cross_commutator(to_pauli(a), to_pauli(b)))
-        cross_worst = max(cross_worst, max_abs(commutator(a, b) - recon))
+    parts = _normal_draws(cross_seed, cross_trials, (2, 2, 2, 2))
+    a = _hermitian_stack(_gue(parts[:, 0]))
+    b = _hermitian_stack(_gue(parts[:, 1]))
+    cross = np.cross(_pauli_coords(a)[:, :3], _pauli_coords(b)[:, :3])
+    coords = np.concatenate([cross, np.zeros((cross_trials, 1))], axis=1)
+    recon = np.sqrt(2.0) * 1j * _hermitian_stack(_pauli_sum(coords))
+    cross_worst = max_abs(a @ b - b @ a - recon)
 
     rot_trials = _count(1000, scale)
-    rot_seed = _derived_seed(seed, "dim2:rot")
-    rot_ok = 0
-    for i in range(rot_trials):
-        u = random_unitary(2, substream(rot_seed, i))
-        if unitary_to_rotation(u).det_sign == 1:
-            rot_ok += 1
+    rot_parts = _normal_draws(_derived_seed(seed, "dim2:rot"), rot_trials, (2, 2, 2))
+    _, det_signs = _rotations(_haar(rot_parts))
+    rot_ok = int((det_signs == 1).sum())
 
     passed = (
         all(r["passed"] for r in form_runs)
@@ -506,8 +505,8 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
             "trials_per_form": trials,
             "forms": form_runs,
             "wrong_map_trials": agree_trials,
-            "wrong_map_caught": caught,
-            "wrong_map_skipped": skipped,
+            "wrong_map_caught": int(caught.sum()),
+            "wrong_map_skipped": int(skipped.sum()),
             "metric_agreement": agreement_ok,
             "cross_identity_worst": float(cross_worst),
             "rotation_trials": rot_trials,
@@ -622,10 +621,11 @@ def run_acceptance_suite(
 ) -> dict:
     """Run the whole battery; the report is deterministic in (seed, scale).
 
-    ``workers`` = N splits each trial run into at most N chunks of whole
-    256-trial blocks; a run of one block starts no process.  Runs of two or
-    more chunks share one spawn pool of at most ``os.cpu_count()``
-    processes, shut down when the suite ends, also when a criterion raises.
+    ``workers`` = N splits the fused trials of each engine call into at
+    most N chunks of whole 256-trial blocks; a call whose runs each fit one
+    block starts no process.  Calls of two or more chunks share one spawn
+    pool of at most ``os.cpu_count()`` processes, built on first use and
+    shut down when the suite ends, also when a criterion raises.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -308,6 +308,42 @@ def test_classify_reports_the_witness_defect(
     assert witness["certified"] is certified
 
 
+def test_classify_takes_one_eigensolve(matrix_file, capsys, monkeypatch):
+    # the classification, its certificate and the diameter all come from
+    # one split; the report equals the public functions' results
+    from commrange.structure import (
+        asymmetry_witness,
+        classify_two_level,
+        symmetry_witness_unitary,
+    )
+
+    two_level = np.diag([2.0, 2.0, 5.0])
+    for a in (np.diag([1001.0, 1002.0, 1003.0]), two_level):
+        decomp = classify_two_level(a).to_json()
+        unitary = symmetry_witness_unitary(a)
+        witness = asymmetry_witness(a)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            calls.append(1)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert main(["classify", matrix_file("a.json", a)]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {k: report[k] for k in decomp} == json.loads(json.dumps(decomp))
+        if witness is None:
+            assert report["witness"] is None
+            assert report["conjugation_unitary"] == matrix_to_json(unitary)
+        else:
+            assert report["conjugation_unitary"] is None
+            assert report["witness"]["matrix"] == matrix_to_json(witness[0])
+            assert report["witness"]["interval"] == list(witness[1])
+
+
 def test_classify_reports_the_band_above_the_gap_threshold(matrix_file, capsys):
     # a middle eigenvalue just above the cluster threshold gives a defect
     # of about 0.3 g relative to d ||B||_2, under --tol.witness: reported
@@ -330,7 +366,7 @@ def test_classify_falsification_exit_code(matrix_file, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise WitnessSearchError("forced for exit-code test")
 
-    monkeypatch.setattr(cli_mod, "asymmetry_witness", boom)
+    monkeypatch.setattr(cli_mod, "_witness", boom)
     path = matrix_file("a.json", np.diag([1.0, 2.0, 3.0]))
     assert main(["classify", path]) == 3
     # the one source of the error: a two-cluster split whose spectral

@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent import futures
 
 import numpy as np
@@ -360,13 +362,14 @@ def _pool_criteria(*ids):
 
 
 def test_suite_run_builds_one_pool(pool_log, monkeypatch):
-    # at scale 0.3 criterion 7 runs 7 calls of 300 trials and criterion 8
-    # 4 calls of 600 trials, each more than one engine block
+    # at scale 0.3 criterion 7 runs its 7 forms of 300 trials in one fused
+    # call and criterion 8 its 4 forms of 600 trials in another; each run
+    # is more than one engine block, so each call goes to the pool
     monkeypatch.setattr(suite_mod, "CRITERIA", _pool_criteria(7, 8))
     report = suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
     assert report["passed"] is True
     assert len(pool_log["max_workers"]) == 1
-    assert pool_log["maps"] == 7 + 4
+    assert pool_log["maps"] == 1 + 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
 
@@ -375,21 +378,21 @@ def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
     def boom(seed, scale, workers):
         raise RuntimeError("criterion failed mid-run")
 
-    # criterion 7's seven multi-block calls run on the pool before the
-    # next criterion raises
+    # criterion 7's fused call of seven multi-block runs goes to the pool
+    # before the next criterion raises
     criteria = _pool_criteria(7) + ((8, "boom", boom),)
     monkeypatch.setattr(suite_mod, "CRITERIA", criteria)
     with pytest.raises(RuntimeError, match="criterion failed mid-run"):
         suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
     assert len(pool_log["max_workers"]) == 1
-    assert pool_log["maps"] == 7
+    assert pool_log["maps"] == 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
     # the closed pool is not handed to later calls
     m = MapSpec(dim=3, unitary=np.eye(3))
     check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS + 1, 3, 1, workers=2)
     assert len(pool_log["max_workers"]) == 2
-    assert pool_log["maps"] == 8
+    assert pool_log["maps"] == 2
     assert multiprocessing.active_children() == []
 
 
@@ -426,8 +429,8 @@ def test_reports_byte_identical_across_worker_counts():
         for index, (m, modes, n, tols) in enumerate(cases):
             blobs = set()
             for workers in (1, 2, 3):
-                reports = _preservation_reports(
-                    m, modes, _MULTI_BLOCK, n, 50 + index, tols, workers
+                (reports,) = _preservation_reports(
+                    [(m, 50 + index)], modes, _MULTI_BLOCK, n, tols, workers
                 )
                 blobs.add(tuple(json.dumps(r.to_json()) for r in reports))
             assert len(blobs) == 1, modes
@@ -438,6 +441,68 @@ def test_reports_byte_identical_across_worker_counts():
         [True, True, True],
     ]
     assert outcomes[1][0].first_counterexample is not None
+
+
+def _fused_runs():
+    # three n = 3 runs of one call: a passing range form, the failing
+    # range-transpose form and a hash-sign radius form, each on its own seed
+    return [
+        (MapSpec(dim=3, unitary=random_unitary(3, substream(92, 0)), epsilon=-1,
+                 sset=SSET_RANDOM, sset_seed=8, shift=SHIFT_HASH, shift_seed=9), 61),
+        (MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1), 62),
+        (MapSpec(dim=3, unitary=random_unitary(3, substream(92, 1)), sign=SIGN_HASH,
+                 sign_seed=10, shift=SHIFT_TRACELESS), 63),
+    ]
+
+
+@pytest.mark.parametrize("trials", (1, 20, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 600))
+def test_fused_runs_report_as_their_own_calls(trials):
+    # fused trial v is trial v % trials of run v // trials: engine blocks
+    # and chunks cut across runs, yet every run folds to the bytes of its
+    # own check_preservation, first index and counterexample included
+    runs = _fused_runs()
+    modes, tols = (MODE_RANGE, MODE_RADIUS), (1e-9, 1e-9)
+    own = [
+        [json.dumps(check_preservation(m, mode, trials, 3, seed, tol).to_json())
+         for mode, tol in zip(modes, tols)]
+        for m, seed in runs
+    ]
+    with worker_pool(3):
+        for workers in (1, 2, 3):
+            fused = _preservation_reports(runs, modes, trials, 3, tols, workers)
+            assert [[json.dumps(r.to_json()) for r in run] for run in fused] == own
+    assert [[r.passed for r in run] for run in fused][1] == [False, True]
+
+
+def test_fused_call_of_one_block_runs_starts_no_process(pool_log):
+    # three runs of 200 trials are 600 fused trials, but each run fits one
+    # engine block, so the call stays in this process for any worker count
+    runs = _fused_runs()
+    serial = _preservation_reports(runs, (MODE_RANGE,), 200, 3, (1e-9,), 1)
+    for workers in (2, 3, 64):
+        split = _preservation_reports(runs, (MODE_RANGE,), 200, 3, (1e-9,), workers)
+        assert [[r.to_json() for r in run] for run in split] == [
+            [r.to_json() for r in run] for run in serial
+        ]
+    assert pool_log["max_workers"] == []
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_without_multi_block_runs_starts_no_process():
+    # the resource tracker is one per process, so a fresh interpreter
+    # shows whether the pool machinery was started at all
+    script = (
+        "from multiprocessing import resource_tracker\n"
+        "from commrange.suite import run_acceptance_suite\n"
+        "assert run_acceptance_suite(2026, 0.02, 2)['passed']\n"
+        "print(resource_tracker._resource_tracker._pid)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert out.stdout.strip() == "None"
 
 
 def _sign_flip_invisible(a, probes) -> bool:

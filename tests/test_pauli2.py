@@ -17,6 +17,9 @@ from commrange.pauli2 import (
     PAULI_Y,
     PAULI_Z,
     PauliVector,
+    _pauli_coords,
+    _pauli_sum,
+    _rotations,
     cross_commutator,
     from_pauli,
     psi,
@@ -145,6 +148,41 @@ def test_rotation_covariance():
 def test_rotation_rejects_non_unitary():
     with pytest.raises(MatrixError):
         unitary_to_rotation(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_stacked_kernels_match_one_matrix_functions_bitwise():
+    # each row of a stacked kernel equals its one-matrix function bit for
+    # bit, and the coordinates equal tr(A B_k) taken matrix by matrix
+    a = np.array([random_hermitian(2, substream(65, i)) for i in range(9)])
+    u = np.array([random_unitary(2, substream(66, i)) for i in range(9)])
+    coords = _pauli_coords(a)
+    sums = _pauli_sum(coords)
+    t, det_sign = _rotations(u)
+    for i in range(len(a)):
+        v = to_pauli(a[i])
+        assert coords[i].tobytes() == np.array([*v.coords, v.trace_part]).tobytes()
+        reference = [np.trace(a[i] @ b).real for b in PAULI_BASIS]
+        assert coords[i, :3].tolist() == reference
+        assert hermitian(sums[i]).tobytes() == from_pauli(v).tobytes()
+        rot = unitary_to_rotation(u[i])
+        assert t[i].tobytes() == rot.matrix.tobytes()
+        assert det_sign[i] == rot.det_sign == 1
+
+
+def test_stacked_rotations_refuse_a_non_orthogonal_induced_map():
+    # (1 + 4e-11) U passes the 1e-10 unitarity test (defect about 8e-11),
+    # but its induced map is (1 + 4e-11)^2 R, whose defect of about 1.6e-10
+    # fails the orthogonality test: refused in a stack and alone
+    u = np.array([random_unitary(2, substream(67, i)) for i in range(5)])
+    u[3] *= 1.0 + 4e-11
+    _rotations(np.delete(u, 3, axis=0))
+    with pytest.raises(MatrixError, match="orthogonality"):
+        _rotations(u)
+    with pytest.raises(MatrixError, match="orthogonality"):
+        unitary_to_rotation(u[3])
+    u[1] *= 1.0 + 1e-9
+    with pytest.raises(MatrixError, match="not unitary"):
+        _rotations(u)
 
 
 def test_psi_fixture():

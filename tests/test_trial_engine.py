@@ -85,7 +85,7 @@ def _modes(n):
 def _split_spectra(m, n, seed, trials, size):
     """Per-trial (base, image) spectra from engine blocks of ``size``."""
     parts = [
-        _block_spectra(m, n, seed, lo, min(lo + size, trials))
+        _block_spectra(n, [(m, seed, lo, min(lo + size, trials))])
         for lo in range(0, trials, size)
     ]
     return tuple(np.concatenate(side) for side in zip(*parts))
@@ -149,24 +149,24 @@ def test_counterexample_replay_equals_engine_pair():
     m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
     trials, seed = 200, 321
     report = check_preservation(m, MODE_RANGE, trials, 3, seed, tol=1e-9)
-    base, image = _block_spectra(m, 3, seed, 0, trials)
+    base, image = _block_spectra(3, [(m, seed, 0, trials)])
     over = np.flatnonzero(metric_violation(base, image, MODE_RANGE) > 1e-9)
     assert report.first_violation_index == over[0]
-    a, b = _sample_block(3, seed, 0, trials)
+    a, b = _sample_block(3, [(seed, 0, trials)])
     ca, cb = report.first_counterexample
     assert ca.tobytes() == a[over[0]].tobytes()
     assert cb.tobytes() == b[over[0]].tobytes()
     # a chunk that starts mid-stream reports absolute trial indices
     for lo in (over[0] + 1, 37):
-        ((worst, first),) = maps_mod._run_chunk(
-            (m, (MODE_RANGE,), 3, seed, int(lo), trials, (1e-9,))
+        (((worst, first),),) = maps_mod._run_chunk(
+            ([(m, seed)], (MODE_RANGE,), 3, trials, int(lo), trials, (1e-9,))
         )
         assert first == over[over >= lo][0]
 
 
 def test_sampled_stacks_are_exactly_hermitian_per_trial():
     for n in (2, 3, 6, 16):
-        a, b = _sample_block(n, 40 + n, 3, 15)
+        a, b = _sample_block(n, [(40 + n, 3, 15)])
         for k, i in enumerate(range(3, 15)):
             ra, rb = sample_trial_pair(n, substream(40 + n, i), i)
             assert a[k].tobytes() == ra.tobytes()
@@ -195,7 +195,7 @@ def _per_trial_stacks(n, seed, lo, hi):
 @example(6, 2**63 + 5, 0, 40)
 @example(16, 2**64 + 7, 2**20, 9)
 def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count):
-    got = _sample_block(n, seed, lo, lo + count)
+    got = _sample_block(n, [(seed, lo, lo + count)])
     want = _per_trial_stacks(n, seed, lo, lo + count)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -216,7 +216,7 @@ def _quantized_digest(a, seed, salt):
 
 def test_batched_digests_equal_single_digests():
     for n in (1, 2, 3, 16):
-        a, b = _sample_block(n if n > 1 else 2, 60 + n, 0, 12)
+        a, b = _sample_block(n if n > 1 else 2, [(60 + n, 0, 12)])
         stack = np.concatenate([a, b]) if n > 1 else np.ones((5, 1, 1)) * 0.25j
         q = _Quanta(stack)
         for seed, salt in ((0, "sign"), (2**64 + 5, "shift"), (-3, "sset")):
@@ -227,7 +227,7 @@ def test_batched_digests_equal_single_digests():
 
 
 def test_rule_values_follow_the_digest():
-    a, b = _sample_block(3, 61, 0, 8)
+    a, b = _sample_block(3, [(61, 0, 8)])
     stack = np.concatenate([a, b])
     m = _spec(3, 1, sign=SIGN_HASH, shift=SHIFT_HASH)
     q = _Quanta(stack)
@@ -272,7 +272,7 @@ def test_batched_digests_refuse_out_of_range_rows():
 
 def test_images_equal_one_matrix_maps():
     for n in (2, 3, 16):
-        a, b = _sample_block(n, 62 + n, 0, 9)
+        a, b = _sample_block(n, [(62 + n, 0, 9)])
         stack = np.concatenate([a, b])
         for index, rules in enumerate(_presets(n)):
             m = _spec(n, index, **rules)
@@ -323,7 +323,7 @@ def test_stacked_symmetry_test_matches_one_matrix_test():
 
 def test_stacked_two_level_mask_matches_classifier():
     for n in (2, 3, 6):
-        a, b = _sample_block(n, 64 + n, 0, 40)
+        a, b = _sample_block(n, [(64 + n, 0, 40)])
         stack = np.concatenate([a, b])
         mask = _split(stack, GAP_TOL).two_level
         assert mask.tolist() == [classify_two_level(x).two_level for x in stack]
@@ -343,7 +343,7 @@ def test_stacked_two_level_mask_matches_classifier():
 
 
 def test_stacked_mirror_map_matches_one_matrix_map():
-    a, b = _sample_block(2, 65, 0, 8)
+    a, b = _sample_block(2, [(65, 0, 8)])
     stack = np.concatenate([a, b])
     mirrored = _psi(stack)
     for k, x in enumerate(stack):
