@@ -117,10 +117,7 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     maps._Draws.assemble = timed_assemble
     try:
         t0 = perf_counter()
-        try:
-            a, b = maps._sample_block(n, [(seed, 0, BLOCK)])
-        except TypeError:  # a tree whose _sample_block takes (n, seed, lo, hi)
-            a, b = maps._sample_block(n, seed, 0, BLOCK)
+        a, b = maps._sample_block(n, [(seed, 0, BLOCK)])
         t1 = perf_counter()
     finally:
         maps._Draws.assemble = assemble
@@ -160,11 +157,8 @@ def measure_engine(n: int, seed: int, reps: int) -> dict:
 
 def _draw_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     """The unit vectors of one ``radius_equivalence_check`` call, drawn as
-    it draws them: one stacked ``matcore._unit_vectors`` call, or, in a
-    tree without that kernel, one ``random_unit_vector`` call per vector."""
-    if hasattr(matcore, "_unit_vectors"):
-        return matcore._unit_vectors(rng.standard_normal((PROJECTIONS, 2, n)))
-    return np.stack([matcore.random_unit_vector(n, rng) for _ in range(PROJECTIONS)])
+    it draws them: one stacked ``matcore._unit_vectors`` call."""
+    return matcore._unit_vectors(rng.standard_normal((PROJECTIONS, 2, n)))
 
 
 def _us_per_call(fn, seed: int, reps: int) -> float:

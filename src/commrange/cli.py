@@ -15,10 +15,12 @@ All randomness is seeded (--seed, or the COMMRANGE_SEED environment
 variable); identical invocations produce byte-identical reports.  Each
 option is declared on the subcommands that read it; tolerance overrides
 are --tol.radius, --tol.range and --tol.spectrum on verify and --tol.gap
-and --tol.witness on classify.  A classify witness reports its "defect"
-|t_min + t_max| / (d ||B||_2), d the spectral diameter of A, and
-"certified" (defect above --tol.witness); an uncertified witness, as a
-middle cluster just above the --tol.gap threshold gives, still exits 0.
+and --tol.witness on classify, each a finite number above 0 that defaults
+to the ``matcore.TOLERANCES`` entry of its name.  A classify witness
+reports its "defect" |t_min + t_max| / (d ||B||_2), d the spectral
+diameter of A, and "certified" (defect above --tol.witness); an
+uncertified witness, as a middle cluster just above the --tol.gap
+threshold gives, still exits 0.
 Exit codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
 falsification event (a spectral projection failing its idempotency
 check), 4 internal error (a crash or a non-finite value in a report,
@@ -38,6 +40,7 @@ import numpy as np
 from .matcore import (
     DEFAULT_SEED,
     MAX_DIM,
+    TOLERANCES,
     MatrixError,
     hermitian,
     load_matrix,
@@ -47,8 +50,6 @@ from .matcore import (
 )
 from .nrange import range_boundary
 from .structure import (
-    GAP_TOL,
-    WITNESS_ASYMMETRY_TOL,
     WitnessSearchError,
     _conjugation_unitary,
     _decomposition,
@@ -119,15 +120,22 @@ def _resolve_seed(value) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type: a float above 0 (argparse reports the ValueError)."""
+    """argparse type: a finite float above 0 (argparse reports the ValueError)."""
     value = float(text)
-    if not value > 0:
+    if not (value > 0 and np.isfinite(value)):
         raise ValueError(text)
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors are one line of stderr."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commrange",
         description="numerical ranges, radii and commutator preserver checks",
     )
@@ -166,9 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "classify", help="two-level classification with witness"
     )
     p_classify.add_argument("matrix_file")
-    for name, default in (("gap", GAP_TOL), ("witness", WITNESS_ASYMMETRY_TOL)):
+    for name in ("gap", "witness"):
         p_classify.add_argument(
-            f"--tol.{name}", dest=f"tol_{name}", type=positive_float, default=default
+            f"--tol.{name}", dest=f"tol_{name}", type=positive_float,
+            default=TOLERANCES[name],
         )
     add_common(p_classify)
 
@@ -192,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_pauli)
 
     p_suite = sub.add_parser("suite", help="run the acceptance battery")
-    p_suite.add_argument("--scale", type=float, default=1.0)
+    p_suite.add_argument("--scale", type=positive_float, default=1.0)
     p_suite.add_argument("--workers", type=int, default=1)
     add_common(p_suite)
 
@@ -239,9 +248,7 @@ def _cmd_verify(args) -> int:
     m = MapSpec(**kwargs)
 
     tol = getattr(args, f"tol_{mode}")
-    report = check_preservation(
-        m, mode, args.trials, dim, seed, tol=tol, workers=args.workers
-    )
+    report = check_preservation(m, mode, args.trials, dim, seed, tol, args.workers)
     payload = report.to_json()
     payload["form"] = args.form
     payload["map"] = m.to_json()
@@ -310,8 +317,6 @@ def _cmd_pauli(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    if args.scale <= 0:
-        raise UsageError("--scale must be positive")
     seed = _resolve_seed(args.seed)
     report = run_acceptance_suite(seed=seed, scale=args.scale, workers=args.workers)
     _emit(_dump(report), args.out)

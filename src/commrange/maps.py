@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .matcore import (
-    UNITARY_TOL,
+    TOLERANCES,
     MatrixError,
     _commutator_spectrum,
     _gue,
@@ -60,7 +60,7 @@ from .matcore import (
     max_abs,
     substream,
 )
-from .structure import GAP_TOL, _split
+from .structure import _split
 from .pauli2 import _psi
 
 DAGGER_IDENTITY = "identity"
@@ -82,12 +82,6 @@ MODES = (MODE_RADIUS, MODE_RANGE, MODE_SPECTRUM)
 # Map unitaries are drawn from this stream index of their seed; trials use
 # the indices 0 .. trials-1, so the two never share a stream.
 UNITARY_STREAM = 1 << 62
-
-DEFAULT_TOLERANCES = {
-    MODE_RADIUS: 1e-9,
-    MODE_RANGE: 1e-9,
-    MODE_SPECTRUM: 1e-10,
-}
 
 # Hash rules quantize entries at 1e-9 before digesting, so the rule value
 # is stable under symmetrization-level noise in the input.  Quantized parts
@@ -189,7 +183,7 @@ class MapSpec:
         if u.shape != (self.dim, self.dim):
             raise MapConfigError("unitary shape does not match dim")
         if not is_unitary(u):
-            raise MapConfigError(f"matrix is not unitary to {UNITARY_TOL}")
+            raise MapConfigError(f"matrix is not unitary to {TOLERANCES['unitary']}")
         object.__setattr__(self, "unitary", u)
         if self.dagger not in (DAGGER_IDENTITY, DAGGER_TRANSPOSE):
             raise MapConfigError(f"unknown dagger {self.dagger!r}")
@@ -225,7 +219,7 @@ class MapSpec:
         """Exceptional-set membership of each matrix of ``q``'s stack."""
         if self.sset == SSET_EMPTY:
             return np.zeros(len(q.a), dtype=bool)
-        member = _split(q.a, GAP_TOL).two_level
+        member = _split(q.a, TOLERANCES["gap"]).two_level
         if self.sset == SSET_RANDOM:
             rows = np.flatnonzero(member)
             digests = q.digests(self.sset_seed, "sset", rows)
@@ -280,7 +274,7 @@ def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
     Sign, shift and set rules are evaluated on A, not on the conjugated
     core, and share one quantization of the stack.  The images
     s * U core U* + f * I are formed inexactly, so each is validated with
-    the 1e-12 symmetry test before the stack is returned.
+    the symmetry test before the stack is returned.
     """
     q = _Quanta(a)
     core = _psi(a) if m.psi else a
@@ -379,7 +373,7 @@ class _Draws:
         """The drawn matrices as one stack, in slot order.
 
         The two-level matrices and the conjugations U diag(x) U*, formed
-        inexactly, are validated with the 1e-12 symmetry test and
+        inexactly, are validated with the symmetry test and
         symmetrized; c I takes the same step, which fixes the signs of its
         zeros.  Every other matrix is exactly Hermitian by construction.
         """
@@ -529,8 +523,15 @@ class _Pool:
     def map(self, fn, args: list) -> list:
         if self.executor is None:
             from concurrent import futures
-            from multiprocessing import get_context
+            from multiprocessing import current_process, get_context
 
+            # A spawn worker importing an unguarded main module cannot start
+            # processes; SystemExit passes ``except Exception`` and ends it.
+            if getattr(current_process(), "_inheriting", False):
+                raise SystemExit(
+                    "commrange: a spawn worker re-ran a script that opens a process "
+                    'pool; put its calls under if __name__ == "__main__":'
+                )
             self.executor = futures.ProcessPoolExecutor(
                 max_workers=pool_size(self.workers, os.cpu_count()),
                 mp_context=get_context("spawn"),
@@ -624,7 +625,8 @@ def check_preservation(
     seeded trials.
 
     mode "radius" compares numerical radii, "range" the full intervals,
-    "spectrum" (dim 2 only) the sorted skew spectra; the engine call
+    "spectrum" (dim 2 only) the sorted skew spectra, against ``tol`` or
+    else the mode's ``TOLERANCES`` entry; the engine call
     :func:`_preservation_reports` on one run.  ``workers`` = N splits more
     than 256 trials into at most N chunks of whole 256-trial blocks, run on
     the pool of the open ``worker_pool`` block (a suite run shares one) or
@@ -632,7 +634,7 @@ def check_preservation(
     the fold is ordered by trial index, so the report is the same for any N.
     """
     if tol is None:
-        tol = DEFAULT_TOLERANCES.get(mode)
+        tol = TOLERANCES.get(mode)  # the engine refuses an unknown mode
     return _preservation_reports([(m, seed)], (mode,), trials, n, (tol,), workers)[0][0]
 
 
@@ -678,8 +680,7 @@ def _preservation_reports(
             first_idx = next((i for _, i in found if i is not None), None)
             counterexample = None
             if first_idx is not None:
-                rng = substream(seed, first_idx)
-                counterexample = sample_trial_pair(n, rng, first_idx)
+                counterexample = sample_trial_pair(n, substream(seed, first_idx), first_idx)
             out[-1].append(
                 PreservationReport(
                     mode=mode,

@@ -30,12 +30,26 @@ import numpy as np
 
 MAX_DIM = 16
 
-# Tolerance ladder: construction (Hermitian or skew-Hermitian defect) 1e-12,
-# rank 1e-9.  Decades apart so a pass at one level cannot trip the next.
-HERMITIAN_TOL = 1e-12
-RANK_TOL = 1e-9
-# ||U U* - I||_max bound for a matrix accepted as unitary.
-UNITARY_TOL = 1e-10
+# Every threshold the package decides against, each with the scale it is
+# measured against and its readers.  Each --tol.* option of ``commrange``
+# and each mode of ``check_preservation`` defaults to the entry of its name.
+TOLERANCES = {
+    "hermitian": 1e-12,  # of max(1, ||M||_max); is_hermitian (hermitian, skew spectra)
+    "unitary": 1e-10,  # absolute, ||U U* - I||_max; is_unitary (MapSpec, pauli2)
+    "rank": 1e-9,  # of max(1, s_max); rank_numeric (criterion 2)
+    "unit_norm": 1e-12,  # absolute, | ||x||_2 - 1 |; nrange.rank1_commutator_radius
+    "symmetry": 1e-8,  # of max(1, |t_min|, |t_max|); nrange._symmetric (criterion 5)
+    "newton_step": 1e-8,  # absolute, in radians; nrange._newton_support
+    "unimodular": 1e-6,  # absolute, ||z| - 1|; nrange._level_set_radius
+    "gap": 1e-6,  # of the spectral diameter; structure defaults, maps sset, --tol.gap
+    "idempotency": 1e-9,  # absolute, ||P^2 - P||_max; structure._split
+    "witness": 1e-6,  # of d ||B||_2, d the spectral diameter of A; --tol.witness
+    "equiv_residual": 1e-8,  # of max(1, ||A||_max, ||B||_max); _affine_sign_match
+    "equiv_gap": 1e-6,  # absolute, |w([A, P]) - w([B, P])|; radius_equivalence_check
+    "radius": 1e-9,  # absolute, on radii; check_preservation, --tol.radius
+    "range": 1e-9,  # absolute, on interval endpoints; check_preservation, --tol.range
+    "spectrum": 1e-10,  # absolute, on sorted spectra; check_preservation, --tol.spectrum
+}
 
 
 class MatrixError(ValueError):
@@ -79,17 +93,17 @@ def _asymmetry(m: np.ndarray, skew: bool = False):
 
 def is_hermitian(m: np.ndarray, skew: bool = False):
     """True iff ||M - M*||_max (||M + M*||_max when skew) is at most
-    1e-12 * max(1, ||M||_max), by :func:`_asymmetry`; the package's one
-    symmetry test, with one verdict per matrix of a stack."""
+    ``TOLERANCES["hermitian"]`` * max(1, ||M||_max), by :func:`_asymmetry`;
+    the package's one symmetry test, with one verdict per matrix of a stack."""
     defect, scale = _asymmetry(m, skew)
-    return defect <= HERMITIAN_TOL * scale
+    return defect <= TOLERANCES["hermitian"] * scale
 
 
 def is_unitary(u: np.ndarray):
-    """True iff ||U U* - I||_max is at most 1e-10; the package's one
-    unitarity test, with one verdict per matrix of a stack."""
+    """True iff ||U U* - I||_max is at most ``TOLERANCES["unitary"]``; the
+    package's one unitarity test, with one verdict per matrix of a stack."""
     gram = u @ u.conj().swapaxes(-1, -2)
-    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1)) <= UNITARY_TOL
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1)) <= TOLERANCES["unitary"]
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -112,10 +126,10 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def hermitian(a) -> np.ndarray:
     """Validate near-self-adjointness and return the exact symmetrization.
 
-    Accepts matrices with ||A - A*||_max <= 1e-12 * max(1, ||A||_max) and
-    returns :func:`_sym` of A: exactly Hermitian, bitwise A for Hermitian
-    input, subnormal entries included, and finite for finite entries.
-    It is :func:`_hermitian_stack` on a stack of one.
+    Accepts A if :func:`is_hermitian` does and returns :func:`_sym` of A:
+    exactly Hermitian, bitwise A for Hermitian input, subnormal entries
+    included, and finite for finite entries.  It is :func:`_hermitian_stack`
+    on a stack of one.
     """
     return _hermitian_stack(as_matrix(a)[None])[0]
 
@@ -167,7 +181,7 @@ def skew_hermitian_eigenvalues(c) -> np.ndarray:
     """Ascending t_k with sigma(C) = {i t_k} for skew-Hermitian C.
 
     Computed as the spectrum of the Hermitian matrix -iC; C must pass the
-    same 1e-12 defect test as :func:`hermitian`.
+    skew form of the defect test of :func:`hermitian`.
     """
     m = as_matrix(c)
     if not is_hermitian(m, skew=True):
@@ -205,12 +219,10 @@ def commutator_spectrum(a, b) -> np.ndarray:
     return _commutator_spectrum(*_hermitian_pair(a, b))
 
 
-def rank_numeric(a, tol: float = RANK_TOL) -> int:
-    """Numeric rank: singular values above tol * max(1, s_max)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def rank_numeric(a) -> int:
+    """Numeric rank: singular values above TOLERANCES["rank"] * max(1, s_max)."""
     svals = np.linalg.svd(as_matrix(a), compute_uv=False)
-    return int(np.count_nonzero(svals > tol * max(1.0, float(svals[0]))))
+    return int(np.count_nonzero(svals > TOLERANCES["rank"] * max(1.0, float(svals[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matcore import (
+    TOLERANCES,
     MatrixError,
     _skew_eigenvalues,
     _sym,
@@ -38,12 +39,9 @@ from .matcore import (
     is_hermitian,
 )
 
-SYMMETRY_TOL = 1e-8
 _LEVEL_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 _LEVEL_ITERATIONS = 20
 _NEWTON_STEPS = 6
-_NEWTON_MIN_STEP = 1e-8
-_UNIMODULAR_TOL = 1e-6
 
 
 class CommutatorInterval(NamedTuple):
@@ -125,7 +123,7 @@ def _newton_support(parts, theta: float) -> float:
     h' = v* H_{theta + pi/2} v and h'' = -h + 2 sum_j |<v_j, H_{theta + pi/2}
     v>|^2 / (lambda_top - lambda_j) from one ``eigh`` per step.  It stops
     on a zero top gap, on h'' >= 0 (not near a maximum), on a step of at
-    most 1e-8 or after ``_NEWTON_STEPS`` steps."""
+    most ``TOLERANCES["newton_step"]`` or after ``_NEWTON_STEPS`` steps."""
     best = -np.inf
     for _ in range(_NEWTON_STEPS):
         h, dh = _support_matrices(parts, (theta, theta + np.pi / 2))
@@ -140,7 +138,7 @@ def _newton_support(parts, theta: float) -> float:
             break
         step = -coupling[-1].real / curvature
         theta += step
-        if abs(step) <= _NEWTON_MIN_STEP:
+        if abs(step) <= TOLERANCES["newton_step"]:
             break
     return best
 
@@ -180,7 +178,8 @@ def _level_set_radius(unit: np.ndarray) -> float:
         # so |mu| > 1/3; this also drops mu = 0 (z at infinity).
         mu = mu[np.abs(mu) > 1.0 / 3.0]
         z = sigma + 1.0 / mu
-        crossings = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]))
+        unimodular = np.abs(np.abs(z) - 1.0) <= TOLERANCES["unimodular"]
+        crossings = np.sort(np.angle(z[unimodular]))
         if crossings.size == 0:
             break
         mids = (crossings + np.append(crossings[1:], crossings[0] + 2.0 * np.pi)) / 2
@@ -198,18 +197,17 @@ def commutator_interval(a, b) -> CommutatorInterval:
     return CommutatorInterval(float(ts[0]), float(ts[-1]))
 
 
-def interval_symmetric(iv: CommutatorInterval, tol: float = SYMMETRY_TOL) -> bool:
-    """True iff the interval equals its reflection through 0, to tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(_symmetric(iv.t_min, iv.t_max, tol))
+def interval_symmetric(iv: CommutatorInterval) -> bool:
+    """True iff the interval equals its reflection through 0: |t_min +
+    t_max| is at most ``TOLERANCES["symmetry"]`` * max(1, |t_min|, |t_max|)."""
+    return bool(_symmetric(iv.t_min, iv.t_max))
 
 
-def _symmetric(t_min, t_max, tol: float):
+def _symmetric(t_min, t_max):
     """:func:`interval_symmetric` for endpoints given as floats or as
     arrays of them, one verdict per pair."""
     scale = np.maximum(1.0, np.maximum(np.abs(t_min), np.abs(t_max)))
-    return np.abs(t_min + t_max) <= tol * scale
+    return np.abs(t_min + t_max) <= TOLERANCES["symmetry"] * scale
 
 
 def _rank1_radii(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -239,7 +237,7 @@ def rank1_commutator_radius(a, x) -> float:
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape[0] != a.shape[0]:
         raise MatrixError("vector length does not match matrix dimension")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(x) - 1.0) > TOLERANCES["unit_norm"]:
         raise MatrixError("x must be a unit vector")
     return float(_rank1_radii(a, x[None, :])[0])
 

@@ -28,22 +28,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .matcore import (
+    TOLERANCES,
     MatrixError,
     _commutator_spectrum,
     _hermitian_pair,
     _sym,
     _unit_vectors,
     hermitian,
+    matrix_to_json,
     max_abs,
 )
 from .nrange import CommutatorInterval, _rank1_radii
-
-GAP_TOL = 1e-6
-# A witness is certified when |t_min + t_max| exceeds this times d ||B||_2,
-# d the spectral diameter of A (read by ``commrange classify``).
-WITNESS_ASYMMETRY_TOL = 1e-6
-EQUIV_RESIDUAL_TOL = 1e-8
-EQUIV_GAP_TOL = 1e-6
 
 
 class WitnessSearchError(RuntimeError):
@@ -74,8 +69,6 @@ class TwoLevelDecomposition:
     margin: float
 
     def to_json(self) -> dict:
-        from .matcore import matrix_to_json
-
         return {
             "two_level": self.two_level,
             "projection": None
@@ -126,13 +119,13 @@ def _split(a: np.ndarray, gap_tol: float) -> _Split:
         rows = pairs[first == k]
         upper = vectors[rows, :, k:]
         proj = _sym(upper @ upper.conj().swapaxes(-1, -2))
-        if max_abs(proj @ proj - proj) > 1e-9:
+        if max_abs(proj @ proj - proj) > TOLERANCES["idempotency"]:
             raise WitnessSearchError("spectral projection failed idempotency check")
         projection[rows] = proj
     return _Split(eigs, vectors, diameter, distance, starts, clusters, projection)
 
 
-def classify_two_level(a, gap_tol: float = GAP_TOL) -> TwoLevelDecomposition:
+def classify_two_level(a, gap_tol: float = TOLERANCES["gap"]) -> TwoLevelDecomposition:
     """Decide whether A is a real combination of a projection and I.
 
     Equivalent to the spectrum having at most two points (up to gap_tol
@@ -158,7 +151,7 @@ def _decomposition(s: _Split) -> TwoLevelDecomposition:
     return TwoLevelDecomposition(True, s.projection[0], high - low, low, margin)
 
 
-def independence_vector(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
+def independence_vector(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.ndarray]:
     """A unit x with {x, Ax, A^2 x} linearly independent, or None.
 
     Exists exactly when A has at least three spectral points, i.e. is not
@@ -191,7 +184,7 @@ def _witness_basis(s: _Split) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def asymmetry_witness(
-    a, gap_tol: float = GAP_TOL
+    a, gap_tol: float = TOLERANCES["gap"]
 ) -> Optional[tuple[np.ndarray, CommutatorInterval]]:
     """A rank-2 Hermitian B and its interval W([A,B]) = i[t_min, t_max],
     or None if A is two-level at gap_tol.
@@ -224,7 +217,7 @@ def _witness(a: np.ndarray, s: _Split):
     return b, CommutatorInterval(float(ts[0]), float(ts[-1]))
 
 
-def symmetry_witness_unitary(a, gap_tol: float = GAP_TOL) -> Optional[np.ndarray]:
+def symmetry_witness_unitary(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.ndarray]:
     """Hermitian unitary U with U [A,B] U* = -[A,B] for every Hermitian B,
     when A is two-level; None otherwise.
 
@@ -280,20 +273,18 @@ class RadiusEquivalenceVerdict:
         }
 
 
-def _affine_sign_match(
-    a: np.ndarray, b: np.ndarray, tol: float
-) -> Optional[tuple[int, float]]:
+def _affine_sign_match(a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, float]]:
     """(alpha, beta) with B = alpha*A + beta*I for alpha in {+1, -1}, or
     None; +1 is preferred when both match (A scalar).
 
     The residual B - alpha*A - beta*I, with beta = tr(B - alpha*A)/n, is
-    measured against tol * max(1, ||A||_max, ||B||_max).
+    judged by ``TOLERANCES["equiv_residual"]`` at its scale.
     """
     n = a.shape[0]
-    scale = max(1.0, max_abs(a), max_abs(b))
+    bound = TOLERANCES["equiv_residual"] * max(1.0, max_abs(a), max_abs(b))
     for alpha in (1, -1):
         beta = float(np.trace(b - alpha * a).real) / n
-        if max_abs(b - alpha * a - beta * np.eye(n)) <= tol * scale:
+        if max_abs(b - alpha * a - beta * np.eye(n)) <= bound:
             return alpha, beta
     return None
 
@@ -307,16 +298,17 @@ def radius_equivalence_check(
     so the closed form is tried first (sampling alone could only ever
     falsify a universally quantified statement, not verify it).  When no
     algebraic relation holds, Haar-sampled projections hunt for a
-    separating gap; "not-related" requires a gap above 1e-6.  The
-    ``n_projections`` vectors come from one ``rng.standard_normal`` draw of
-    shape (n_projections, 2, n), which makes the same draws as that many
-    ``random_unit_vector`` calls and gives the same vectors bit for bit;
-    the witness vector is the first of them attaining ``worst_gap``.
+    separating gap; "not-related" requires a gap above
+    ``TOLERANCES["equiv_gap"]``.  The ``n_projections`` vectors come from
+    one ``rng.standard_normal`` draw of shape (n_projections, 2, n), which
+    makes the same draws as that many ``random_unit_vector`` calls and gives
+    the same vectors bit for bit; the witness vector is the first of them
+    attaining ``worst_gap``.
     """
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
     a, b = _hermitian_pair(a, b)
-    match = _affine_sign_match(a, b, EQUIV_RESIDUAL_TOL)
+    match = _affine_sign_match(a, b)
     n = a.shape[0]
 
     xs = _unit_vectors(rng.standard_normal((n_projections, 2, n)))
@@ -327,21 +319,8 @@ def radius_equivalence_check(
     worst_x = xs[k].copy() if worst_gap > 0.0 else None
 
     if match is not None:
-        return RadiusEquivalenceVerdict(
-            status="related",
-            related=True,
-            alpha=match[0],
-            beta=match[1],
-            worst_gap=worst_gap,
-            n_projections=n_projections,
-        )
-    status = "not-related" if worst_gap > EQUIV_GAP_TOL else "inconclusive"
+        return RadiusEquivalenceVerdict("related", True, *match, worst_gap, n_projections)
+    status = "not-related" if worst_gap > TOLERANCES["equiv_gap"] else "inconclusive"
     return RadiusEquivalenceVerdict(
-        status=status,
-        related=False,
-        alpha=None,
-        beta=None,
-        worst_gap=worst_gap,
-        n_projections=n_projections,
-        witness_vector=worst_x,
+        status, False, None, None, worst_gap, n_projections, worst_x
     )

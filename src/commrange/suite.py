@@ -28,7 +28,6 @@ from .matcore import (
     max_abs,
     random_hermitian,
     random_unit_vector,
-    random_unitary,
     rank_numeric,
     substream,
 )
@@ -82,40 +81,43 @@ def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
 
 
-def _normal_draws(seed: int, count: int, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` from each (seed, i) stream, i < count,
-    stacked; one generator is reopened at each index."""
-    rng = substream(seed, 0)
-    out = np.empty((count, *shape))
-    for i in range(count):
-        _reopen_stream(rng, seed, i)
-        out[i] = rng.standard_normal(shape)
+def _normal_draws(keys: list, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` from each (seed, index) stream of
+    ``keys``, stacked; one generator is reopened at each key."""
+    rng = substream(*keys[0])
+    out = np.empty((len(keys), *shape))
+    for k, key in enumerate(keys):
+        _reopen_stream(rng, *key)
+        out[k] = rng.standard_normal(shape)
     return out
 
 
-def _seeded_spec(seed: int, label: str, n: int, **rules) -> MapSpec:
-    """The map with ``rules`` whose Haar unitary is derived from ``label``
-    and whose sign, shift and set seeds from ``label`` plus ":h", ":f" and
-    ":s"; a seed its rules do not use is never read."""
-    unitary_rng = substream(_derived_seed(seed, label), UNITARY_STREAM)
-    return MapSpec(
-        dim=n,
-        unitary=random_unitary(n, unitary_rng),
-        sign_seed=_derived_seed(seed, label + ":h"),
-        shift_seed=_derived_seed(seed, label + ":f"),
-        sset_seed=_derived_seed(seed, label + ":s"),
-        **rules,
-    )
+def _seeded_specs(seed: int, forms: list, n: int) -> list:
+    """The map of each (label, rules) of ``forms``, its Haar unitary drawn
+    as ``random_unitary`` would from the seed derived from ``label`` (all in
+    one stacked QR) and its sign, shift and set seeds from ``label`` plus
+    ":h", ":f" and ":s"; a seed its rules do not use is never read."""
+    keys = [(_derived_seed(seed, label), UNITARY_STREAM) for label, _ in forms]
+    unitaries = _haar(_normal_draws(keys, (2, n, n)))
+    return [
+        MapSpec(
+            dim=n,
+            unitary=u,
+            sign_seed=_derived_seed(seed, label + ":h"),
+            shift_seed=_derived_seed(seed, label + ":f"),
+            sset_seed=_derived_seed(seed, label + ":s"),
+            **rules,
+        )
+        for (label, rules), u in zip(forms, unitaries)
+    ]
 
 
 def _form_reports(seed, forms, n, modes, trials, tol, workers):
     """The reports, one list per form in mode order, of the seeded map of
     each (label, rules) of ``forms`` over the trial stream of its label, at
     tolerance ``tol``, from one engine call."""
-    runs = [
-        (_seeded_spec(seed, label, n, **rules), _derived_seed(seed, label + ":trials"))
-        for label, rules in forms
-    ]
+    seeds = [_derived_seed(seed, label + ":trials") for label, _ in forms]
+    runs = list(zip(_seeded_specs(seed, forms, n), seeds))
     return _preservation_reports(runs, modes, trials, n, (tol,) * len(modes), workers)
 
 
@@ -266,16 +268,17 @@ def crit_affine_equivalence_oracle(seed: int, scale: float, workers: int) -> dic
 
 
 def _judge_probes(a: np.ndarray, u: np.ndarray, b: np.ndarray):
-    """Whether every Hermitian probe of the stack ``b`` gives a symmetric
-    W([A, B]) (to 1e-8) and a conjugation residual ||U C U* + C||_max of at
-    most 1e-10, C = [A, B], with the residuals of the probes judged.
+    """Whether every Hermitian probe of the stack ``b`` gives a W([A, B])
+    that ``interval_symmetric`` accepts and a conjugation residual
+    ||U C U* + C||_max of at most 1e-10, C = [A, B], with the residuals of
+    the probes judged.
 
     Probes are judged in order, and judging stops at the first one that
     fails.  Its residual is among those returned only if its interval was
     symmetric, since the residual test comes second.
     """
     ts = _commutator_spectrum(a, b)
-    symmetric = _symmetric(ts[:, 0], ts[:, -1], 1e-8)
+    symmetric = _symmetric(ts[:, 0], ts[:, -1])
     comm = a @ b - b @ a
     residuals = np.abs(u @ comm @ u.conj().T + comm).max(axis=(-2, -1))
     failed = ~symmetric | (residuals > 1e-10)
@@ -480,7 +483,7 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     cross_trials = _count(1000, scale)
     # the parts of A and then of B, as two ``random_hermitian`` calls draw them
     cross_seed = _derived_seed(seed, "dim2:cross")
-    parts = _normal_draws(cross_seed, cross_trials, (2, 2, 2, 2))
+    parts = _normal_draws([(cross_seed, i) for i in range(cross_trials)], (2, 2, 2, 2))
     a = _hermitian_stack(_gue(parts[:, 0]))
     b = _hermitian_stack(_gue(parts[:, 1]))
     cross = np.cross(_pauli_coords(a)[:, :3], _pauli_coords(b)[:, :3])
@@ -489,7 +492,8 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
     cross_worst = max_abs(a @ b - b @ a - recon)
 
     rot_trials = _count(1000, scale)
-    rot_parts = _normal_draws(_derived_seed(seed, "dim2:rot"), rot_trials, (2, 2, 2))
+    rot_seed = _derived_seed(seed, "dim2:rot")
+    rot_parts = _normal_draws([(rot_seed, i) for i in range(rot_trials)], (2, 2, 2))
     _, det_signs = _rotations(_haar(rot_parts))
     rot_ok = int((det_signs == 1).sum())
 
@@ -585,7 +589,7 @@ def crit_determinism_probe(seed: int, scale: float, workers: int) -> dict:
     leave this process: ``tests/test_maps.py`` covers the process split in
     ``test_reports_byte_identical_across_worker_counts``."""
     label = "determinism"
-    m = _seeded_spec(seed, label, 3, sign=SIGN_HASH, shift=SHIFT_HASH)
+    (m,) = _seeded_specs(seed, [(label, dict(sign=SIGN_HASH, shift=SHIFT_HASH))], 3)
     run_seed = _derived_seed(seed, label + ":trials")
     trials = _count(40, scale)
     blobs = []

@@ -432,3 +432,83 @@ def test_suite_smoke(tmp_path):
     assert {c["id"] for c in report["criteria"]} == set(range(1, 11))
     assert code == 0
     assert report["passed"] is True
+
+
+def test_tolerance_table_pinned_and_read_by_every_default(matrix_file, capsys):
+    # one literal table holds every library threshold; each default of the
+    # CLI, of check_preservation and of the two-level functions is its entry
+    import inspect
+    import re
+    from pathlib import Path
+
+    from commrange import structure
+    from commrange.cli import _build_parser
+    from commrange.maps import MapConfigError, MapSpec, check_preservation
+    from commrange.matcore import TOLERANCES
+
+    assert TOLERANCES == {
+        "hermitian": 1e-12,
+        "unitary": 1e-10,
+        "rank": 1e-9,
+        "unit_norm": 1e-12,
+        "symmetry": 1e-8,
+        "newton_step": 1e-8,
+        "unimodular": 1e-6,
+        "gap": 1e-6,
+        "idempotency": 1e-9,
+        "witness": 1e-6,
+        "equiv_residual": 1e-8,
+        "equiv_gap": 1e-6,
+        "radius": 1e-9,
+        "range": 1e-9,
+        "spectrum": 1e-10,
+    }
+    args = _build_parser().parse_args(["classify", "a.json"])
+    assert (args.tol_gap, args.tol_witness) == (TOLERANCES["gap"], TOLERANCES["witness"])
+    forms = {"radius": ("radius", 3), "range": ("range", 3), "dim2": ("spectrum", 2)}
+    for form, (mode, n) in forms.items():
+        assert main(["verify", form, "--trials", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == TOLERANCES[mode]
+        m = MapSpec(dim=n, unitary=np.eye(n))
+        assert check_preservation(m, mode, 3, n, 1).tolerance == TOLERANCES[mode]
+    for name in ("bogus", "gap"):
+        with pytest.raises(MapConfigError, match="unknown mode"):
+            check_preservation(MapSpec(dim=3, unitary=np.eye(3)), name, 3, 3, 1)
+    for fn in (
+        structure.classify_two_level,
+        structure.independence_vector,
+        structure.asymmetry_witness,
+        structure.symmetry_witness_unitary,
+    ):
+        assert inspect.signature(fn).parameters["gap_tol"].default == TOLERANCES["gap"]
+    old_names = re.compile(r"_TOL\b|DEFAULT_TOLERANCES")
+    src = Path(structure.__file__).parent
+    assert [p.name for p in src.glob("*.py") if old_names.search(p.read_text())] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "radius", "--trials", "5", "--tol.radius", "inf"],
+        ["verify", "radius", "--trials", "5", "--tol.radius", "1e400"],
+        ["verify", "range", "--trials", "5", "--tol.range", "nan"],
+        ["classify", "DIAG123", "--tol.gap", "inf"],
+        ["classify", "DIAG123", "--tol.witness", "nan"],
+        ["suite", "--scale", "inf"],
+        ["suite", "--scale", "nan"],
+        ["suite", "--scale", "1e400"],
+        ["suite", "--scale", "0"],
+    ],
+)
+def test_non_finite_numbers_exit_usage_in_one_line(matrix_file, capsys, argv):
+    # a tolerance or scale must be finite and above 0: an infinite --tol.gap
+    # would certify diag(1, 2, 3) as two-level, an infinite --scale would
+    # overflow a trial count; each is refused while parsing
+    path = matrix_file("d.json", np.diag([1.0, 2.0, 3.0]))
+    argv = [path if arg == "DIAG123" else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"invalid positive_float value: '{argv[-1]}'" in captured.err
+    assert "Traceback" not in captured.err

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commrange import suite as suite_mod
+from commrange.cli import main
 from commrange.matcore import (
     MatrixError,
     hermitian,
@@ -31,6 +32,7 @@ from commrange.maps import (
     SIGN_HASH,
     SSET_ALL,
     SSET_RANDOM,
+    UNITARY_STREAM,
     MapConfigError,
     MapSpec,
     _BLOCK_TRIALS,
@@ -602,3 +604,46 @@ def test_trials_validate_only_inexact_matrices(validated_stacks):
         validated_stacks.clear()
         assert check_preservation(m, mode, 100, 3, 7).passed
         assert validated_stacks == [75, 200]
+
+
+def test_unguarded_script_fails_and_guarded_script_matches_one_worker(tmp_path):
+    # a spawn worker re-imports the main script; without the __main__
+    # guard its own call would open a pool while it bootstraps, which the
+    # pool refuses by ending the worker, so the calling run fails
+    call = (
+        "sys.exit(cli.main(['verify', 'radius', '--trials', '600', "
+        "'--workers', '2', '--out', sys.argv[1]]))"
+    )
+    head = "import sys\nfrom commrange import cli\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    runs = {}
+    for name, body in (
+        ("unguarded", call + "\n"),
+        ("guarded", "if __name__ == '__main__':\n    " + call + "\n"),
+    ):
+        script = tmp_path / f"{name}.py"
+        script.write_text(head + body, encoding="utf-8")
+        runs[name] = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / f"{name}.json")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+    unguarded, guarded = runs["unguarded"], runs["guarded"]
+    assert unguarded.returncode != 0
+    assert 'put its calls under if __name__ == "__main__":' in unguarded.stderr
+    assert not (tmp_path / "unguarded.json").exists()
+    assert guarded.returncode == 0, guarded.stderr
+    assert guarded.stderr == ""
+    serial = tmp_path / "serial.json"
+    assert main(["verify", "radius", "--trials", "600", "--out", str(serial)]) == 0
+    assert (tmp_path / "guarded.json").read_bytes() == serial.read_bytes()
+
+
+def test_suite_map_unitaries_are_the_per_form_draws():
+    # one stacked QR over every form's draws gives each form the unitary
+    # that random_unitary draws from the form's own stream, bit for bit
+    forms = [(f"form:{k}", dict(sign=SIGN_HASH)) for k in range(7)]
+    for n in (2, 3, 4, 6):
+        for m, (label, _) in zip(suite_mod._seeded_specs(2026, forms, n), forms):
+            rng = substream(suite_mod._derived_seed(2026, label), UNITARY_STREAM)
+            assert m.unitary.tobytes() == random_unitary(n, rng).tobytes()
+            assert m.sign_seed == suite_mod._derived_seed(2026, label + ":h")

@@ -360,7 +360,7 @@ def test_commutator_spectrum_property_antisymmetric(pair):
 
 
 def test_is_unitary_bound_pinned():
-    # one bound, UNITARY_TOL = 1e-10 on ||U U* - I||_max, for every caller
+    # one bound, TOLERANCES["unitary"] on ||U U* - I||_max, for every caller
     for defect, ok in ((5e-11, True), (5e-10, False)):
         u = np.eye(2, dtype=complex)
         u[0, 1] = defect
@@ -380,7 +380,7 @@ def test_is_unitary_bound_pinned():
 def test_rank_property_rank_k(data, n, log_scale, seed):
     k = data.draw(st.integers(1, n))
     # nonzero singular values lie in 10**log_scale * [0.5, 2], so every one
-    # of them clears RANK_TOL = 1e-9 relative to max(1, s_max)
+    # of them clears TOLERANCES["rank"] = 1e-9 relative to max(1, s_max)
     mags = data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
     signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=k, max_size=k))
     spectrum = np.zeros(n)
@@ -389,7 +389,7 @@ def test_rank_property_rank_k(data, n, log_scale, seed):
 
 
 def test_skew_eigenvalues_defect_bound_pinned():
-    # the enforced skew defect bound is HERMITIAN_TOL = 1e-12 relative
+    # the enforced skew defect bound is TOLERANCES["hermitian"], relative
     base = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     for defect, ok in ((5e-11, False), (5e-13, True)):
         c = base.copy()

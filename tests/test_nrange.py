@@ -186,8 +186,6 @@ def test_interval_symmetric_cases():
     assert interval_symmetric(CommutatorInterval(-1.0, 1.0))
     assert interval_symmetric(CommutatorInterval(0.0, 0.0))
     assert not interval_symmetric(CommutatorInterval(-1.0, 1.5))
-    with pytest.raises(ValueError):
-        interval_symmetric(CommutatorInterval(-1.0, 1.0), tol=0.0)
 
 
 def test_interval_symmetric_witness_fixture():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from commrange import matcore
 from commrange.matcore import (
     MAX_DIM,
+    TOLERANCES,
     MatrixError,
     _gue,
     _sym,
@@ -20,8 +21,6 @@ from commrange.matcore import (
 )
 from commrange.nrange import _rank1_radii, commutator_interval, interval_symmetric
 from commrange.structure import (
-    EQUIV_GAP_TOL,
-    EQUIV_RESIDUAL_TOL,
     _affine_sign_match,
     classify_two_level,
     asymmetry_witness,
@@ -361,10 +360,10 @@ def _equivalence_reference(a, b, n_projections, rng):
     xs = np.stack(xs)
     gaps = np.abs(_rank1_radii(a, xs) - _rank1_radii(b, xs))
     k = int(np.argmax(gaps))
-    match = _affine_sign_match(a, b, EQUIV_RESIDUAL_TOL)
+    match = _affine_sign_match(a, b)
     if match is not None:
         return "related", match[0], match[1], float(gaps[k]), None
-    status = "not-related" if gaps[k] > EQUIV_GAP_TOL else "inconclusive"
+    status = "not-related" if gaps[k] > TOLERANCES["equiv_gap"] else "inconclusive"
     witness = xs[k] if gaps[k] > 0.0 else None
     return status, None, None, float(gaps[k]), witness
 
@@ -397,7 +396,7 @@ def _judge_probes_reference(a, u, probes):
     residuals of the probes judged before it stopped."""
     seen = []
     for b in probes:
-        if not interval_symmetric(commutator_interval(a, b), 1e-8):
+        if not interval_symmetric(commutator_interval(a, b)):
             return False, seen
         comm = commutator(a, b)
         residual = max_abs(u @ comm @ u.conj().T + comm)
@@ -465,7 +464,7 @@ def test_dichotomy_smoke():
         if witness is None:
             for _ in range(10):
                 b = random_hermitian(n, rng)
-                assert interval_symmetric(commutator_interval(a, b), 1e-8)
+                assert interval_symmetric(commutator_interval(a, b))
         else:
             _, iv = witness
             assert abs(iv.t_min + iv.t_max) > 1e-6

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from commrange import maps as maps_mod
 from commrange.matcore import (
+    TOLERANCES,
     MatrixError,
     _hermitian_stack,
     commutator_spectrum,
@@ -45,7 +46,7 @@ from commrange.maps import (
     sample_trial_pair,
 )
 from commrange.pauli2 import _psi, psi
-from commrange.structure import GAP_TOL, _split, classify_two_level
+from commrange.structure import _split, classify_two_level
 
 # Every sign rule (radius forms, epsilon None) and every exceptional-set
 # rule (range forms, epsilon +/-1), under every dagger and shift rule.
@@ -322,22 +323,23 @@ def test_stacked_symmetry_test_matches_one_matrix_test():
 
 
 def test_stacked_two_level_mask_matches_classifier():
+    gap = TOLERANCES["gap"]
     for n in (2, 3, 6):
         a, b = _sample_block(n, [(64 + n, 0, 40)])
         stack = np.concatenate([a, b])
-        mask = _split(stack, GAP_TOL).two_level
+        mask = _split(stack, gap).two_level
         assert mask.tolist() == [classify_two_level(x).two_level for x in stack]
         assert 0 < mask.sum() <= len(stack)
-    # a middle gap of GAP_TOL * diameter * (1 -/+ 1e-9): two clusters just
+    # a middle gap of gap * diameter * (1 -/+ 1e-9): two clusters just
     # below the threshold, three just above it, on diagonal matrices (exact
     # spectra) and on their unitary rotations (rounded spectra)
     near = []
     for scale in (1.0, 3.7, 1e-5):
         for rel in (1.0 - 1e-9, 1.0 + 1e-9):
-            near.append(np.diag([0.0, GAP_TOL * rel * scale, scale]).astype(complex))
+            near.append(np.diag([0.0, gap * rel * scale, scale]).astype(complex))
     rotations = [random_unitary(3, substream(66, k)) for k in range(len(near))]
     near += [hermitian(u @ d @ u.conj().T) for u, d in zip(rotations, near)]
-    mask = _split(np.array(near), GAP_TOL).two_level
+    mask = _split(np.array(near), gap).two_level
     assert mask.tolist() == [classify_two_level(x).two_level for x in near]
     assert mask[:6].tolist() == [True, False] * 3
 
