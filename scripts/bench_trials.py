@@ -17,9 +17,11 @@ trial:
 
 ``oracles``: at n = 3, 6 and 16, microseconds per
 ``radius_equivalence_check`` call (200 projections, an unrelated GUE pair),
-per draw of its 200 unit vectors and per ``asymmetry_witness`` call on 50
-GUE matrices; and the wall time in seconds of acceptance criteria 4 and 5
-at scale 1.0.
+per draw of its 200 unit vectors, per ``asymmetry_witness`` and per
+``classify_two_level`` call on 50 GUE matrices, and per
+``classify_two_level`` and per ``symmetry_witness_unitary`` call on 50
+two-level matrices, drawn as criterion 5 draws them; and the wall time in
+seconds of acceptance criteria 4 and 5 at scale 1.0.
 
 ``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
 call on 50 Ginibre matrices scaled by 1/sqrt(2), as criterion 9 draws them,
@@ -68,7 +70,9 @@ from commrange.matcore import (  # noqa: E402
 from commrange.nrange import numerical_radius, range_boundary  # noqa: E402
 from commrange.structure import (  # noqa: E402
     asymmetry_witness,
+    classify_two_level,
     radius_equivalence_check,
+    symmetry_witness_unitary,
 )
 
 DIMS = (2, 3, 6, 16)
@@ -179,6 +183,9 @@ def measure_oracles(seed: int, reps: int) -> dict:
         "equiv_us_per_call": {},
         "draw200_us": {},
         "witness_us_per_call": {},
+        "classify_gue_us_per_call": {},
+        "classify_two_level_us_per_call": {},
+        "unitary_two_level_us_per_call": {},
         "criteria_s": {},
     }
     for n in ORACLE_DIMS:
@@ -193,6 +200,18 @@ def measure_oracles(seed: int, reps: int) -> dict:
         mats = [random_hermitian(n, substream(seed + n, k)) for k in range(CALLS)]
         out["witness_us_per_call"][f"n{n}"] = _us_per_matrix(
             asymmetry_witness, mats, reps
+        )
+        out["classify_gue_us_per_call"][f"n{n}"] = _us_per_matrix(
+            classify_two_level, mats, reps
+        )
+        two_level = [
+            maps._random_two_level(n, substream(seed + n, k)) for k in range(CALLS)
+        ]
+        out["classify_two_level_us_per_call"][f"n{n}"] = _us_per_matrix(
+            classify_two_level, two_level, reps
+        )
+        out["unitary_two_level_us_per_call"][f"n{n}"] = _us_per_matrix(
+            symmetry_witness_unitary, two_level, reps
         )
     out["criteria_s"] = _criteria_s(CRITERIA, seed, reps)
     return out

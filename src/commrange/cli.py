@@ -42,21 +42,13 @@ from .matcore import (
     MAX_DIM,
     TOLERANCES,
     MatrixError,
-    hermitian,
     load_matrix,
     matrix_to_json,
     random_unitary,
     substream,
 )
 from .nrange import range_boundary
-from .structure import (
-    WitnessSearchError,
-    _conjugation_unitary,
-    _decomposition,
-    _split,
-    _witness,
-    radius_equivalence_check,
-)
+from .structure import WitnessSearchError, _certificate, radius_equivalence_check
 from .pauli2 import to_pauli
 from .maps import (
     DAGGER_IDENTITY,
@@ -258,18 +250,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     # One split gives the classification, its certificate and the diameter.
-    a = hermitian(load_matrix(args.matrix_file))
-    s = _split(a[None], args.tol_gap)
-    decomp = _decomposition(s)
-    payload = decomp.to_json()
+    c = _certificate(load_matrix(args.matrix_file), args.tol_gap)
+    payload = c.decomposition.to_json()
     payload["conjugation_unitary"] = None
     payload["witness"] = None
-    if decomp.two_level:
-        unitary = _conjugation_unitary(decomp, a.shape[0])
-        payload["conjugation_unitary"] = matrix_to_json(unitary)
+    if c.unitary is not None:
+        payload["conjugation_unitary"] = matrix_to_json(c.unitary)
     else:
-        witness, interval = _witness(a, s)
-        scale = float(s.diameter[0]) * np.linalg.norm(witness, 2)
+        witness, interval = c.witness
+        scale = c.diameter * np.linalg.norm(witness, 2)
         defect = abs(interval.t_min + interval.t_max) / scale
         payload["witness"] = {
             "matrix": matrix_to_json(witness),

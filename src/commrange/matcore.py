@@ -42,7 +42,7 @@ TOLERANCES = {
     "newton_step": 1e-8,  # absolute, in radians; nrange._newton_support
     "unimodular": 1e-6,  # absolute, ||z| - 1|; nrange._level_set_radius
     "gap": 1e-6,  # of the spectral diameter; structure defaults, maps sset, --tol.gap
-    "idempotency": 1e-9,  # absolute, ||P^2 - P||_max; structure._split
+    "idempotency": 1e-9,  # absolute, ||P^2 - P||_max; structure._decomposition
     "witness": 1e-6,  # of d ||B||_2, d the spectral diameter of A; --tol.witness
     "equiv_residual": 1e-8,  # of max(1, ||A||_max, ||B||_max); _affine_sign_match
     "equiv_gap": 1e-6,  # absolute, |w([A, P]) - w([B, P])|; radius_equivalence_check

@@ -46,11 +46,6 @@ class PauliVector:
     def to_json(self) -> dict:
         return {"a": [self.a1, self.a2, self.a3], "t": self.trace_part}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PauliVector":
-        a = obj["a"]
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(obj["t"]))
-
 
 @dataclass(frozen=True)
 class Rotation3:

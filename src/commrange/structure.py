@@ -10,10 +10,13 @@ B; both directions come with constructive certificates:
 * not two-level  -> an explicit rank-2 B whose interval is asymmetric.
 
 One stacked kernel, ``_split``, holds the two-level rule: one ``eigh``
-per stack, the cluster split, the classification margin and the checked
-upper-cluster projection.  ``classify_two_level``, the asymmetry witness
-and the trial engine's exceptional-set rule all read from it; the witness
-is built in closed form from three of the split's eigenvectors.
+per stack and the cluster split, from which the classification margin is
+read; the trial engine's exceptional-set rule reads only its verdicts.
+``_certificate`` builds from one validation and one split the
+decomposition, with its checked upper-cluster projection, and the
+certificate; ``commrange classify``, acceptance criterion 5 and both
+witnesses read it.  The witness is built in closed form from three of the
+split's eigenvectors.
 
 Also houses the rank-1-projection radius test that characterizes pairs
 related by B = +/-A + beta*I.  Each public function validates its matrices
@@ -42,8 +45,8 @@ from .nrange import CommutatorInterval, _rank1_radii
 
 
 class WitnessSearchError(RuntimeError):
-    """Raised when the spectral projection of a two-cluster split fails its
-    idempotency check.
+    """Raised when the spectral projection of a two-level decomposition
+    fails its idempotency check.
 
     This is a falsification event: it means either a library defect or a
     violation of the symmetry dichotomy the witnesses certify.
@@ -89,7 +92,6 @@ class _Split(NamedTuple):
     distance: np.ndarray
     starts: np.ndarray
     clusters: np.ndarray
-    projection: np.ndarray
 
     @property
     def two_level(self) -> np.ndarray:
@@ -104,25 +106,22 @@ def _split(a: np.ndarray, gap_tol: float) -> _Split:
     the threshold gap_tol * diameter.  A positive distance starts a new
     cluster (``starts``), so a scalar matrix, whose diameter and gaps are
     0, is one cluster; a matrix is two-level when it has at most two
-    clusters.  Every matrix with exactly two clusters gets the projection
-    onto its upper cluster, checked for idempotency; the others get zero.
+    clusters.
     """
     eigs, vectors = np.linalg.eigh(a)
     diameter = eigs[:, -1] - eigs[:, 0]
     distance = eigs[:, 1:] - eigs[:, :-1] - (gap_tol * diameter)[:, None]
     starts = distance > 0.0
     clusters = 1 + starts.sum(axis=-1)
-    projection = np.zeros(vectors.shape, dtype=complex)
-    pairs = (clusters == 2).nonzero()[0]
-    first = 1 + starts[pairs].nonzero()[1]
-    for k in set(first.tolist()):
-        rows = pairs[first == k]
-        upper = vectors[rows, :, k:]
-        proj = _sym(upper @ upper.conj().swapaxes(-1, -2))
-        if max_abs(proj @ proj - proj) > TOLERANCES["idempotency"]:
-            raise WitnessSearchError("spectral projection failed idempotency check")
-        projection[rows] = proj
-    return _Split(eigs, vectors, diameter, distance, starts, clusters, projection)
+    return _Split(eigs, vectors, diameter, distance, starts, clusters)
+
+
+def _validated(a, gap_tol: float) -> np.ndarray:
+    """A checked by ``hermitian``, once gap_tol is known to be a finite
+    number above 0; the entry of every public two-level function."""
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be a finite number above 0")
+    return hermitian(a)
 
 
 def classify_two_level(a, gap_tol: float = TOLERANCES["gap"]) -> TwoLevelDecomposition:
@@ -132,13 +131,12 @@ def classify_two_level(a, gap_tol: float = TOLERANCES["gap"]) -> TwoLevelDecompo
     clustering).  For two clusters with means m1 < m2 the decomposition is
     shift = m1, coeff = m2 - m1 and the projection spans the upper cluster.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-    return _decomposition(_split(hermitian(a)[None], gap_tol))
+    return _decomposition(_split(_validated(a, gap_tol)[None], gap_tol))
 
 
 def _decomposition(s: _Split) -> TwoLevelDecomposition:
-    """The two-level decomposition of the matrix of a split stack of one."""
+    """The two-level decomposition of the matrix of a split stack of one,
+    with its upper-cluster projection checked for idempotency."""
     eigs, diameter, clusters = s.eigenvalues[0], float(s.diameter[0]), s.clusters[0]
     # the smallest relative distance of a gap from the threshold
     margin = float(np.abs(s.distance[0]).min() / diameter) if diameter > 0.0 else np.inf
@@ -147,8 +145,40 @@ def _decomposition(s: _Split) -> TwoLevelDecomposition:
     if clusters == 1:
         return TwoLevelDecomposition(True, None, 0.0, float(eigs.mean()), margin)
     k = 1 + int(s.starts[0].argmax())
+    upper = s.vectors[:, :, k:]
+    proj = _sym(upper @ upper.conj().swapaxes(-1, -2))
+    if max_abs(proj @ proj - proj) > TOLERANCES["idempotency"]:
+        raise WitnessSearchError("spectral projection failed idempotency check")
     low, high = float(eigs[:k].mean()), float(eigs[k:].mean())
-    return TwoLevelDecomposition(True, s.projection[0], high - low, low, margin)
+    return TwoLevelDecomposition(True, proj[0], high - low, low, margin)
+
+
+class _Certificate(NamedTuple):
+    """A two-level decomposition, its certificate and the spectral diameter."""
+
+    decomposition: TwoLevelDecomposition
+    unitary: Optional[np.ndarray]
+    witness: Optional[tuple[np.ndarray, CommutatorInterval]]
+    diameter: float
+
+
+def _certificate(a, gap_tol: float) -> _Certificate:
+    """The decomposition of A with the conjugating unitary of
+    :func:`symmetry_witness_unitary` when A is two-level, or else the
+    witness of :func:`asymmetry_witness`, from one validation and one split.
+    """
+    a = _validated(a, gap_tol)
+    s = _split(a[None], gap_tol)
+    decomp, diameter = _decomposition(s), float(s.diameter[0])
+    if decomp.two_level:
+        eye, p = np.eye(a.shape[0], dtype=complex), decomp.projection
+        return _Certificate(decomp, -eye if p is None else 2.0 * p - eye, None, diameter)
+    e1, e2 = _witness_basis(s)
+    # _sym(e1 e1* + 2i e1 e2*) is e1 e1* + i e1 e2* - i e2 e1*, exactly Hermitian
+    b = _sym(np.outer(e1, e1.conj()) + 2j * np.outer(e1, e2.conj()))
+    ts = _commutator_spectrum(a, b)
+    witness = b, CommutatorInterval(float(ts[0]), float(ts[-1]))
+    return _Certificate(decomp, None, witness, diameter)
 
 
 def independence_vector(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.ndarray]:
@@ -158,7 +188,7 @@ def independence_vector(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.nd
     two-level.  It is the witness's e1 (see :func:`_witness_basis`), with
     equal weight on eigenvectors of three distinct eigenvalues.
     """
-    a = hermitian(a)
+    a = _validated(a, gap_tol)
     if a.shape[0] < 3:
         raise MatrixError("independence vector requires dimension >= 3")
     basis = _witness_basis(_split(a[None], gap_tol))
@@ -199,22 +229,10 @@ def asymmetry_witness(
     |t_min + t_max|; it is about 0.49 g d, with d the spectral diameter and
     g d the distance of v_m's eigenvalue from the nearer end.
     """
-    a = hermitian(a)
-    if a.shape[0] < 3:
+    c = _certificate(a, gap_tol)
+    if c.unitary is not None and len(c.unitary) < 3:
         raise MatrixError("asymmetry witness requires dimension >= 3")
-    return _witness(a, _split(a[None], gap_tol))
-
-
-def _witness(a: np.ndarray, s: _Split):
-    """:func:`asymmetry_witness` of A from its split ``s``."""
-    basis = _witness_basis(s)
-    if basis is None:
-        return None
-    e1, e2 = basis
-    # _sym(e1 e1* + 2i e1 e2*) is e1 e1* + i e1 e2* - i e2 e1*, exactly Hermitian
-    b = _sym(np.outer(e1, e1.conj()) + 2j * np.outer(e1, e2.conj()))
-    ts = _commutator_spectrum(a, b)
-    return b, CommutatorInterval(float(ts[0]), float(ts[-1]))
+    return c.witness
 
 
 def symmetry_witness_unitary(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.ndarray]:
@@ -224,17 +242,7 @@ def symmetry_witness_unitary(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[
     U = P - (I - P) for the projection part P (U = -I for scalars, where
     the identity holds vacuously).
     """
-    return _conjugation_unitary(classify_two_level(a, gap_tol), np.asarray(a).shape[0])
-
-
-def _conjugation_unitary(decomp: TwoLevelDecomposition, n: int) -> Optional[np.ndarray]:
-    """:func:`symmetry_witness_unitary` of an n x n matrix from its
-    decomposition."""
-    if not decomp.two_level:
-        return None
-    if decomp.projection is None:
-        return -np.eye(n, dtype=complex)
-    return 2.0 * decomp.projection - np.eye(n, dtype=complex)
+    return _certificate(a, gap_tol).unitary
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_SEED,
+    TOLERANCES,
     _commutator_spectrum,
     _gue,
     _haar,
@@ -37,12 +38,7 @@ from .nrange import (
     numerical_radius,
     rank1_commutator_radius,
 )
-from .structure import (
-    asymmetry_witness,
-    classify_two_level,
-    radius_equivalence_check,
-    symmetry_witness_unitary,
-)
+from .structure import _certificate, radius_equivalence_check
 from .pauli2 import PAULI_BASIS, _pauli_coords, _pauli_sum, _rotations
 from .maps import (
     DAGGER_IDENTITY,
@@ -308,25 +304,22 @@ def crit_two_level_dichotomy(seed: int, scale: float, workers: int) -> dict:
         if i % 2 == 0:
             sym_total += 1
             a = _random_two_level(n, rng)
-            decomp = classify_two_level(a)
-            if not decomp.two_level or asymmetry_witness(a) is not None:
+            u = _certificate(a, TOLERANCES["gap"]).unitary
+            if u is None:
                 continue
-            u = symmetry_witness_unitary(a)
             probes = _gue(rng.standard_normal((probes_per, 2, n, n)))
             good, residuals = _judge_probes(a, u, probes)
             worst_residual = max([worst_residual, *residuals.tolist()])
             sym_ok += 1 if good else 0
         else:
             wit_total += 1
-            a = random_hermitian(n, rng)
-            for _ in range(10):
-                if not classify_two_level(a).two_level:
-                    break
+            # up to 11 GUE draws, until one is not two-level
+            for _ in range(11):
                 a = random_hermitian(n, rng)
-            if classify_two_level(a).two_level:
-                continue
-            witness = asymmetry_witness(a)
-            if witness is None:
+                witness = _certificate(a, TOLERANCES["gap"]).witness
+                if witness is not None:
+                    break
+            else:
                 continue
             _, iv = witness
             defect = abs(iv.t_min + iv.t_max)

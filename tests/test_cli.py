@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commrange.cli import main
-from commrange.matcore import matrix_to_json
+from commrange.matcore import MAX_DIM, matrix_to_json, random_unitary, substream
 from commrange.pauli2 import PAULI_X
+from commrange.structure import classify_two_level
 
 
 @pytest.fixture
@@ -344,6 +351,51 @@ def test_classify_takes_one_eigensolve(matrix_file, capsys, monkeypatch):
             assert report["witness"]["interval"] == list(witness[1])
 
 
+@st.composite
+def _scaled_shifted_hermitian(draw):
+    """c A + d I for a Hermitian A with spectrum in [-1, 1], repeated
+    eigenvalues allowed, c in +/-10^[-300, 300] and finite |d| <= 1e300."""
+    n = draw(st.integers(1, MAX_DIM))
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=n))
+    picks = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    u = random_unitary(n, substream(draw(st.integers(0, 2**32 - 1)), 0))
+    a = (u * picks) @ u.conj().T
+    a = (a + a.conj().T) / 2
+    c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0))
+    return c * a + draw(st.floats(-1e300, 1e300)) * np.eye(n)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_scaled_shifted_hermitian())
+def test_classify_exits_zero_with_one_eigensolve_at_every_scale(a):
+    # valid input at any scale and shift gives a finite report and exit 0,
+    # never a falsification (3) or an internal error (4)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        calls.append(1)
+        return eigh(m, *args, **kwargs)
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        path.write_text(json.dumps(matrix_to_json(a)), encoding="utf-8")
+        np.linalg.eigh = counting
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["classify", str(path)])
+        finally:
+            np.linalg.eigh = eigh
+    assert (code, err.getvalue(), len(calls)) == (0, "", 1)
+    report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    assert report["two_level"] == classify_two_level(a).two_level
+
+
 def test_classify_reports_the_band_above_the_gap_threshold(matrix_file, capsys):
     # a middle eigenvalue just above the cluster threshold gives a defect
     # of about 0.3 g relative to d ||B||_2, under --tol.witness: reported
@@ -366,9 +418,10 @@ def test_classify_falsification_exit_code(matrix_file, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise WitnessSearchError("forced for exit-code test")
 
-    monkeypatch.setattr(cli_mod, "_witness", boom)
+    monkeypatch.setattr(cli_mod, "_certificate", boom)
     path = matrix_file("a.json", np.diag([1.0, 2.0, 3.0]))
     assert main(["classify", path]) == 3
+    monkeypatch.undo()
     # the one source of the error: a two-cluster split whose spectral
     # projection fails its idempotency check, forced here
     monkeypatch.setattr(structure_mod, "max_abs", lambda m: 1.0)

@@ -441,6 +441,26 @@ def test_criterion_5_probes_stop_at_the_first_failure():
     assert not good and residuals.tolist() == [0.0]
 
 
+def test_criterion_5_takes_one_eigensolve_per_matrix(monkeypatch):
+    # each drawn matrix is classified and certified from one split
+    from commrange import suite
+
+    counts = {"eigh": 0, "draws": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
+    for name in ("random_hermitian", "_random_two_level"):
+        monkeypatch.setattr(suite, name, counting(getattr(suite, name), "draws"))
+    assert suite.crit_two_level_dichotomy(2026, 0.02, 1)["passed"]
+    assert counts == {"eigh": 10, "draws": 10}
+
+
 def test_every_dim2_hermitian_is_two_level():
     # at dim 2 the spectrum has at most two points, so the class is all of
     # the Hermitian matrices and symmetry of commutator ranges is automatic
@@ -470,17 +490,42 @@ def test_dichotomy_smoke():
             assert abs(iv.t_min + iv.t_max) > 1e-6
 
 
-def test_public_routes_validate_once(hermitian_calls):
+def test_public_routes_validate_once(hermitian_calls, monkeypatch):
+    # and each two-level route makes one eigensolve, the witnesses included
     a = random_hermitian(6, substream(47, 0))
     b = random_hermitian(6, substream(47, 1))
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        eighs.append(1)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     routes = (
         # A only: the witness B is formed exactly Hermitian
-        (lambda: asymmetry_witness(a) is not None, 1),
-        (lambda: radius_equivalence_check(a, b, 50, substream(47, 2)), 2),
-        (lambda: classify_two_level(a), 1),
-        (lambda: symmetry_witness_unitary(np.diag([1.0, 1.0, 2.0])) is not None, 1),
+        (lambda: asymmetry_witness(a) is not None, 1, 1),
+        (lambda: radius_equivalence_check(a, b, 50, substream(47, 2)), 2, 0),
+        (lambda: classify_two_level(a), 1, 1),
+        (lambda: independence_vector(a) is not None, 1, 1),
+        (lambda: symmetry_witness_unitary(np.diag([1.0, 1.0, 2.0])) is not None, 1, 1),
     )
-    for call, expected in routes:
+    for call, validations, solves in routes:
         hermitian_calls.clear()
+        eighs.clear()
         assert call()
-        assert len(hermitian_calls) == expected
+        assert (len(hermitian_calls), len(eighs)) == (validations, solves)
+
+
+@pytest.mark.parametrize("gap_tol", [0.0, -1.0, np.nan, np.inf])
+def test_two_level_routes_refuse_a_gap_tol_outside_zero_to_inf(gap_tol):
+    # a nan or inf gap_tol would certify diag(1, 2, 3) as two-level
+    a = np.diag([1.0, 2.0, 3.0])
+    for route in (
+        classify_two_level,
+        independence_vector,
+        asymmetry_witness,
+        symmetry_witness_unitary,
+    ):
+        with pytest.raises(ValueError, match="gap_tol"):
+            route(a, gap_tol)

@@ -344,6 +344,31 @@ def test_stacked_two_level_mask_matches_classifier():
     assert mask[:6].tolist() == [True, False] * 3
 
 
+def test_all_two_level_set_rule_forms_no_projection(monkeypatch):
+    # the engine's set rule reads only the split's verdicts, so a range
+    # run marks its two-level trials without forming a spectral projection
+    from commrange import structure
+
+    members, formed = [], []
+    split, sym = structure._split, structure._sym
+
+    def counting_split(a, gap_tol):
+        s = split(a, gap_tol)
+        members.append(int(s.two_level.sum()))
+        return s
+
+    def counting_sym(m):
+        formed.append(len(m))
+        return sym(m)
+
+    monkeypatch.setattr(maps_mod, "_split", counting_split)
+    monkeypatch.setattr(structure, "_sym", counting_sym)
+    m = _spec(4, 0, epsilon=1, sset=SSET_ALL)
+    assert check_preservation(m, MODE_RANGE, 600, 4, 71).passed
+    assert sum(members) > 0
+    assert formed == []
+
+
 def test_stacked_mirror_map_matches_one_matrix_map():
     a, b = _sample_block(2, [(65, 0, 8)])
     stack = np.concatenate([a, b])
