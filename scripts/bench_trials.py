@@ -21,7 +21,7 @@ per draw of its 200 unit vectors, per ``asymmetry_witness`` and per
 ``classify_two_level`` call on 50 GUE matrices, and per
 ``classify_two_level`` and per ``symmetry_witness_unitary`` call on 50
 two-level matrices, drawn as criterion 5 draws them; and the wall time in
-seconds of acceptance criteria 4 and 5 at scale 1.0.
+seconds of acceptance criteria 3, 4 and 5 at scale 1.0.
 
 ``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
 call on 50 Ginibre matrices scaled by 1/sqrt(2), as criterion 9 draws them,
@@ -82,6 +82,7 @@ PROJECTIONS = 200
 CALLS = 50
 BOUNDARY_ANGLES = 360
 CRITERIA = {
+    "crit03_rank1_radius_identity": suite.crit_rank1_radius_identity,
     "crit04_affine_equivalence_oracle": suite.crit_affine_equivalence_oracle,
     "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
 }

@@ -12,15 +12,15 @@ pauli     scaled-Pauli coordinates of a 2x2 Hermitian matrix
 suite     the full acceptance battery
 
 All randomness is seeded (--seed, or the COMMRANGE_SEED environment
-variable); identical invocations produce byte-identical reports.  Each
-option is declared on the subcommands that read it; tolerance overrides
-are --tol.radius, --tol.range and --tol.spectrum on verify and --tol.gap
-and --tol.witness on classify, each a finite number above 0 that defaults
-to the ``matcore.TOLERANCES`` entry of its name.  A classify witness
-reports its "defect" |t_min + t_max| / (d ||B||_2), d the spectral
-diameter of A, and "certified" (defect above --tol.witness); an
-uncertified witness, as a middle cluster just above the --tol.gap
-threshold gives, still exits 0.
+variable, an integer in [0, 2**64)); identical invocations produce
+byte-identical reports.  Each option is declared on the subcommands that
+read it; tolerance overrides are --tol.radius, --tol.range and
+--tol.spectrum on verify and --tol.gap and --tol.witness on classify, each
+a finite number above 0 that defaults to the ``matcore.TOLERANCES`` entry
+of its name.  A classify witness reports its "defect" |t_min + t_max| /
+(d ||B||_2), d the spectral diameter of A, and "certified" (defect above
+--tol.witness); an uncertified witness, as a middle cluster just above the
+--tol.gap threshold gives, still exits 0.
 Exit codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
 falsification event (a spectral projection failing its idempotency
 check), 4 internal error (a crash or a non-finite value in a report,
@@ -100,15 +100,21 @@ def _dump(obj) -> str:
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("COMMRANGE_SEED")
-    if env is not None:
+    """--seed, else COMMRANGE_SEED, else ``DEFAULT_SEED``; a seed outside
+    [0, 2**64) is refused, since streams are keyed by the seed mod 2**64."""
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("COMMRANGE_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"COMMRANGE_SEED={env!r} is not an integer")
-    return DEFAULT_SEED
+        source = "COMMRANGE_SEED"
+    if not 0 <= value < 1 << 64:
+        raise UsageError(f"seed {value} ({source}) is outside [0, 2**64)")
+    return value
 
 
 def positive_float(text: str) -> float:
@@ -134,7 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="rng seed (64-bit)")
+        p.add_argument(
+            "--seed", type=int, default=None, help="rng seed, an integer in [0, 2**64)"
+        )
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_verify = sub.add_parser(

@@ -17,8 +17,9 @@ functions are exercised reproducibly and specs stay serializable.
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
 pairs through a block engine, which lays (map, seed) runs end to end.  For
 each trial index i of a run it first makes the draws of trial i from the
-run's (seed, i) stream; then, for a block of 256 trials at once, it forms
-the sampled matrices (Haar QR, products, validation), applies each run's
+run's (seed, i) stream and files them by recipe, (form, rank); then, for a
+block of 256 trials at once, it forms the sampled matrices of each recipe
+(Haar QR, products, validation) in stacked calls, applies each run's
 map to its own trials (one quantization per matrix shared by the hash
 rules, one stacked ``eigh`` for the exceptional set) and takes both
 commutator spectra and the violation metric, each in stacked calls.  The
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -51,7 +53,7 @@ from .matcore import (
     _hermitian_stack,
     _rank_k,
     _rank_k_coeffs,
-    _reopen_stream,
+    _streams,
     as_matrix,
     hermitian,
     is_unitary,
@@ -295,126 +297,118 @@ def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
 # two-level members and commuting (shared eigenbasis) pairs.
 #
 # Sampling runs in two phases.  ``_Draws`` makes each pair's random draws
-# from its own (seed, i) stream, in a fixed order; ``_sample_block``
-# reopens one generator at each index rather than building a fresh
-# ``substream`` per trial, and the streams are the same.
-# ``_Draws.assemble`` then forms every matrix of the block in stacked calls
-# (QR, products, validation).
+# from its own (seed, i) stream, in a fixed order, and files the draws of
+# each matrix with its slot in one recipe table keyed by (form, group);
+# ``_sample_block`` walks the streams with ``_streams``.
+# ``_Draws.assemble`` then forms each (form, group) of the block in stacked
+# calls (QR, products, validation).
 # No draw depends on a QR or a product, so the split changes no number.
 # ---------------------------------------------------------------------------
 
 
 class _Draws:
-    """The random draws of a block of pool matrices, slot by slot."""
+    """The random draws of a block of pool matrices, filed by recipe.
+
+    ``table`` maps (form, group) to the (slot, draws) of each matrix of
+    that recipe: slot is the matrix's place in the block, and group the
+    rank k of a low-rank matrix, r of a two-level one and 0 otherwise.
+    """
 
     def __init__(self, n: int):
         self.n = n
+        self.shape = (2, n, n)  # the normal parts of a Ginibre matrix
         self.count = 0
         self.haar = []  # standard normal parts of each Haar unitary
-        self.gue = []  # (slot, parts)
-        self.rank = []  # (slot, unitary, coefficients)
-        self.scalar = []  # (slot, c): c * I
-        self.level = []  # (slot, unitary, r, alpha, delta)
-        self.conj = []  # (slot, unitary, eigenvalues)
+        self.table = defaultdict(list)
 
-    def _slot(self) -> int:
+    def _file(self, key: tuple, draws) -> None:
+        self.table[key].append((self.count, draws))
         self.count += 1
-        return self.count - 1
 
     def _unitary(self, rng: np.random.Generator) -> int:
-        self.haar.append(rng.standard_normal((2, self.n, self.n)))
+        self.haar.append(rng.standard_normal(self.shape))
         return len(self.haar) - 1
-
-    def draw_gue(self, rng: np.random.Generator) -> None:
-        """A GUE matrix, as ``random_hermitian``."""
-        self.gue.append((self._slot(), rng.standard_normal((2, self.n, self.n))))
 
     def draw_low_rank(self, rng: np.random.Generator) -> None:
         """A rank-1 or rank-2 matrix sum_j c_j x_j x_j* with orthonormal
         x_j and nonzero real c_j."""
         k = 1 + int(rng.integers(min(2, self.n)))
-        slot = self._slot()
-        self.rank.append((slot, self._unitary(rng), _rank_k_coeffs(k, rng)))
+        self._file(("rank", k), (self._unitary(rng), _rank_k_coeffs(k, rng)))
 
     def draw_two_level(self, rng: np.random.Generator) -> None:
         """alpha P + delta I with P a rank-r projection; one in eight draws
         is a scalar c I instead."""
-        slot = self._slot()
         if int(rng.integers(8)) == 0:
-            self.scalar.append((slot, float(rng.uniform(-2.0, 2.0))))
+            self._file(("scalar", 0), float(rng.uniform(-2.0, 2.0)))
             return
         r = int(rng.integers(1, self.n))
         u = self._unitary(rng)
         alpha = float(rng.uniform(0.5, 2.5)) * (1.0 if rng.integers(2) else -1.0)
-        delta = float(rng.uniform(-2.0, 2.0))
-        self.level.append((slot, u, r, alpha, delta))
+        self._file(("level", r), (u, alpha, float(rng.uniform(-2.0, 2.0))))
 
     def draw_pair(self, rng: np.random.Generator, kind: int) -> None:
-        """One (A, B) pair of the mixed pool; kind cycles modulo 4."""
+        """One (A, B) pair of the mixed pool; kind cycles modulo 4.  A GUE
+        matrix is drawn as ``random_hermitian`` draws it."""
         kind = kind % 4
         if kind == 0:
-            self.draw_gue(rng)
-            self.draw_gue(rng)
+            self._file(("gue", 0), rng.standard_normal(self.shape))
+            self._file(("gue", 0), rng.standard_normal(self.shape))
         elif kind == 1:
             self.draw_low_rank(rng)
             if rng.integers(2):
                 self.draw_low_rank(rng)
             else:
-                self.draw_gue(rng)
+                self._file(("gue", 0), rng.standard_normal(self.shape))
         elif kind == 2:
             self.draw_two_level(rng)
-            self.draw_gue(rng)
+            self._file(("gue", 0), rng.standard_normal(self.shape))
         else:
             u = self._unitary(rng)
-            for _ in range(2):
-                self.conj.append((self._slot(), u, rng.standard_normal(self.n)))
+            self._file(("conj", 0), (u, rng.standard_normal(self.n)))
+            self._file(("conj", 0), (u, rng.standard_normal(self.n)))
 
     def assemble(self) -> np.ndarray:
-        """The drawn matrices as one stack, in slot order.
+        """The drawn matrices as one stack, in slot order, each (form,
+        group) formed in one stacked call.
 
-        The two-level matrices and the conjugations U diag(x) U*, formed
-        inexactly, are validated with the symmetry test and
-        symmetrized; c I takes the same step, which fixes the signs of its
-        zeros.  Every other matrix is exactly Hermitian by construction.
+        GUE and low-rank matrices are exactly Hermitian by construction.
+        The rest, formed inexactly (the two-level matrices and the
+        conjugations U diag(x) U*), are validated with the symmetry test and
+        symmetrized in one call; c I takes the same step, which fixes the
+        signs of its zeros.
         """
         n = self.n
         out = np.empty((self.count, n, n), dtype=complex)
         u = _haar(np.array(self.haar)) if self.haar else None
-        if self.gue:
-            slots, parts = zip(*self.gue)
-            out[list(slots)] = _gue(np.array(parts))
-        for slots, us, coeffs in _grouped(self.rank, lambda r: len(r[2])):
-            out[slots] = _rank_k(u[us], np.array(coeffs))
         inexact_slots, inexact = [], []
-        if self.scalar:
-            slots, cs = zip(*self.scalar)
-            inexact_slots += slots
-            inexact.append(np.array(cs)[:, None, None] * np.eye(n, dtype=complex))
-        for slots, us, rs, alphas, deltas in _grouped(self.level, lambda r: r[2]):
-            x = u[us, :, : rs[0]]
-            p = x @ x.conj().swapaxes(-1, -2)
-            alpha = np.array(alphas)[:, None, None]
-            delta = np.array(deltas)[:, None, None]
-            inexact_slots += slots
-            inexact.append(alpha * p + delta * np.eye(n))
-        if self.conj:
-            slots, us, eigs = zip(*self.conj)
-            diag = np.zeros((len(eigs), n, n))
-            diag[:, range(n), range(n)] = eigs
-            uu = u[list(us)]
-            inexact_slots += slots
-            inexact.append(uu @ diag @ uu.conj().swapaxes(-1, -2))
+        for (form, group), records in self.table.items():
+            slots, draws = map(list, zip(*records))
+            if form == "gue":
+                m = _gue(np.array(draws))
+            elif form == "scalar":
+                m = np.array(draws)[:, None, None] * np.eye(n, dtype=complex)
+            elif form == "rank":
+                us, coeffs = map(np.array, zip(*draws))
+                m = _rank_k(u[us], coeffs)
+            elif form == "level":
+                us, alpha, delta = map(np.array, zip(*draws))
+                x = u[us, :, :group]
+                p = x @ x.conj().swapaxes(-1, -2)
+                m = alpha[:, None, None] * p + delta[:, None, None] * np.eye(n)
+            else:
+                us, eigs = map(np.array, zip(*draws))
+                diag = np.zeros((len(us), n, n))
+                diag[:, range(n), range(n)] = eigs
+                x = u[us]
+                m = x @ diag @ x.conj().swapaxes(-1, -2)
+            if form in ("gue", "rank"):
+                out[slots] = m
+            else:
+                inexact_slots += slots
+                inexact.append(m)
         if inexact:
             out[inexact_slots] = _hermitian_stack(np.concatenate(inexact))
         return out
-
-
-def _grouped(records: list, key):
-    """Records with equal ``key`` as one tuple of lists per field."""
-    groups = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append(rec)
-    return [tuple(map(list, zip(*group))) for group in groups.values()]
 
 
 def _random_two_level(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -434,14 +428,11 @@ def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
 def _sample_block(n: int, segments):
     """The A and B stacks of the trials of ``segments``, (seed, lo, hi)
     each, end to end: trial i drawn from the (seed, i) stream with pool
-    kind i.  One generator is reopened at each index, which draws exactly
-    what ``substream(seed, i)`` would."""
+    kind i."""
     draws = _Draws(n)
-    rng = substream(*segments[0][:2])
-    for seed, lo, hi in segments:
-        for i in range(lo, hi):
-            _reopen_stream(rng, seed, i)
-            draws.draw_pair(rng, i)
+    keys = [(seed, i) for seed, lo, hi in segments for i in range(lo, hi)]
+    for (_, i), rng in zip(keys, _streams(keys)):
+        draws.draw_pair(rng, i)
     out = draws.assemble()
     return out[0::2], out[1::2]
 

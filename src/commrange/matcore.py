@@ -24,7 +24,7 @@ independent of call order.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -235,35 +235,45 @@ def rank_numeric(a) -> int:
 DEFAULT_SEED = 2026
 
 
-def _stream_key(seed: int, index: int) -> tuple:
-    """The Philox key of the (seed, index) stream."""
-    return seed % (1 << 64), index % (1 << 64)
-
-
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """A fresh, independent generator for the (seed, index) stream.
 
     Each call builds a new ``Philox``, which first gathers OS entropy that
-    the key then replaces; a loop over many indices of one seed reopens a
-    single generator with :func:`_reopen_stream` instead.
+    the key then replaces; a loop over many streams takes :func:`_streams`,
+    which reopens one generator at each (seed, index) instead.
     """
-    key = np.array(_stream_key(seed, index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox())
+    _reopen_stream(rng, seed, index)
+    return rng
 
 
 def _reopen_stream(rng: np.random.Generator, seed: int, index: int) -> None:
     """Reset the Philox generator ``rng`` to the start of the (seed, index)
-    stream: its next draws are exactly those of ``substream(seed, index)``.
-    The whole state is set (key, zero counter, empty buffer, no cached
-    32-bit half), so nothing drawn before carries over."""
+    stream, keyed by (seed, index) mod 2**64: its next draws are exactly
+    those of a ``Philox`` built with that key.  The whole state is set
+    (key, zero counter, empty buffer, no cached 32-bit half), so nothing
+    drawn before carries over."""
+    key = (seed % (1 << 64), index % (1 << 64))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _stream_key(seed, index)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _streams(keys) -> Iterator[np.random.Generator]:
+    """One generator, reset with :func:`_reopen_stream` to the start of
+    each (seed, index) stream of ``keys`` in turn, so that iteration k
+    draws exactly what ``substream(*keys[k])`` would.  The loop's one
+    ``Philox`` is reset by the next step, so the loop body must not keep
+    the generator past its iteration."""
+    rng = substream(0)
+    for seed, index in keys:
+        _reopen_stream(rng, seed, index)
+        yield rng
 
 
 def _ginibre(parts: np.ndarray) -> np.ndarray:
@@ -307,7 +317,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def _rank_k_coeffs(k: int, rng: np.random.Generator) -> np.ndarray:
     """k standard normal coefficients, each redrawn until |c| >= 1e-3."""
     coeffs = rng.standard_normal(k)
-    while np.any(np.abs(coeffs) < 1e-3):
+    while min(map(abs, coeffs.tolist())) < 1e-3:
         small = np.abs(coeffs) < 1e-3
         coeffs[small] = rng.standard_normal(int(small.sum()))
     return coeffs

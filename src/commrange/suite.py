@@ -20,17 +20,17 @@ from .matcore import (
     DEFAULT_SEED,
     TOLERANCES,
     _commutator_spectrum,
+    _ginibre,
     _gue,
     _haar,
     _hermitian_stack,
-    _reopen_stream,
+    _streams,
     commutator,
     hermitian,
     max_abs,
     random_hermitian,
     random_unit_vector,
     rank_numeric,
-    substream,
 )
 from .nrange import (
     _symmetric,
@@ -79,13 +79,8 @@ def _count(base: int, scale: float) -> int:
 
 def _normal_draws(keys: list, shape: tuple) -> np.ndarray:
     """Standard normals of ``shape`` from each (seed, index) stream of
-    ``keys``, stacked; one generator is reopened at each key."""
-    rng = substream(*keys[0])
-    out = np.empty((len(keys), *shape))
-    for k, key in enumerate(keys):
-        _reopen_stream(rng, *key)
-        out[k] = rng.standard_normal(shape)
-    return out
+    ``keys``, stacked."""
+    return np.array([rng.standard_normal(shape) for rng in _streams(keys)])
 
 
 def _seeded_specs(seed: int, forms: list, n: int) -> list:
@@ -185,8 +180,7 @@ def crit_rank1_radius_identity(seed: int, scale: float, workers: int) -> dict:
     dims = (2, 3, 4, 5, 6)
     base = _derived_seed(seed, "rank1-radius")
     worst = 0.0
-    for i in range(trials):
-        rng = substream(base, i)
+    for i, rng in enumerate(_streams((base, i) for i in range(trials))):
         n = dims[i % len(dims)]
         a = random_hermitian(n, rng)
         x = random_unit_vector(n, rng)
@@ -213,8 +207,7 @@ def crit_affine_equivalence_oracle(seed: int, scale: float, workers: int) -> dic
     related_ok = 0
     beta_worst = 0.0
     gap_worst = 0.0
-    for i in range(n_related):
-        rng = substream(base, i)
+    for i, rng in enumerate(_streams((base, i) for i in range(n_related))):
         n = dims[i % len(dims)]
         a = random_hermitian(n, rng)
         alpha = 1 if i % 2 == 0 else -1
@@ -235,8 +228,8 @@ def crit_affine_equivalence_oracle(seed: int, scale: float, workers: int) -> dic
         gap_worst = max(gap_worst, verdict.worst_gap)
 
     rejected_ok = 0
-    for i in range(n_perturbed):
-        rng = substream(base, 1_000_000 + i)
+    perturbed = _streams((base, 1_000_000 + i) for i in range(n_perturbed))
+    for i, rng in enumerate(perturbed):
         n = dims[i % len(dims)]
         a = random_hermitian(n, rng)
         alpha = 1 if i % 2 == 0 else -1
@@ -298,8 +291,7 @@ def crit_two_level_dichotomy(seed: int, scale: float, workers: int) -> dict:
     wit_total = 0
     worst_residual = 0.0
     worst_defect = np.inf
-    for i in range(total):
-        rng = substream(base, i)
+    for i, rng in enumerate(_streams((base, i) for i in range(total))):
         n = dims[i % len(dims)]
         if i % 2 == 0:
             sym_total += 1
@@ -515,13 +507,9 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
 # -- 9 ---------------------------------------------------------------------
 
 
-def sampled_radius(
-    a: np.ndarray,
-    rng: np.random.Generator,
-    starts: int = 32,
-    steps: int = 100,
-) -> float:
-    """Sampling oracle for w(A): fixed-point ascent from random unit vectors.
+def sampled_radius(a: np.ndarray, rng: np.random.Generator) -> float:
+    """Sampling oracle for w(A): fixed-point ascent from 32 random unit
+    vectors over 100 steps.
 
     Uses only matrix-vector products (no eigensolver), so it is independent
     of the level-set method it checks.  Each step takes every start v to
@@ -533,12 +521,12 @@ def sampled_radius(
     """
     n = a.shape[0]
     adj = a.conj().T
-    v = rng.standard_normal((n, starts)) + 1j * rng.standard_normal((n, starts))
+    v = rng.standard_normal((n, 32)) + 1j * rng.standard_normal((n, 32))
     v /= np.linalg.norm(v, axis=0, keepdims=True)
     av = a @ v
     q = np.einsum("ij,ij->j", v.conj(), av)
     best = np.abs(q)
-    for _ in range(steps):
+    for _ in range(100):
         phase = np.exp(-1j * np.angle(q))
         v = (phase * av + phase.conj() * (adj @ v)) / 2 + best * v
         v /= np.linalg.norm(v, axis=0, keepdims=True)
@@ -555,10 +543,9 @@ def crit_sweep_vs_sampling(seed: int, scale: float, workers: int) -> dict:
     base = _derived_seed(seed, "sweep")
     worst_gap = 0.0
     worst_onesided = 0.0
-    for i in range(count):
-        rng = substream(base, i)
+    for i, rng in enumerate(_streams((base, i) for i in range(count))):
         n = dims[i % len(dims)]
-        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        a = _ginibre(rng.standard_normal((2, n, n)))
         swept = numerical_radius(a)
         sampled = sampled_radius(a, rng)
         worst_onesided = max(worst_onesided, sampled - swept)

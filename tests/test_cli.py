@@ -277,6 +277,25 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_seeds_outside_zero_to_two_to_the_64_are_refused(monkeypatch, capsys):
+    # streams are keyed by the seed mod 2**64, so -5 and 2**64 - 5 would
+    # draw the same data under two recorded seeds
+    argv = ["verify", "radius", "--trials", "5"]
+    for seed in (0, 2**64 - 1):
+        assert main(argv + ["--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+    for seed in (-1, 2**64):
+        assert main(argv + ["--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"commrange: seed {seed} (--seed) is outside [0, 2**64)\n"
+    monkeypatch.setenv("COMMRANGE_SEED", "-5")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "commrange: seed -5 (COMMRANGE_SEED) is outside [0, 2**64)\n"
+
+
 def test_verify_reports_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

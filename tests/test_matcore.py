@@ -554,6 +554,32 @@ def test_reopened_stream_equals_fresh_substream(seed, index):
     assert rng.uniform(size=3).tobytes() == fresh.uniform(size=3).tobytes()
 
 
+@pytest.mark.parametrize(
+    "criterion, built",
+    [
+        ("crit_rank1_radius_identity", 1),
+        ("crit_affine_equivalence_oracle", 2),
+        ("crit_two_level_dichotomy", 1),
+        ("crit_sweep_vs_sampling", 1),
+    ],
+)
+def test_per_trial_criteria_reopen_one_philox_per_loop(monkeypatch, criterion, built):
+    # each per-trial loop walks its streams with ``_streams``; a fresh
+    # ``substream`` per trial would build 20, 20, 10 and 2 at this scale
+    from commrange import suite
+
+    philox = np.random.Philox
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    assert getattr(suite, criterion)(2026, 0.02, 1)["passed"]
+    assert len(calls) == built
+
+
 def _unit_vector_reference(n, rng):
     """One Haar unit vector drawn and normalized on its own."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

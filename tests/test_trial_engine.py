@@ -175,11 +175,12 @@ def test_sampled_stacks_are_exactly_hermitian_per_trial():
             assert hermitian(a[k]).tobytes() == a[k].tobytes()
 
 
-def _per_trial_stacks(n, seed, lo, hi):
+def _per_trial_stacks(n, segments):
     """``_sample_block`` with a fresh ``substream`` per trial."""
     draws = maps_mod._Draws(n)
-    for i in range(lo, hi):
-        draws.draw_pair(substream(seed, i), i)
+    for seed, lo, hi in segments:
+        for i in range(lo, hi):
+            draws.draw_pair(substream(seed, i), i)
     out = draws.assemble()
     return out[0::2], out[1::2]
 
@@ -190,14 +191,18 @@ def _per_trial_stacks(n, seed, lo, hi):
     st.integers(-(2**70), 2**70),
     st.integers(0, 300),
     st.integers(1, 40),
+    st.tuples(st.integers(-(2**70), 2**70), st.integers(0, 300), st.integers(1, 40)),
 )
-@example(2, -1, 0, 8)
-@example(3, -(2**64) - 3, 5, 12)
-@example(6, 2**63 + 5, 0, 40)
-@example(16, 2**64 + 7, 2**20, 9)
-def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count):
-    got = _sample_block(n, [(seed, lo, lo + count)])
-    want = _per_trial_stacks(n, seed, lo, lo + count)
+@example(2, -1, 0, 8, (5, 3, 4))
+@example(3, -(2**64) - 3, 5, 12, (2**64 - 3, 0, 7))
+@example(6, 2**63 + 5, 0, 40, (17, 40, 1))
+@example(16, 2**64 + 7, 2**20, 9, (-7, 2**20 + 9, 3))
+def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count, other):
+    # two segments of two seeds laid end to end, as the engine fuses runs
+    seed2, lo2, count2 = other
+    segments = [(seed, lo, lo + count), (seed2, lo2, lo2 + count2)]
+    got = _sample_block(n, segments)
+    want = _per_trial_stacks(n, segments)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
 
