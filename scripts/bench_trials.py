@@ -15,6 +15,13 @@ trial:
 * ``map_digests``: the map on the A and B stacks, with the hash digests;
 * ``spectra``: both commutator spectra and the violation metric.
 
+``kind_us_per_trial`` gives ``draws`` and ``qr_assembly`` for each pool
+kind alone, over 64 trials of that kind in one block.
+``failing_run_outside_chunk_us``: at n = 3, 6 and 16, the microseconds a
+failing ``check_preservation`` run (range mode, transpose dagger, 25
+trials) spends outside the trial pass ``maps._run_chunk``: its checks, its
+report and the step that yields the report's counterexample.
+
 ``oracles``: at n = 3, 6 and 16, microseconds per
 ``radius_equivalence_check`` call (200 projections, an unrelated GUE pair),
 per draw of its 200 unit vectors, per ``asymmetry_witness`` and per
@@ -78,6 +85,8 @@ from commrange.structure import (  # noqa: E402
 DIMS = (2, 3, 6, 16)
 ORACLE_DIMS = (3, 6, 16)
 BLOCK = maps._BLOCK_TRIALS
+KIND_TRIALS = 64
+FAIL_TRIALS = 25
 PROJECTIONS = 200
 CALLS = 50
 BOUNDARY_ANGLES = 360
@@ -108,8 +117,9 @@ def _spec(n: int, seed: int) -> maps.MapSpec:
     )
 
 
-def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
-    """Seconds of each engine phase over trials 0 .. BLOCK-1."""
+def _timed_sample(n: int, segments: list) -> tuple:
+    """Seconds of ``maps._sample_block`` on ``segments`` and of the
+    ``_Draws.assemble`` call inside it."""
     assembly = []
     assemble = maps._Draws.assemble
 
@@ -122,10 +132,17 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     maps._Draws.assemble = timed_assemble
     try:
         t0 = perf_counter()
-        a, b = maps._sample_block(n, [(seed, 0, BLOCK)])
-        t1 = perf_counter()
+        a, b = maps._sample_block(n, segments)
+        wall = perf_counter() - t0
     finally:
         maps._Draws.assemble = assemble
+    return wall, assembly[0], a, b
+
+
+def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
+    """Seconds of each engine phase over trials 0 .. BLOCK-1."""
+    wall, assembly, a, b = _timed_sample(n, [(seed, 0, BLOCK)])
+    t1 = perf_counter()
     images = maps._images(m, np.concatenate([a, b]))
     t2 = perf_counter()
     spectra = _commutator_spectrum(
@@ -134,11 +151,61 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     maps.metric_violation(spectra[:BLOCK], spectra[BLOCK:], maps.MODE_RADIUS)
     t3 = perf_counter()
     return {
-        "draws": t1 - t0 - assembly[0],
-        "qr_assembly": assembly[0],
+        "draws": wall - assembly,
+        "qr_assembly": assembly,
         "map_digests": t2 - t1,
         "spectra": t3 - t2,
     }
+
+
+def measure_kinds(n: int, seed: int, reps: int) -> dict:
+    """Microseconds per trial of phase-1 draws and of assembly for each
+    pool kind alone: KIND_TRIALS trials of the kind, one block, each trial
+    its own one-trial segment."""
+    out = {"draws": {}, "qr_assembly": {}}
+    for kind in range(4):
+        runs = []
+        for r in range(reps + 1):
+            segments = [(seed + r, i, i + 1) for i in range(kind, 4 * KIND_TRIALS, 4)]
+            runs.append(_timed_sample(n, segments)[:2])
+        wall, assembly = np.median(runs[1:], axis=0)
+        out["draws"][f"kind{kind}"] = float(wall - assembly) / KIND_TRIALS * 1e6
+        out["qr_assembly"][f"kind{kind}"] = float(assembly) / KIND_TRIALS * 1e6
+    return out
+
+
+def measure_counterexample(seed: int, reps: int) -> dict:
+    """Microseconds a failing ``check_preservation`` run (range mode,
+    transpose dagger, FAIL_TRIALS trials) spends outside ``maps._run_chunk``,
+    the trial pass: checks, the report and its counterexample."""
+    out = {}
+    chunk = maps._run_chunk
+    for n in ORACLE_DIMS:
+        m = maps.MapSpec(
+            dim=n, unitary=np.eye(n), dagger=maps.DAGGER_TRANSPOSE, epsilon=1
+        )
+        runs = []
+        for r in range(reps + 1):
+            inner = []
+
+            def timed_chunk(args):
+                t = perf_counter()
+                found = chunk(args)
+                inner.append(perf_counter() - t)
+                return found
+
+            maps._run_chunk = timed_chunk
+            try:
+                t0 = perf_counter()
+                report = maps.check_preservation(
+                    m, maps.MODE_RANGE, FAIL_TRIALS, n, seed + r
+                )
+                runs.append(perf_counter() - t0 - inner[0])
+            finally:
+                maps._run_chunk = chunk
+            assert not report.passed
+        out[f"n{n}"] = float(np.median(runs[1:])) * 1e6
+    return out
 
 
 def measure_engine(n: int, seed: int, reps: int) -> dict:
@@ -157,6 +224,7 @@ def measure_engine(n: int, seed: int, reps: int) -> dict:
             name: float(np.median([p[name] for p in phases])) / BLOCK * 1e6
             for name in phases[0]
         },
+        "kind_us_per_trial": measure_kinds(n, seed, reps),
     }
 
 
@@ -332,6 +400,7 @@ def main() -> None:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     engine = {f"n{n}": measure_engine(n, args.seed, args.reps) for n in DIMS}
+    counterexample = measure_counterexample(args.seed, args.reps)
     oracles = measure_oracles(args.seed, args.reps)
     radius = measure_radius(args.seed, args.reps)
     boundary = measure_boundary(args.seed, args.reps)
@@ -351,6 +420,8 @@ def main() -> None:
         "map": "radius mode, identity dagger, hash sign and shift rules",
         "trials_per_s": {k: v["trials_per_s"] for k, v in engine.items()},
         "phase_us_per_trial": {k: v["phase_us_per_trial"] for k, v in engine.items()},
+        "kind_us_per_trial": {k: v["kind_us_per_trial"] for k, v in engine.items()},
+        "failing_run_outside_chunk_us": counterexample,
         "oracles": oracles,
         "radius": radius,
         "boundary": boundary,
@@ -360,6 +431,12 @@ def main() -> None:
     for key, val in engine.items():
         phases = " ".join(f"{p}={us:.1f}" for p, us in val["phase_us_per_trial"].items())
         print(f"{key}: {val['trials_per_s']:.0f} trials/s; us/trial {phases}")
+        for part, by_kind in val["kind_us_per_trial"].items():
+            kinds = " ".join(f"{k}={v:.2f}" for k, v in by_kind.items())
+            print(f"  {part} by kind: {kinds}")
+    print("failing run outside the chunk, us: " + " ".join(
+        f"{k}={v:.1f}" for k, v in counterexample.items()
+    ))
     for section in (oracles, radius, boundary, suite_runs):
         for key, val in section.items():
             print(f"{key}: " + " ".join(f"{k}={v:.3g}" for k, v in val.items()))

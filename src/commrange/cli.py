@@ -11,16 +11,16 @@ equiv     rank-1-projection radius equivalence verdict for a matrix pair
 pauli     scaled-Pauli coordinates of a 2x2 Hermitian matrix
 suite     the full acceptance battery
 
-All randomness is seeded (--seed, or the COMMRANGE_SEED environment
-variable, an integer in [0, 2**64)); identical invocations produce
-byte-identical reports.  Each option is declared on the subcommands that
-read it; tolerance overrides are --tol.radius, --tol.range and
---tol.spectrum on verify and --tol.gap and --tol.witness on classify, each
-a finite number above 0 that defaults to the ``matcore.TOLERANCES`` entry
-of its name.  A classify witness reports its "defect" |t_min + t_max| /
-(d ||B||_2), d the spectral diameter of A, and "certified" (defect above
---tol.witness); an uncertified witness, as a middle cluster just above the
---tol.gap threshold gives, still exits 0.
+All randomness is seeded (--seed on verify, equiv and suite, or else the
+COMMRANGE_SEED environment variable, an integer in [0, 2**64)); identical
+invocations produce byte-identical reports.  Each option is declared on
+the subcommands that read it; tolerance overrides are --tol.radius,
+--tol.range and --tol.spectrum on verify and --tol.gap and --tol.witness
+on classify, each a finite number above 0 that defaults to the
+``matcore.TOLERANCES`` entry of its name.  A classify witness reports its
+"defect" |t_min + t_max| / (d ||B||_2), d the spectral diameter of A, and
+"certified" (defect above --tol.witness); an uncertified witness, as a
+middle cluster just above the --tol.gap threshold gives, still exits 0.
 Exit codes: 0 pass, 1 property violated, 2 usage or parse error, 3 internal
 falsification event (a spectral projection failing its idempotency
 check), 4 internal error (a crash or a non-finite value in a report,
@@ -139,10 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--seed", type=int, default=None, help="rng seed, an integer in [0, 2**64)"
-        )
+    def add_common(p, seeded: bool):
+        if seeded:  # the subcommands that draw random numbers
+            p.add_argument(
+                "--seed", type=int, help="rng seed, an integer in [0, 2**64)"
+            )
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_verify = sub.add_parser(
@@ -168,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # An unset mode tolerance stays None and selects the mode's default.
     for mode in MODES:
         p_verify.add_argument(f"--tol.{mode}", dest=f"tol_{mode}", type=positive_float)
-    add_common(p_verify)
+    add_common(p_verify, seeded=True)
 
     p_classify = sub.add_parser(
         "classify", help="two-level classification with witness"
@@ -179,14 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
             f"--tol.{name}", dest=f"tol_{name}", type=positive_float,
             default=TOLERANCES[name],
         )
-    add_common(p_classify)
+    add_common(p_classify, seeded=False)
 
     p_boundary = sub.add_parser(
         "boundary", help="numerical range boundary samples as CSV"
     )
     p_boundary.add_argument("matrix_file")
     p_boundary.add_argument("--angles", type=int, default=360)
-    add_common(p_boundary)
+    add_common(p_boundary, seeded=False)
 
     p_equiv = sub.add_parser(
         "equiv", help="rank-1 projection radius equivalence of two matrices"
@@ -194,16 +195,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("matrix_file_a")
     p_equiv.add_argument("matrix_file_b")
     p_equiv.add_argument("--trials", type=int, default=200)
-    add_common(p_equiv)
+    add_common(p_equiv, seeded=True)
 
     p_pauli = sub.add_parser("pauli", help="scaled-Pauli coordinates (dim 2)")
     p_pauli.add_argument("matrix_file")
-    add_common(p_pauli)
+    add_common(p_pauli, seeded=False)
 
     p_suite = sub.add_parser("suite", help="run the acceptance battery")
     p_suite.add_argument("--scale", type=positive_float, default=1.0)
     p_suite.add_argument("--workers", type=int, default=1)
-    add_common(p_suite)
+    add_common(p_suite, seeded=True)
 
     return parser
 

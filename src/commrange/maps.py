@@ -16,13 +16,13 @@ functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
 pairs through a block engine, which lays (map, seed) runs end to end.  For
-each trial index i of a run it first makes the draws of trial i from the
-run's (seed, i) stream and files them by recipe, (form, rank); then, for a
-block of 256 trials at once, it forms the sampled matrices of each recipe
-(Haar QR, products, validation) in stacked calls, applies each run's
-map to its own trials (one quantization per matrix shared by the hash
-rules, one stacked ``eigh`` for the exceptional set) and takes both
-commutator spectra and the violation metric, each in stacked calls.  The
+a block of 256 trials at once, it draws trial i from the run's (seed, i)
+stream into one float buffer, forms each recipe's matrices (Haar QR,
+products) in stacked calls, validates the inexact ones and symmetrizes the
+block once, applies each run's map to its own trials (one quantization per
+matrix shared by the hash rules, one stacked ``eigh`` for the exceptional
+set) and takes both commutator spectra and the violation metric, each in
+stacked calls; a run's first violating pair is kept from its block.  The
 one-matrix entries ``sample_trial_pair``, ``apply_map`` and the rule
 methods run the same code on a stack of one.  ``workers`` = N splits the
 trials into at most N chunks of whole blocks, so every N forms the same
@@ -48,19 +48,19 @@ from .matcore import (
     TOLERANCES,
     MatrixError,
     _commutator_spectrum,
-    _gue,
+    _ginibre,
     _haar,
     _hermitian_stack,
     _rank_k,
     _rank_k_coeffs,
     _streams,
+    _sym,
     as_matrix,
     hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    substream,
 )
 from .structure import _split
 from .pauli2 import _psi
@@ -296,124 +296,132 @@ def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
 # pairs, so the pool cycles uniformly through GUE pairs, low-rank pairs,
 # two-level members and commuting (shared eigenbasis) pairs.
 #
-# Sampling runs in two phases.  ``_Draws`` makes each pair's random draws
-# from its own (seed, i) stream, in a fixed order, and files the draws of
-# each matrix with its slot in one recipe table keyed by (form, group);
-# ``_sample_block`` walks the streams with ``_streams``.
-# ``_Draws.assemble`` then forms each (form, group) of the block in stacked
-# calls (QR, products, validation).
+# Sampling runs in two phases.  ``_Draws`` makes each pair's draws from its
+# own (seed, i) stream, in a fixed order, into the block's float buffer,
+# each run of consecutive normal draws in one ``standard_normal`` call, and
+# files each matrix by recipe, (form, group), with its slot, buffer offsets
+# and scalars; ``_sample_block`` walks the streams with ``_streams``.
+# ``_Draws.assemble`` then forms each recipe from the buffer in stacked
+# calls (QR, products), validates the inexact rows and symmetrizes once.
 # No draw depends on a QR or a product, so the split changes no number.
 # ---------------------------------------------------------------------------
 
 
 class _Draws:
-    """The random draws of a block of pool matrices, filed by recipe.
+    """The random draws of a block of pool pairs.  ``buf`` holds the normal
+    draws end to end, with room for ``trials`` pairs of at most 4n^2 + 4 (it
+    grows past them), and ``haar`` the offset of each Haar unitary's parts.
+    ``table`` maps (form, group) to a record per matrix: its slot, then its
+    unitary index, offsets or scalars; group is the rank k of a low-rank
+    matrix, r of a two-level one and 0 otherwise."""
 
-    ``table`` maps (form, group) to the (slot, draws) of each matrix of
-    that recipe: slot is the matrix's place in the block, and group the
-    rank k of a low-rank matrix, r of a two-level one and 0 otherwise.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.shape = (2, n, n)  # the normal parts of a Ginibre matrix
-        self.count = 0
-        self.haar = []  # standard normal parts of each Haar unitary
+    def __init__(self, n: int, trials: int = 1):
+        self.n, self.nn = n, 2 * n * n  # nn: the normal parts of a Ginibre matrix
+        self.buf = np.empty(trials * (2 * self.nn + 4))
+        self.at = 0  # the buffer offset of the next draw
+        self.pairs = 0
+        self.haar = []
         self.table = defaultdict(list)
 
-    def _file(self, key: tuple, draws) -> None:
-        self.table[key].append((self.count, draws))
-        self.count += 1
+    def _normals(self, rng: np.random.Generator, size: int) -> int:
+        """The offset of ``size`` standard normal draws made into the buffer."""
+        at = self.at
+        self.at += size
+        if self.at > len(self.buf):  # more trials than the buffer was made for
+            self.buf = np.concatenate([self.buf, np.empty(len(self.buf) + size)])
+        rng.standard_normal(out=self.buf[at : self.at])
+        return at
 
-    def _unitary(self, rng: np.random.Generator) -> int:
-        self.haar.append(rng.standard_normal(self.shape))
-        return len(self.haar) - 1
-
-    def draw_low_rank(self, rng: np.random.Generator) -> None:
+    def draw_low_rank(self, rng: np.random.Generator, slot: int) -> None:
         """A rank-1 or rank-2 matrix sum_j c_j x_j x_j* with orthonormal
-        x_j and nonzero real c_j."""
+        x_j and nonzero real c_j, drawn after its unitary in one call."""
         k = 1 + int(rng.integers(min(2, self.n)))
-        self._file(("rank", k), (self._unitary(rng), _rank_k_coeffs(k, rng)))
+        at = self._normals(rng, self.nn + k)
+        _rank_k_coeffs(self.buf[at + self.nn : self.at], rng)
+        self.haar.append(at)
+        self.table["rank", k].append((slot, len(self.haar) - 1, at + self.nn))
 
-    def draw_two_level(self, rng: np.random.Generator) -> None:
+    def draw_two_level(self, rng: np.random.Generator, slot: int) -> None:
         """alpha P + delta I with P a rank-r projection; one in eight draws
-        is a scalar c I instead."""
+        is a scalar c I instead.  ``lo + (hi - lo) * rng.random()`` is
+        ``rng.uniform(lo, hi)`` bit for bit."""
         if int(rng.integers(8)) == 0:
-            self._file(("scalar", 0), float(rng.uniform(-2.0, 2.0)))
+            self.table["scalar", 0].append((slot, -2.0 + 4.0 * rng.random()))
             return
         r = int(rng.integers(1, self.n))
-        u = self._unitary(rng)
-        alpha = float(rng.uniform(0.5, 2.5)) * (1.0 if rng.integers(2) else -1.0)
-        self._file(("level", r), (u, alpha, float(rng.uniform(-2.0, 2.0))))
+        self.haar.append(self._normals(rng, self.nn))
+        alpha = (0.5 + 2.0 * rng.random()) * (1.0 if rng.integers(2) else -1.0)
+        delta = -2.0 + 4.0 * rng.random()
+        self.table["level", r].append((slot, len(self.haar) - 1, alpha, delta))
 
     def draw_pair(self, rng: np.random.Generator, kind: int) -> None:
         """One (A, B) pair of the mixed pool; kind cycles modulo 4.  A GUE
         matrix is drawn as ``random_hermitian`` draws it."""
-        kind = kind % 4
+        kind, nn, s = kind % 4, self.nn, 2 * self.pairs
+        self.pairs += 1
         if kind == 0:
-            self._file(("gue", 0), rng.standard_normal(self.shape))
-            self._file(("gue", 0), rng.standard_normal(self.shape))
+            at = self._normals(rng, 2 * nn)
+            self.table["gue", 0] += (s, at), (s + 1, at + nn)
         elif kind == 1:
-            self.draw_low_rank(rng)
+            self.draw_low_rank(rng, s)
             if rng.integers(2):
-                self.draw_low_rank(rng)
+                self.draw_low_rank(rng, s + 1)
             else:
-                self._file(("gue", 0), rng.standard_normal(self.shape))
+                self.table["gue", 0].append((s + 1, self._normals(rng, nn)))
         elif kind == 2:
-            self.draw_two_level(rng)
-            self._file(("gue", 0), rng.standard_normal(self.shape))
+            self.draw_two_level(rng, s)
+            self.table["gue", 0].append((s + 1, self._normals(rng, nn)))
         else:
-            u = self._unitary(rng)
-            self._file(("conj", 0), (u, rng.standard_normal(self.n)))
-            self._file(("conj", 0), (u, rng.standard_normal(self.n)))
+            at = self._normals(rng, nn + 2 * self.n)
+            self.haar.append(at)
+            u = len(self.haar) - 1
+            self.table["conj", 0] += (s, u, at + nn), (s + 1, u, at + nn + self.n)
+
+    def _parts(self, offsets: list, size: int) -> np.ndarray:
+        """Rows of the ``size`` draws at each offset, from a window view."""
+        rows = (len(self.buf) - size + 1, size)
+        return np.ndarray(rows, buffer=self.buf, strides=(8, 8))[offsets]
 
     def assemble(self) -> np.ndarray:
         """The drawn matrices as one stack, in slot order, each (form,
-        group) formed in one stacked call.
-
-        GUE and low-rank matrices are exactly Hermitian by construction.
-        The rest, formed inexactly (the two-level matrices and the
-        conjugations U diag(x) U*), are validated with the symmetry test and
-        symmetrized in one call; c I takes the same step, which fixes the
-        signs of its zeros.
-        """
-        n = self.n
-        out = np.empty((self.count, n, n), dtype=complex)
-        u = _haar(np.array(self.haar)) if self.haar else None
-        inexact_slots, inexact = [], []
+        group) formed in one stacked call.  GUE and low-rank matrices are
+        Hermitian but for the symmetrization; the rest, formed inexactly
+        (c I, alpha P + delta I and U diag(x) U*), pass the symmetry test in
+        one call.  The whole stack is symmetrized once, which is each
+        recipe's own ``_sym`` bit for bit."""
+        n, shape = self.n, (-1, 2, self.n, self.n)
+        out = np.empty((sum(map(len, self.table.values())), n, n), dtype=complex)
+        u = _haar(self._parts(self.haar, self.nn).reshape(shape)) if self.haar else None
+        inexact = []
         for (form, group), records in self.table.items():
-            slots, draws = map(list, zip(*records))
+            slots, *cols = map(list, zip(*records))
             if form == "gue":
-                m = _gue(np.array(draws))
+                out[slots] = _ginibre(self._parts(cols[0], self.nn).reshape(shape))
             elif form == "scalar":
-                m = np.array(draws)[:, None, None] * np.eye(n, dtype=complex)
+                out[slots] = np.array(cols[0])[:, None, None] * np.eye(n, dtype=complex)
             elif form == "rank":
-                us, coeffs = map(np.array, zip(*draws))
-                m = _rank_k(u[us], coeffs)
+                out[slots] = _rank_k(u[cols[0]], self._parts(cols[1], group))
             elif form == "level":
-                us, alpha, delta = map(np.array, zip(*draws))
-                x = u[us, :, :group]
+                alpha, delta = np.array(cols[1]), np.array(cols[2])
+                x = u[cols[0], :, :group]
                 p = x @ x.conj().swapaxes(-1, -2)
-                m = alpha[:, None, None] * p + delta[:, None, None] * np.eye(n)
+                out[slots] = alpha[:, None, None] * p + delta[:, None, None] * np.eye(n)
             else:
-                us, eigs = map(np.array, zip(*draws))
-                diag = np.zeros((len(us), n, n))
-                diag[:, range(n), range(n)] = eigs
-                x = u[us]
-                m = x @ diag @ x.conj().swapaxes(-1, -2)
-            if form in ("gue", "rank"):
-                out[slots] = m
-            else:
-                inexact_slots += slots
-                inexact.append(m)
+                diag = np.zeros((len(slots), n, n))
+                diag[:, range(n), range(n)] = self._parts(cols[1], n)
+                x = u[cols[0]]
+                out[slots] = x @ diag @ x.conj().swapaxes(-1, -2)
+            if form not in ("gue", "rank"):
+                inexact += slots
         if inexact:
-            out[inexact_slots] = _hermitian_stack(np.concatenate(inexact))
-        return out
+            # the test alone: its symmetrized rows are the block's, below
+            _hermitian_stack(out[inexact])
+        return _sym(out)
 
 
 def _random_two_level(n: int, rng: np.random.Generator) -> np.ndarray:
     draws = _Draws(n)
-    draws.draw_two_level(rng)
+    draws.draw_two_level(rng, 0)
     return draws.assemble()[0]
 
 
@@ -429,8 +437,8 @@ def _sample_block(n: int, segments):
     """The A and B stacks of the trials of ``segments``, (seed, lo, hi)
     each, end to end: trial i drawn from the (seed, i) stream with pool
     kind i."""
-    draws = _Draws(n)
     keys = [(seed, i) for seed, lo, hi in segments for i in range(lo, hi)]
+    draws = _Draws(n, len(keys))
     for (_, i), rng in zip(keys, _streams(keys)):
         draws.draw_pair(rng, i)
     out = draws.assemble()
@@ -458,7 +466,11 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str):
 def _block_spectra(n: int, segments):
     """Commutator spectra of (A, B) and of (Phi(A), Phi(B)), one row per
     trial, for the trials of ``segments``, (map, seed, lo, hi) each."""
-    a, b = _sample_block(n, [seg[1:] for seg in segments])
+    return _spectra(*_sample_block(n, [seg[1:] for seg in segments]), segments)
+
+
+def _spectra(a: np.ndarray, b: np.ndarray, segments):
+    """:func:`_block_spectra` on the sampled stacks ``a`` and ``b``."""
     image_a, image_b, k = [], [], 0
     for m, _, lo, hi in segments:
         t = hi - lo
@@ -473,8 +485,9 @@ def _block_spectra(n: int, segments):
 
 
 def _run_chunk(args):
-    """Worst violation and first trial index above tolerance, per run and
-    mode, over fused trials lo .. hi-1, taken block by block."""
+    """Worst violation and first violation, None or (i, A, B), per run and
+    mode, over fused trials lo .. hi-1, taken block by block: the first
+    trial index above tolerance and its pair, from the block that found it."""
     runs, modes, n, trials, lo, hi, tols = args
     worst = [[0.0] * len(modes) for _ in runs]
     first = [[None] * len(modes) for _ in runs]
@@ -485,15 +498,19 @@ def _run_chunk(args):
             (r, max(start - r * trials, 0), min(stop - r * trials, trials))
             for r in range(start // trials, -(-stop // trials))
         ]
-        base, image = _block_spectra(n, [(*runs[r], i0, i1) for r, i0, i1 in segments])
+        block = [(*runs[r], i0, i1) for r, i0, i1 in segments]
+        a, b = _sample_block(n, [seg[1:] for seg in block])
+        base, image = _spectra(a, b, block)
         for j, mode in enumerate(modes):
             v = metric_violation(base, image, mode)
             for r, i0, i1 in segments:
-                seg = v[r * trials + i0 - start : r * trials + i1 - start]
+                at = r * trials + i0 - start
+                seg = v[at : at + i1 - i0]
                 worst[r][j] = max(worst[r][j], float(seg.max()))
                 over = np.flatnonzero(seg > tols[j])
                 if first[r][j] is None and over.size:
-                    first[r][j] = i0 + int(over[0])
+                    k = at + int(over[0])
+                    first[r][j] = (i0 + int(over[0]), a[k].copy(), b[k].copy())
     return [list(zip(w, f)) for w, f in zip(worst, first)]
 
 
@@ -668,10 +685,7 @@ def _preservation_reports(
     for (_, seed), per_run in zip(runs, zip(*per_chunk)):
         out.append([])
         for mode, tol, found in zip(modes, tols, zip(*per_run)):
-            first_idx = next((i for _, i in found if i is not None), None)
-            counterexample = None
-            if first_idx is not None:
-                counterexample = sample_trial_pair(n, substream(seed, first_idx), first_idx)
+            index, *pair = next((f for _, f in found if f is not None), (None,))
             out[-1].append(
                 PreservationReport(
                     mode=mode,
@@ -680,8 +694,8 @@ def _preservation_reports(
                     seed=seed,
                     tolerance=float(tol),
                     max_violation=float(max(w for w, _ in found)),
-                    first_violation_index=first_idx,
-                    first_counterexample=counterexample,
+                    first_violation_index=index,
+                    first_counterexample=tuple(pair) or None,
                 )
             )
     return out

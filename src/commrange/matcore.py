@@ -238,30 +238,33 @@ DEFAULT_SEED = 2026
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """A fresh, independent generator for the (seed, index) stream.
 
-    Each call builds a new ``Philox``, which first gathers OS entropy that
-    the key then replaces; a loop over many streams takes :func:`_streams`,
-    which reopens one generator at each (seed, index) instead.
+    Each call builds a new ``Philox`` from seed 0 (a ``Philox()`` would
+    first gather OS entropy) and then sets its key; a loop over many streams
+    takes :func:`_streams`, which reopens one generator at each (seed, index).
     """
-    rng = np.random.Generator(np.random.Philox())
+    rng = np.random.Generator(np.random.Philox(0))
     _reopen_stream(rng, seed, index)
     return rng
 
 
-def _reopen_stream(rng: np.random.Generator, seed: int, index: int) -> None:
+def _reopen_stream(rng: np.random.Generator, seed: int, index: int, state=None):
     """Reset the Philox generator ``rng`` to the start of the (seed, index)
     stream, keyed by (seed, index) mod 2**64: its next draws are exactly
     those of a ``Philox`` built with that key.  The whole state is set
     (key, zero counter, empty buffer, no cached 32-bit half), so nothing
-    drawn before carries over."""
-    key = (seed % (1 << 64), index % (1 << 64))
-    rng.bit_generator.state = {
+    drawn before carries over.  Returns the state dict it set, which a loop
+    passes back as ``state`` for its next stream rather than build another."""
+    state = state or {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": (0, 0, 0, 0)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    state["state"]["key"] = (seed % (1 << 64), index % (1 << 64))
+    rng.bit_generator.state = state
+    return state
 
 
 def _streams(keys) -> Iterator[np.random.Generator]:
@@ -270,9 +273,9 @@ def _streams(keys) -> Iterator[np.random.Generator]:
     draws exactly what ``substream(*keys[k])`` would.  The loop's one
     ``Philox`` is reset by the next step, so the loop body must not keep
     the generator past its iteration."""
-    rng = substream(0)
+    rng, state = substream(0), None
     for seed, index in keys:
-        _reopen_stream(rng, seed, index)
+        state = _reopen_stream(rng, seed, index, state)
         yield rng
 
 
@@ -314,9 +317,9 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar(rng.standard_normal((2, n, n)))
 
 
-def _rank_k_coeffs(k: int, rng: np.random.Generator) -> np.ndarray:
-    """k standard normal coefficients, each redrawn until |c| >= 1e-3."""
-    coeffs = rng.standard_normal(k)
+def _rank_k_coeffs(coeffs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Redraw in place each standard normal coefficient of ``coeffs`` below
+    1e-3 in modulus, until none is; returns ``coeffs``."""
     while min(map(abs, coeffs.tolist())) < 1e-3:
         small = np.abs(coeffs) < 1e-3
         coeffs[small] = rng.standard_normal(int(small.sum()))
@@ -324,10 +327,10 @@ def _rank_k_coeffs(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rank_k(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j c_j x_j x_j*, exactly symmetrized, over the first k columns
-    x_j of each unitary in ``u`` and the k coefficients of ``coeffs``."""
+    """sum_j c_j x_j x_j* over the first k columns x_j of each unitary in
+    ``u`` and the k coefficients of ``coeffs``, before :func:`_sym`."""
     x = u[..., :, : coeffs.shape[-1]]
-    return _sym((x * coeffs[..., None, :]) @ x.conj().swapaxes(-1, -2))
+    return (x * coeffs[..., None, :]) @ x.conj().swapaxes(-1, -2)
 
 
 def _unit_vectors(parts: np.ndarray) -> np.ndarray:

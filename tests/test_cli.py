@@ -296,6 +296,21 @@ def test_seeds_outside_zero_to_two_to_the_64_are_refused(monkeypatch, capsys):
     assert captured.err == "commrange: seed -5 (COMMRANGE_SEED) is outside [0, 2**64)\n"
 
 
+def test_subcommands_that_draw_nothing_refuse_seed(matrix_file, capsys):
+    # classify, boundary and pauli read no seed, so --seed is an unknown
+    # flag there: exit 2 with one line on stderr, whatever its value
+    path = matrix_file("d.json", np.diag([1.0, 2.0]))
+    for command in ("classify", "boundary", "pauli"):
+        assert main([command, path]) == 0
+        capsys.readouterr()
+        for seed in ("1", "-1"):
+            assert main([command, path, "--seed", seed]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "unrecognized arguments: --seed" in captured.err
+
+
 def test_verify_reports_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -321,7 +321,8 @@ def test_commutator_spectrum_matches_general_eigensolver():
         n = 1 + i % MAX_DIM
         a = random_hermitian(n, rng)
         u = random_unitary(n, rng)
-        b = matcore._rank_k(u, matcore._rank_k_coeffs(1 + i % n, rng))
+        coeffs = matcore._rank_k_coeffs(rng.standard_normal(1 + i % n), rng)
+        b = matcore._rank_k(u, coeffs)
         ref = np.sort(np.linalg.eigvals(a @ b - b @ a).imag)
         bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
         assert np.abs(commutator_spectrum(a, b) - ref).max() <= bound
@@ -489,7 +490,7 @@ def test_random_rank_k_has_rank_k():
         n = 4
         k = 1 + i % 3
         u = random_unitary(n, rng)
-        a = matcore._rank_k(u, matcore._rank_k_coeffs(k, rng))
+        a = matcore._rank_k(u, matcore._rank_k_coeffs(rng.standard_normal(k), rng))
         assert rank_numeric(a) == k
 
 

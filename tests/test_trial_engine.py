@@ -2,6 +2,7 @@
 and measuring must give, trial by trial, the numbers of the stack-of-one
 route, whatever the split into blocks."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -157,12 +158,15 @@ def test_counterexample_replay_equals_engine_pair():
     ca, cb = report.first_counterexample
     assert ca.tobytes() == a[over[0]].tobytes()
     assert cb.tobytes() == b[over[0]].tobytes()
-    # a chunk that starts mid-stream reports absolute trial indices
+    # a chunk that starts mid-stream reports absolute trial indices, with
+    # the pair of that trial taken from its block
     for lo in (over[0] + 1, 37):
-        (((worst, first),),) = maps_mod._run_chunk(
+        (((worst, (first, ca, cb)),),) = maps_mod._run_chunk(
             ([(m, seed)], (MODE_RANGE,), 3, trials, int(lo), trials, (1e-9,))
         )
         assert first == over[over >= lo][0]
+        assert ca.tobytes() == a[first].tobytes()
+        assert cb.tobytes() == b[first].tobytes()
 
 
 def test_sampled_stacks_are_exactly_hermitian_per_trial():
@@ -205,6 +209,154 @@ def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count, othe
     want = _per_trial_stacks(n, segments)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def _ref_ginibre(rng, n):
+    parts = rng.standard_normal((1, 2, n, n))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2)
+
+
+def _ref_sym(m):
+    return ((m + m.conj().swapaxes(-1, -2)) / 2)[0]
+
+
+def _ref_haar(rng, n):
+    q, r = np.linalg.qr(_ref_ginibre(rng, n))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _ref_low_rank(n, rng):
+    k = 1 + int(rng.integers(min(2, n)))
+    x = _ref_haar(rng, n)[..., :, :k]
+    coeffs = rng.standard_normal(k)
+    while np.any(np.abs(coeffs) < 1e-3):
+        small = np.abs(coeffs) < 1e-3
+        coeffs[small] = rng.standard_normal(int(small.sum()))
+    return _ref_sym((x * coeffs[None, None, :]) @ x.conj().swapaxes(-1, -2))
+
+
+def _ref_two_level(n, rng):
+    if int(rng.integers(8)) == 0:
+        c = np.array([rng.uniform(-2.0, 2.0)])
+        return _ref_sym(c[:, None, None] * np.eye(n, dtype=complex))
+    r = int(rng.integers(1, n))
+    u = _ref_haar(rng, n)
+    alpha = np.array([rng.uniform(0.5, 2.5) * (1.0 if rng.integers(2) else -1.0)])
+    delta = np.array([rng.uniform(-2.0, 2.0)])
+    x = u[[0], :, :r]
+    p = x @ x.conj().swapaxes(-1, -2)
+    return _ref_sym(alpha[:, None, None] * p + delta[:, None, None] * np.eye(n))
+
+
+def _ref_pair(n, rng, kind):
+    """The pool pair as the sampler drew it with one generator call per
+    quantity (an ``integers``, a ``uniform``, or a ``standard_normal`` of
+    shape (2, n, n), (k,) or (n,)) and built it recipe by recipe."""
+    kind %= 4
+    if kind == 0:
+        return _ref_sym(_ref_ginibre(rng, n)), _ref_sym(_ref_ginibre(rng, n))
+    if kind == 1:
+        a = _ref_low_rank(n, rng)
+        b = _ref_low_rank(n, rng) if rng.integers(2) else _ref_sym(_ref_ginibre(rng, n))
+        return a, b
+    if kind == 2:
+        return _ref_two_level(n, rng), _ref_sym(_ref_ginibre(rng, n))
+    u = _ref_haar(rng, n)
+    pair = []
+    for eigs in (rng.standard_normal(n), rng.standard_normal(n)):
+        diag = np.zeros((1, n, n))
+        diag[:, range(n), range(n)] = eigs
+        pair.append(_ref_sym(u[[0]] @ diag @ u[[0]].conj().swapaxes(-1, -2)))
+    return tuple(pair)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((2, 3, 4, 6, 16)),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 300),
+    st.integers(1, 12),
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 300), st.integers(1, 12)),
+)
+@example(3, 11, 0, 1, (12, 4, 1))  # kind 0 in both segments
+@example(4, 11, 1, 1, (12, 5, 1))  # kind 1
+@example(6, 11, 2, 1, (12, 6, 1))  # kind 2
+@example(2, 11, 3, 1, (12, 7, 1))  # kind 3
+@example(16, 11, 0, 4, (12, 0, 4))  # every kind
+# trial 1285 of seed 1 at n = 3 draws a low-rank A whose second
+# coefficient, 1.8e-4, is redrawn
+@example(3, 1, 1285, 1, (5, 0, 4))
+def test_sampling_routes_equal_the_one_call_per_quantity_reference(
+    n, seed, lo, count, other
+):
+    # the block buffer, the merged normal draws and the one symmetrization
+    # of the block give, byte for byte, the matrices of the reference
+    seed2, lo2, count2 = other
+    segments = [(seed, lo, lo + count), (seed2, lo2, lo2 + count2)]
+    want = [
+        _ref_pair(n, substream(s, i), i)
+        for s, i0, i1 in segments
+        for i in range(i0, i1)
+    ]
+    a, b = _sample_block(n, segments)
+    assert a.tobytes() == np.array([p[0] for p in want]).tobytes()
+    assert b.tobytes() == np.array([p[1] for p in want]).tobytes()
+    for i in range(lo, lo + count):
+        pair = sample_trial_pair(n, substream(seed, i), i)
+        assert [x.tobytes() for x in pair] == [x.tobytes() for x in want[i - lo]]
+        got = maps_mod._random_two_level(n, substream(seed2, i))
+        assert got.tobytes() == _ref_two_level(n, substream(seed2, i)).tobytes()
+
+
+class _CountingRng:
+    """A generator that counts its method calls by name in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_each_run_of_normal_draws_is_one_generator_call(monkeypatch):
+    calls = collections.Counter()
+    streams = maps_mod._streams
+    def counting(keys):
+        return (_CountingRng(g, calls) for g in streams(keys))
+
+    monkeypatch.setattr(maps_mod, "_streams", counting)
+    for n in (2, 3, 6, 16):
+        # a kind-0 trial draws both GUE parts, a kind-3 trial its unitary
+        # and both eigenvalue vectors, in one standard_normal call
+        for kind in (0, 3):
+            calls.clear()
+            _sample_block(n, [(40 + n, kind, kind + 1)])
+            assert calls["standard_normal"] == 1, (n, kind)
+        # a low-rank matrix draws its unitary and its coefficients in one
+        calls.clear()
+        draws = maps_mod._Draws(n)
+        draws.draw_low_rank(_CountingRng(substream(40 + n, 1), calls), 0)
+        assert calls["standard_normal"] == 1, n
+
+
+def test_failing_run_takes_its_counterexample_from_the_block(monkeypatch):
+    replays = []
+    replay = lambda *args: replays.append(args)  # noqa: E731
+    monkeypatch.setattr(maps_mod, "substream", replay, raising=False)
+    monkeypatch.setattr(maps_mod, "sample_trial_pair", replay)
+    m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
+    report = check_preservation(m, MODE_RANGE, 200, 3, 321)
+    assert report.first_violation_index is not None
+    assert report.first_counterexample is not None
+    assert replays == []
 
 
 def _quantized_digest(a, seed, salt):
