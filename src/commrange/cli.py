@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-verify    run preservation trials for a preserver form (radius / range /
-          dim2 with flag-selected variants); exit 1 on a counterexample
+verify    run preservation trials for a preserver form, named right after
+          ``verify``; exit 1 on a counterexample
 classify  two-level classification of a Hermitian matrix plus the matching
           constructive witness
 boundary  export numerical-range boundary samples as CSV
@@ -14,9 +14,12 @@ suite     the full acceptance battery
 All randomness is seeded (--seed on verify, equiv and suite, or else the
 COMMRANGE_SEED environment variable, an integer in [0, 2**64)); identical
 invocations produce byte-identical reports.  Each option is declared on
-the subcommands that read it; tolerance overrides are --tol.radius,
---tol.range and --tol.spectrum on verify and --tol.gap and --tol.witness
-on classify, each a finite number above 0 that defaults to the
+the subcommands, and on the verify forms, that read it.  Every verify form
+takes --trials, --workers, --dagger, --shift, --seed and --out; then
+radius takes --dim, --sign and --tol.radius, range --dim, --sset and
+--tol.range, and dim2 (fixed at dimension 2) --psi, --sign and
+--tol.spectrum.  classify takes --tol.gap and --tol.witness.  Each
+tolerance is a finite number above 0 that defaults to the
 ``matcore.TOLERANCES`` entry of its name.  A classify witness reports its
 "defect" |t_min + t_max| / (d ||B||_2), d the spectral diameter of A, and
 "certified" (defect above --tol.witness); an uncertified witness, as a
@@ -39,7 +42,6 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_SEED,
-    MAX_DIM,
     TOLERANCES,
     MatrixError,
     load_matrix,
@@ -56,7 +58,6 @@ from .maps import (
     MODE_RADIUS,
     MODE_RANGE,
     MODE_SPECTRUM,
-    MODES,
     UNITARY_STREAM,
     MapConfigError,
     MapSpec,
@@ -149,27 +150,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run preservation trials for a preserver form"
     )
-    p_verify.add_argument(
-        "form",
-        choices=("radius", "range", "dim2"),
-        help="radius/range preserver forms (dim >= 3) or the dim-2 forms",
-    )
-    p_verify.add_argument("--dim", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--dagger", choices=sorted(_DAGGER_FLAGS), default="id")
-    p_verify.add_argument(
-        "--psi", action="store_true", help="include the dim-2 mirror map"
-    )
-    p_verify.add_argument("--sign", choices=("plus", "hash"), default="plus")
-    p_verify.add_argument(
-        "--shift", choices=("zero", "traceless", "hash"), default="zero"
-    )
-    p_verify.add_argument("--sset", choices=sorted(_SSET_FLAGS), default="empty")
-    # An unset mode tolerance stays None and selects the mode's default.
-    for mode in MODES:
-        p_verify.add_argument(f"--tol.{mode}", dest=f"tol_{mode}", type=positive_float)
-    add_common(p_verify, seeded=True)
+    # One sub-parser per form, declaring only the options that form reads.
+    forms = p_verify.add_subparsers(dest="form", required=True)
+    for form, mode, text in (
+        ("radius", MODE_RADIUS, "radius preserver forms, dim >= 3"),
+        ("range", MODE_RANGE, "range preserver forms, dim >= 3"),
+        ("dim2", MODE_SPECTRUM, "the dim-2 forms"),
+    ):
+        p = forms.add_parser(form, help=text)
+        p.set_defaults(mode=mode)
+        if form == "dim2":
+            p.set_defaults(dim=2)
+            p.add_argument("--psi", action="store_true", help="include the mirror map")
+        else:
+            p.add_argument("--dim", type=int, default=3)
+        if form == "range":
+            p.add_argument("--sset", choices=sorted(_SSET_FLAGS), default="empty")
+        else:
+            p.add_argument("--sign", choices=("plus", "hash"), default="plus")
+        # An unset tolerance stays None and selects the mode's default.
+        p.add_argument(f"--tol.{mode}", dest="tol", type=positive_float)
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--dagger", choices=sorted(_DAGGER_FLAGS), default="id")
+        p.add_argument("--shift", choices=("zero", "traceless", "hash"), default="zero")
+        add_common(p, seeded=True)
 
     p_classify = sub.add_parser(
         "classify", help="two-level classification with witness"
@@ -210,46 +215,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    if args.form == "dim2":
-        dim = 2 if args.dim is None else args.dim
-        if dim != 2:
-            raise UsageError("the dim2 forms are defined at dimension 2 only")
-        mode = MODE_SPECTRUM
-    else:
-        dim = 3 if args.dim is None else args.dim
-        if dim < 3:
-            raise UsageError(f"form {args.form!r} requires dimension >= 3")
-        if args.psi:
-            raise UsageError("--psi applies to the dim2 form only")
-        mode = MODE_RADIUS if args.form == "radius" else MODE_RANGE
-    if not 2 <= dim <= MAX_DIM:
-        raise UsageError(f"dimension must be between 2 and {MAX_DIM}")
+    if args.mode != MODE_SPECTRUM and args.dim < 3:
+        raise UsageError(f"form {args.form!r} requires dimension >= 3")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
 
     seed = _resolve_seed(args.seed)
-    unitary = random_unitary(dim, substream(seed, UNITARY_STREAM))
-    kwargs = dict(
-        dim=dim,
-        unitary=unitary,
+    if args.mode == MODE_RANGE:
+        rules = dict(epsilon=1, sset=_SSET_FLAGS[args.sset], sset_seed=seed + 3)
+    else:
+        rules = dict(sign=args.sign, psi=args.form == "dim2" and args.psi)
+    m = MapSpec(
+        dim=args.dim,
+        unitary=random_unitary(args.dim, substream(seed, UNITARY_STREAM)),
         dagger=_DAGGER_FLAGS[args.dagger],
-        psi=args.psi,
-        sign=args.sign,
         sign_seed=seed + 1,
         shift=args.shift,
         shift_seed=seed + 2,
+        **rules,
     )
-    if mode == MODE_RANGE:
-        kwargs.update(epsilon=1, sset=_SSET_FLAGS[args.sset], sset_seed=seed + 3)
-    elif args.sset != "empty":
-        raise UsageError("--sset applies to the range form only")
-    for other in MODES:
-        if other != mode and getattr(args, f"tol_{other}") is not None:
-            raise UsageError(f"--tol.{other} does not apply to the {args.form} form")
-    m = MapSpec(**kwargs)
-
-    tol = getattr(args, f"tol_{mode}")
-    report = check_preservation(m, mode, args.trials, dim, seed, tol, args.workers)
+    report = check_preservation(
+        m, args.mode, args.trials, args.dim, seed, args.tol, args.workers
+    )
     payload = report.to_json()
     payload["form"] = args.form
     payload["map"] = m.to_json()

@@ -58,7 +58,6 @@ from .matcore import (
     as_matrix,
     hermitian,
     is_unitary,
-    matrix_from_json,
     matrix_to_json,
     max_abs,
 )
@@ -158,9 +157,11 @@ class MapSpec:
 
     ``epsilon`` switches the sign semantics: when None the (radius-mode)
     sign rule applies; when +/-1 the map is a range-mode form whose sign is
-    epsilon, flipped on members of the exceptional set.  Exceptional-set
-    presets only ever admit two-level matrices, so the required inclusion
-    holds by construction.  The rule methods take a Hermitian matrix that
+    epsilon, flipped on members of the exceptional set.  Each form refuses
+    the other's rule: a range form takes only the ``plus`` sign rule and a
+    radius form only the ``empty`` set.  Exceptional-set presets only ever
+    admit two-level matrices, so the required inclusion holds by
+    construction.  The rule methods take a Hermitian matrix that
     ``apply_map`` has already validated.
     """
 
@@ -199,6 +200,11 @@ class MapSpec:
             raise MapConfigError(f"unknown exceptional-set rule {self.sset!r}")
         if self.epsilon not in (None, 1, -1):
             raise MapConfigError("epsilon must be +1, -1 or None")
+        # A form reads only its own rule: a sign rule or an exceptional set.
+        if self.epsilon is not None and self.sign != SIGN_PLUS:
+            raise MapConfigError(f"a range form reads no sign rule, got {self.sign!r}")
+        if self.epsilon is None and self.sset != SSET_EMPTY:
+            raise MapConfigError(f"a radius form reads no set rule, got {self.sset!r}")
 
     def _signs(self, q: _Quanta) -> np.ndarray:
         """The sign rule on each matrix of ``q``'s stack, as +1/-1 ints."""
@@ -239,22 +245,6 @@ class MapSpec:
             "epsilon": self.epsilon,
             "sset": {"rule": self.sset, "seed": self.sset_seed},
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MapSpec":
-        return cls(
-            dim=int(obj["dim"]),
-            unitary=matrix_from_json(obj["unitary"]),
-            dagger=obj["dagger"],
-            psi=bool(obj["psi"]),
-            sign=obj["sign"]["rule"],
-            sign_seed=int(obj["sign"]["seed"]),
-            shift=obj["shift"]["rule"],
-            shift_seed=int(obj["shift"]["seed"]),
-            epsilon=obj["epsilon"],
-            sset=obj["sset"]["rule"],
-            sset_seed=int(obj["sset"]["seed"]),
-        )
 
 
 def apply_map(m: MapSpec, a) -> np.ndarray:

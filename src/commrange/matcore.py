@@ -352,6 +352,7 @@ def _unit_vectors(parts: np.ndarray) -> np.ndarray:
 
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit vector in C^n."""
+    _check_dim(n)
     return _unit_vectors(rng.standard_normal((1, 2, n)))[0]
 
 

@@ -237,8 +237,8 @@ def rank1_commutator_radius(a, x) -> float:
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape[0] != a.shape[0]:
         raise MatrixError("vector length does not match matrix dimension")
-    if abs(np.linalg.norm(x) - 1.0) > TOLERANCES["unit_norm"]:
-        raise MatrixError("x must be a unit vector")
+    if not abs(np.linalg.norm(x) - 1.0) <= TOLERANCES["unit_norm"]:
+        raise MatrixError("x must be a finite unit vector")
     return float(_rank1_radii(a, x[None, :])[0])
 
 

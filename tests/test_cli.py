@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commrange.cli import main
@@ -428,6 +428,81 @@ def test_classify_exits_zero_with_one_eigensolve_at_every_scale(a):
     assert (code, err.getvalue(), len(calls)) == (0, "", 1)
     report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
     assert report["two_level"] == classify_two_level(a).two_level
+
+
+# Each option `verify` once declared on all three forms, with valid values,
+# and the forms that read it; on any other form it is refused.
+_ALL_FORMS = ("radius", "range", "dim2")
+_VERIFY_OPTIONS = {
+    "--dim": (st.integers(2, 4), ("radius", "range")),
+    "--workers": (st.sampled_from([0, 1, 2]), _ALL_FORMS),
+    "--dagger": (st.sampled_from(["id", "transpose"]), _ALL_FORMS),
+    "--psi": (st.none(), ("dim2",)),
+    "--sign": (st.sampled_from(["plus", "hash"]), ("radius", "dim2")),
+    "--shift": (st.sampled_from(["zero", "traceless", "hash"]), _ALL_FORMS),
+    "--sset": (st.sampled_from(["empty", "alld", "random"]), ("range",)),
+    "--tol.radius": (st.floats(1e-15, 1.0), ("radius",)),
+    "--tol.range": (st.floats(1e-15, 1.0), ("range",)),
+    "--tol.spectrum": (st.floats(1e-15, 1.0), ("dim2",)),
+    "--seed": (st.integers(0, 2**64 - 1), _ALL_FORMS),
+    "--out": (st.just("report.json"), _ALL_FORMS),
+}
+
+
+@st.composite
+def _verify_case(draw):
+    """A form and a subset of the options, in drawn order, each with a
+    valid value (None for the --psi switch); half the cases draw only
+    options the form reads."""
+    form = draw(st.sampled_from(_ALL_FORMS))
+    names = sorted(_VERIFY_OPTIONS)
+    if draw(st.booleans()):
+        names = [name for name in names if form in _VERIFY_OPTIONS[name][1]]
+    names = draw(st.lists(st.sampled_from(names), unique=True))
+    return form, {name: draw(_VERIFY_OPTIONS[name][0]) for name in names}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_verify_case(), st.integers(1, 3))
+@example(("range", {"--sign": "hash"}), 3)
+@example(("radius", {"--sset": "alld"}), 3)
+@example(("range", {"--psi": None}), 3)
+@example(("dim2", {"--dim": 2}), 3)
+def test_verify_exit_codes_and_the_rules_a_report_records(case, trials):
+    # an option the form does not read exits 2 with one stderr line and no
+    # report, as do dim 2 on radius and range and --workers 0; any other
+    # run exits 0 or 1 with a finite report that records only applied rules
+    form, options = case
+    foreign = [name for name in options if form not in _VERIFY_OPTIONS[name][1]]
+    refused = foreign or options.get("--workers") == 0 or (
+        form != "dim2" and options.get("--dim") == 2
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify", form, "--trials", str(trials)]
+        for name, value in options.items():
+            if name == "--out":
+                value = str(Path(tmp) / value)
+            argv += [name] if value is None else [name, str(value)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if refused:
+            assert (code, out.getvalue(), err.getvalue().count("\n")) == (2, "", 1)
+            if foreign:
+                assert "unrecognized arguments: " + foreign[0] in err.getvalue()
+            return
+        assert code in (0, 1) and err.getvalue() == ""
+        if "--out" in options:
+            assert out.getvalue() == ""
+            text = (Path(tmp) / options["--out"]).read_text(encoding="utf-8")
+        else:
+            text = out.getvalue()
+    report = json.loads(text, parse_constant=_refuse_constant)
+    assert (report["form"], report["trials"], code) == (form, trials, 1 - report["passed"])
+    sets = {"empty": "empty", "alld": "all-two-level", "random": "random"}
+    assert report["map"]["sign"]["rule"] == options.get("--sign", "plus")
+    assert report["map"]["sset"]["rule"] == sets[options.get("--sset", "empty")]
+    assert report["map"]["psi"] is ("--psi" in options)
 
 
 def test_classify_reports_the_band_above_the_gap_threshold(matrix_file, capsys):

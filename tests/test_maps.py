@@ -546,27 +546,44 @@ def test_affine_sign_match_cases():
     assert match(b, hermitian(b.T.copy())) is None
 
 
-def test_map_json_round_trip():
+def test_map_json_fields():
     u = random_unitary(3, substream(92, 0))
     m = MapSpec(
         dim=3,
         unitary=u,
         dagger=DAGGER_TRANSPOSE,
-        sign=SIGN_HASH,
-        sign_seed=11,
         shift=SHIFT_HASH,
         shift_seed=12,
         epsilon=-1,
         sset=SSET_RANDOM,
         sset_seed=13,
     )
-    back = MapSpec.from_json(json.loads(json.dumps(m.to_json())))
-    assert back.dagger == m.dagger
-    assert back.epsilon == m.epsilon
-    assert back.sset == m.sset
-    assert max_abs(back.unitary - m.unitary) == 0.0
-    a = random_hermitian(3, substream(92, 1))
-    assert max_abs(apply_map(m, a) - apply_map(back, a)) == 0.0
+    obj = json.loads(json.dumps(m.to_json()))
+    assert obj == {
+        "dim": 3,
+        "unitary": {"dim": 3, "re": u.real.tolist(), "im": u.imag.tolist()},
+        "dagger": "transpose",
+        "psi": False,
+        "sign": {"rule": "plus", "seed": 0},
+        "shift": {"rule": "hash", "seed": 12},
+        "epsilon": -1,
+        "sset": {"rule": "random", "seed": 13},
+    }
+
+
+def test_each_form_refuses_the_rule_it_never_reads():
+    # a range form (epsilon +/-1) evaluates no sign rule, and a radius form
+    # (epsilon None) no exceptional set; an unread rule is refused, so a
+    # spec never records a rule it does not apply
+    u = np.eye(3)
+    for eps in (1, -1):
+        with pytest.raises(MapConfigError, match="range form reads no sign rule"):
+            MapSpec(dim=3, unitary=u, epsilon=eps, sign=SIGN_HASH)
+        MapSpec(dim=3, unitary=u, epsilon=eps, sset=SSET_ALL)
+    for sset in (SSET_ALL, SSET_RANDOM):
+        with pytest.raises(MapConfigError, match="radius form reads no set rule"):
+            MapSpec(dim=3, unitary=u, sset=sset)
+    MapSpec(dim=3, unitary=u, sign=SIGN_HASH)
 
 
 def test_report_embeds_counterexample_matrices():

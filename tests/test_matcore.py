@@ -444,6 +444,15 @@ def test_skew_eigenvalues_rejects_non_skew():
         skew_hermitian_eigenvalues(np.eye(3))
 
 
+@pytest.mark.parametrize("n", [0, -1, MAX_DIM + 1])
+def test_random_draws_refuse_bad_dimensions(n):
+    # all three samplers make the one dimension check, so none returns an
+    # empty draw, goes past MAX_DIM or leaks numpy's error for n < 0
+    for draw in (random_hermitian, random_unitary, random_unit_vector):
+        with pytest.raises(MatrixError, match="dimension must be in"):
+            draw(n, substream(7, 0))
+
+
 def test_rank_numeric_projection():
     x = random_unit_vector(5, substream(7, 0))
     assert rank_numeric(np.outer(x, x.conj())) == 1

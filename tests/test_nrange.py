@@ -226,6 +226,14 @@ def test_rank1_radius_rejects_non_unit():
         rank1_commutator_radius(np.eye(2), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_rank1_radius_rejects_non_finite_vectors(entry):
+    # a non-finite entry gives a NaN or infinite norm; the unit check must
+    # refuse both, although NaN fails every comparison
+    with pytest.raises(MatrixError, match="finite unit vector"):
+        rank1_commutator_radius(np.diag([1.0, 2.0]), np.array([entry, 0.0]))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 16), st.integers(0, 2**32), st.floats(-8.0, 8.0), st.booleans())
 def test_rank1_radius_property_homogeneous(n, seed, log_c, negative):
