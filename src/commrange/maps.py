@@ -200,7 +200,6 @@ class MapSpec:
             raise MapConfigError(f"unknown exceptional-set rule {self.sset!r}")
         if self.epsilon not in (None, 1, -1):
             raise MapConfigError("epsilon must be +1, -1 or None")
-        # A form reads only its own rule: a sign rule or an exceptional set.
         if self.epsilon is not None and self.sign != SIGN_PLUS:
             raise MapConfigError(f"a range form reads no sign rule, got {self.sign!r}")
         if self.epsilon is None and self.sset != SSET_EMPTY:
