@@ -127,7 +127,11 @@ def positive_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose parse errors are one line of stderr."""
+    """An argument parser, its sub-parsers included, whose parse errors are
+    one line of stderr and whose options must be spelled out in full."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -452,14 +452,10 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str):
     return float(v) if v.ndim == 0 else v
 
 
-def _block_spectra(n: int, segments):
-    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)), one row per
-    trial, for the trials of ``segments``, (map, seed, lo, hi) each."""
-    return _spectra(*_sample_block(n, [seg[1:] for seg in segments]), segments)
-
-
 def _spectra(a: np.ndarray, b: np.ndarray, segments):
-    """:func:`_block_spectra` on the sampled stacks ``a`` and ``b``."""
+    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)), one row per
+    trial, for the stacks ``a`` and ``b`` that :func:`_sample_block` drew
+    for the trials of ``segments``, (map, seed, lo, hi) each."""
     image_a, image_b, k = [], [], 0
     for m, _, lo, hi in segments:
         t = hi - lo
@@ -648,11 +644,13 @@ def _preservation_reports(
     one pass over the runs laid end to end.  If each run fits one block
     this runs in this process.  A trial's numbers do not depend on the
     stack they are computed in, so each report is the run's own."""
-    for mode in modes:
+    for mode, tol in zip(modes, tols, strict=True):
         if mode not in MODES:
             raise MapConfigError(f"unknown mode {mode!r}")
         if mode == MODE_SPECTRUM and n != 2:
             raise MapConfigError("spectrum mode is defined at dim 2 only")
+        if not 0.0 < tol < np.inf:
+            raise ValueError("tol must be a finite number above 0")
     if any(m.dim != n for m, _ in runs):
         raise MapConfigError("trial dim does not match map dim")
     if trials < 1:

@@ -4,9 +4,10 @@ Each criterion is a pure function of (seed, scale, workers) returning a
 JSON-able result dict.  ``scale`` multiplies the trial counts (1.0 is the
 full battery); reports contain no timing or host information, so a given
 (seed, scale) always produces byte-identical output regardless of worker
-count or execution order.  Criteria 6, 7 and 8 run all preserver forms of
-one dimension in one engine call; calls that ``workers`` splits into two
-or more chunks share one process pool per suite run, built on first use.
+count or execution order.  Criteria 3, 4, 5 and 9 take their trials
+from the one seeded walk :func:`_trials`; criteria 6, 7 and 8 run all
+preserver forms of one dimension in one engine call; calls that ``workers``
+splits into two or more chunks share one process pool per suite run.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ def _derived_seed(seed: int, label: str) -> int:
 
 def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
+
+
+def _trials(seed: int, label: str, count: int, dims: tuple, first: int = 0):
+    """(i, n, rng) for each trial i < ``count`` of the walk ``label``: rng
+    is the (derived seed of ``label``, ``first`` + i) stream and n is
+    ``dims[i % len(dims)]``.  The rng is valid only until the next trial."""
+    base = _derived_seed(seed, label)
+    for i, rng in enumerate(_streams((base, first + i) for i in range(count))):
+        yield i, dims[i % len(dims)], rng
 
 
 def _normal_draws(keys: list, shape: tuple) -> np.ndarray:
@@ -177,11 +187,8 @@ def crit_determinant_fixture(seed: int, scale: float, workers: int) -> dict:
 def crit_rank1_radius_identity(seed: int, scale: float, workers: int) -> dict:
     """Closed-form w([A, x x*]) against the eigensolver, random (A, x)."""
     trials = _count(1000, scale)
-    dims = (2, 3, 4, 5, 6)
-    base = _derived_seed(seed, "rank1-radius")
     worst = 0.0
-    for i, rng in enumerate(_streams((base, i) for i in range(trials))):
-        n = dims[i % len(dims)]
+    for _, n, rng in _trials(seed, "rank1-radius", trials, (2, 3, 4, 5, 6)):
         a = random_hermitian(n, rng)
         x = random_unit_vector(n, rng)
         direct = rank1_commutator_radius(a, x)
@@ -202,44 +209,33 @@ def crit_affine_equivalence_oracle(seed: int, scale: float, workers: int) -> dic
     rank-1-perturbed pairs are rejected through a sampled projection."""
     n_related = _count(500, scale)
     n_perturbed = _count(500, scale)
-    dims = (2, 3, 4, 5, 6)
-    base = _derived_seed(seed, "equivalence")
     related_ok = 0
     beta_worst = 0.0
     gap_worst = 0.0
-    for i, rng in enumerate(_streams((base, i) for i in range(n_related))):
-        n = dims[i % len(dims)]
-        a = random_hermitian(n, rng)
-        alpha = 1 if i % 2 == 0 else -1
-        beta = float(rng.uniform(-3.0, 3.0))
-        b = hermitian(alpha * a + beta * np.eye(n))
-        verdict = radius_equivalence_check(a, b, 200, rng)
-        if (
-            verdict.status == "related"
-            and verdict.alpha == alpha
-            and abs(verdict.beta - beta) <= 1e-9
-            and verdict.worst_gap <= 1e-9
-        ):
-            related_ok += 1
-        beta_worst = max(
-            beta_worst,
-            abs((verdict.beta if verdict.beta is not None else np.inf) - beta),
-        )
-        gap_worst = max(gap_worst, verdict.worst_gap)
-
     rejected_ok = 0
-    perturbed = _streams((base, 1_000_000 + i) for i in range(n_perturbed))
-    for i, rng in enumerate(perturbed):
-        n = dims[i % len(dims)]
-        a = random_hermitian(n, rng)
-        alpha = 1 if i % 2 == 0 else -1
-        beta = float(rng.uniform(-3.0, 3.0))
-        bump = float(rng.uniform(0.1, 1.0)) * (1.0 if rng.integers(2) else -1.0)
-        x = random_unit_vector(n, rng)
-        b = hermitian(alpha * a + beta * np.eye(n) + bump * np.outer(x, x.conj()))
-        verdict = radius_equivalence_check(a, b, 200, rng)
-        if verdict.status == "not-related":
-            rejected_ok += 1
+    for first, count in ((0, n_related), (1_000_000, n_perturbed)):
+        for i, n, rng in _trials(seed, "equivalence", count, (2, 3, 4, 5, 6), first):
+            a = random_hermitian(n, rng)
+            alpha = 1 if i % 2 == 0 else -1
+            beta = float(rng.uniform(-3.0, 3.0))
+            b = alpha * a + beta * np.eye(n)
+            if first:
+                bump = float(rng.uniform(0.1, 1.0)) * (1.0 if rng.integers(2) else -1.0)
+                x = random_unit_vector(n, rng)
+                b = b + bump * np.outer(x, x.conj())
+            verdict = radius_equivalence_check(a, b, 200, rng)
+            if first:
+                rejected_ok += verdict.status == "not-related"
+                continue
+            beta_error = abs((np.inf if verdict.beta is None else verdict.beta) - beta)
+            related_ok += (
+                verdict.status == "related"
+                and verdict.alpha == alpha
+                and beta_error <= 1e-9
+                and verdict.worst_gap <= 1e-9
+            )
+            beta_worst = max(beta_worst, beta_error)
+            gap_worst = max(gap_worst, verdict.worst_gap)
     return {
         "passed": related_ok == n_related and rejected_ok == n_perturbed,
         "details": {
@@ -259,22 +255,13 @@ def crit_affine_equivalence_oracle(seed: int, scale: float, workers: int) -> dic
 def _judge_probes(a: np.ndarray, u: np.ndarray, b: np.ndarray):
     """Whether every Hermitian probe of the stack ``b`` gives a W([A, B])
     that ``interval_symmetric`` accepts and a conjugation residual
-    ||U C U* + C||_max of at most 1e-10, C = [A, B], with the residuals of
-    the probes judged.
-
-    Probes are judged in order, and judging stops at the first one that
-    fails.  Its residual is among those returned only if its interval was
-    symmetric, since the residual test comes second.
-    """
+    ||U C U* + C||_max of at most 1e-10, C = [A, B], with the residual of
+    every probe."""
     ts = _commutator_spectrum(a, b)
-    symmetric = _symmetric(ts[:, 0], ts[:, -1])
     comm = a @ b - b @ a
     residuals = np.abs(u @ comm @ u.conj().T + comm).max(axis=(-2, -1))
-    failed = ~symmetric | (residuals > 1e-10)
-    if not failed.any():
-        return True, residuals
-    stop = int(np.argmax(failed))
-    return False, residuals[: stop + 1 if symmetric[stop] else stop]
+    failed = ~_symmetric(ts[:, 0], ts[:, -1]) | (residuals > 1e-10)
+    return not failed.any(), residuals
 
 
 def crit_two_level_dichotomy(seed: int, scale: float, workers: int) -> dict:
@@ -283,16 +270,13 @@ def crit_two_level_dichotomy(seed: int, scale: float, workers: int) -> dict:
     asymmetry witness."""
     total = _count(500, scale)
     probes_per = _count(100, scale)
-    dims = (3, 4, 5, 6)
-    base = _derived_seed(seed, "dichotomy")
     sym_ok = 0
     sym_total = 0
     wit_ok = 0
     wit_total = 0
     worst_residual = 0.0
     worst_defect = np.inf
-    for i, rng in enumerate(_streams((base, i) for i in range(total))):
-        n = dims[i % len(dims)]
+    for i, n, rng in _trials(seed, "dichotomy", total, (3, 4, 5, 6)):
         if i % 2 == 0:
             sym_total += 1
             a = _random_two_level(n, rng)
@@ -341,7 +325,6 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     """Every (dagger x sign x shift) form preserves commutator radii."""
     trials = _count(1000, scale)
     runs = []
-    worst = 0.0
     for n in (3, 4, 6):
         forms = [
             (f"radius:{n}:{d}:{s}:{f}", dict(dagger=d, sign=s, shift=f))
@@ -351,7 +334,6 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
         ]
         reports = _form_reports(seed, forms, n, (MODE_RADIUS,), trials, 1e-9, workers)
         for (_, rules), (report,) in zip(forms, reports):
-            worst = max(worst, report.max_violation)
             runs.append(
                 {
                     "dim": n,
@@ -365,7 +347,7 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
         "details": {
             "trials_per_config": trials,
             "configs": len(runs),
-            "max_violation": float(worst),
+            "max_violation": float(max(r["max_violation"] for r in runs)),
             "tolerance": 1e-9,
             "runs": runs,
         },
@@ -389,9 +371,7 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
     modes = (MODE_RANGE,)
     *reports, (refute,) = _form_reports(seed, forms, n, modes, trials, 1e-9, workers)
     runs = []
-    worst = 0.0
     for (_, rules), (report,) in zip(forms, reports):
-        worst = max(worst, report.max_violation)
         runs.append(
             {
                 "epsilon": rules["epsilon"],
@@ -405,7 +385,7 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
         "details": {
             "trials_per_config": trials,
             "identity_runs": runs,
-            "identity_max_violation": float(worst),
+            "identity_max_violation": float(max(r["max_violation"] for r in runs)),
             "transpose_counterexample_index": refute.first_violation_index,
             "transpose_max_violation": refute.max_violation,
         },
@@ -539,12 +519,9 @@ def sampled_radius(a: np.ndarray, rng: np.random.Generator) -> float:
 def crit_sweep_vs_sampling(seed: int, scale: float, workers: int) -> dict:
     """The level-set radius dominates the sampling oracle and agrees to 1e-3."""
     count = _count(100, scale)
-    dims = (2, 3, 4, 5, 6)
-    base = _derived_seed(seed, "sweep")
     worst_gap = 0.0
     worst_onesided = 0.0
-    for i, rng in enumerate(_streams((base, i) for i in range(count))):
-        n = dims[i % len(dims)]
+    for _, n, rng in _trials(seed, "sweep", count, (2, 3, 4, 5, 6)):
         a = _ginibre(rng.standard_normal((2, n, n)))
         swept = numerical_radius(a)
         sampled = sampled_radius(a, rng)
@@ -613,6 +590,8 @@ def run_acceptance_suite(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be a finite number above 0")
     criteria = []
     with worker_pool(workers):
         for cid, name, fn in CRITERIA:

@@ -53,13 +53,15 @@ def test_criterion_03_rank1_radius_identity():
     assert out["details"]["max_gap"] <= 1e-9
 
 
-def test_criterion_04_affine_equivalence_oracle():
+def test_criterion_04_affine_equivalence_oracle(hermitian_calls):
     out = _run(4, "affine-equivalence-oracle", crit_affine_equivalence_oracle, 60.0)
     d = out["details"]
     assert d["related_recovered"] == d["related_total"] == 500
     assert d["perturbed_rejected"] == d["perturbed_total"] == 500
     assert d["related_worst_beta_error"] <= 1e-9
     assert d["related_worst_consistency_gap"] <= 1e-9
+    # each of the 1000 pairs is validated once, by radius_equivalence_check
+    assert len(hermitian_calls) == 2000
 
 
 def test_criterion_05_two_level_dichotomy():
@@ -125,8 +127,10 @@ def test_criterion_10_suite_determinism(tmp_path):
     start = time.time()
     out = _run(10, "determinism-probe", crit_determinism_probe, 60.0)
 
-    # full command-level check: same seed -> byte-identical reports,
-    # including across worker counts
+    # full command-level check: same seed -> byte-identical reports.  At
+    # scale 0.05 every run fits one engine block, so --workers 3 starts no
+    # process; test_maps.py::test_reports_byte_identical_across_worker_counts
+    # covers the process pool
     paths = [tmp_path / f"suite{i}.json" for i in range(3)]
     codes = [
         main(["suite", "--scale", "0.05", "--seed", "4242", "--out", str(paths[0])]),

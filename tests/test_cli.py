@@ -225,6 +225,34 @@ def test_every_route_refuses_dimension_above_max(tmp_path, capsys):
     assert capsys.readouterr().err.count("exceeds supported maximum 16") == 8
 
 
+def test_trial_counts_below_one_exit_usage(matrix_file, capsys):
+    path = matrix_file("a.json", np.eye(2))
+    assert main(["verify", "radius", "--trials", "0"]) == 2
+    assert main(["equiv", path, path, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["commrange: --trials must be at least 1"] * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "radius", "--tol", "1e-3"],
+        ["verify", "radius", "--tri", "5"],
+        ["verify", "range", "--ss", "alld"],
+        ["suite", "--sc", "0.02"],
+    ],
+)
+def test_abbreviated_options_exit_usage_in_one_line(capsys, argv):
+    # a prefix would otherwise mean whichever option the parser declares
+    # that starts with it: --tol would read as --tol.radius
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 def test_worker_counts_below_one_exit_usage(capsys):
     assert main(["verify", "radius", "--trials", "5", "--workers", "0"]) == 2
     assert main(["suite", "--scale", "0.01", "--workers", "-1"]) == 2
@@ -294,6 +322,11 @@ def test_seeds_outside_zero_to_two_to_the_64_are_refused(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "commrange: seed -5 (COMMRANGE_SEED) is outside [0, 2**64)\n"
+    monkeypatch.setenv("COMMRANGE_SEED", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "commrange: COMMRANGE_SEED='abc' is not an integer\n"
 
 
 def test_subcommands_that_draw_nothing_refuse_seed(matrix_file, capsys):

@@ -88,22 +88,49 @@ def test_mirror_then_transpose_order():
 
 
 def test_spec_validation():
-    with pytest.raises(MapConfigError):
-        MapSpec(dim=3, unitary=np.eye(3), psi=True)
-    with pytest.raises(MapConfigError):
-        MapSpec(dim=2, unitary=np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(MapConfigError):
-        MapSpec(dim=2, unitary=np.eye(2), dagger="adjoint")
-    with pytest.raises(MapConfigError):
-        MapSpec(dim=2, unitary=np.eye(2), sign="random")
-    with pytest.raises(MapConfigError):
-        MapSpec(dim=2, unitary=np.eye(2), epsilon=2)
+    for fields, message in (
+        (dict(dim=3, unitary=np.eye(3), psi=True), "only defined at dim 2"),
+        (dict(dim=2, unitary=np.array([[1.0, 1.0], [0.0, 1.0]])), "not unitary"),
+        (dict(dim=3, unitary=np.eye(2)), "unitary shape does not match dim"),
+        (dict(dim=2, unitary=np.eye(2), dagger="adjoint"), "unknown dagger"),
+        (dict(dim=2, unitary=np.eye(2), sign="random"), "unknown sign rule"),
+        (dict(dim=2, unitary=np.eye(2), shift="random"), "unknown shift rule"),
+        (dict(dim=2, unitary=np.eye(2), sset="some"), "unknown exceptional-set rule"),
+        (dict(dim=2, unitary=np.eye(2), epsilon=2), "epsilon must be"),
+    ):
+        with pytest.raises(MapConfigError, match=message):
+            MapSpec(**fields)
 
 
 def test_dim_one_map_is_refused():
     # the preserver forms need dim H >= 2; dim 1 used to crash in the sampler
     with pytest.raises(MapConfigError):
         check_preservation(MapSpec(dim=1, unitary=np.eye(1)), MODE_RADIUS, 8, 1, 0)
+
+
+def test_apply_map_refuses_a_matrix_of_another_dim():
+    with pytest.raises(MatrixError, match="matrix dim 4 does not match map dim 3"):
+        apply_map(MapSpec(dim=3, unitary=np.eye(3)), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "trials, n, tol, error, message",
+    [
+        (0, 3, 1e-9, ValueError, "trials must be at least 1"),
+        (50, 4, 1e-9, MapConfigError, "trial dim does not match map dim"),
+        *(
+            (50, 3, tol, ValueError, "tol must be a finite number above 0")
+            for tol in (np.nan, np.inf, 0.0, -1.0)
+        ),
+    ],
+    ids=["trials-0", "dim-4", "tol-nan", "tol-inf", "tol-0", "tol-minus-1"],
+)
+def test_check_preservation_refuses_bad_arguments(trials, n, tol, error, message):
+    # this form fails at tol 1e-9 (max_violation 0.596); a nan or inf tol
+    # used to pass it
+    m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
+    with pytest.raises(error, match=message):
+        check_preservation(m, MODE_RANGE, trials, n, 0, tol=tol)
 
 
 def _sign(m: MapSpec, a: np.ndarray) -> int:
@@ -267,6 +294,14 @@ def test_worker_counts_below_one_rejected():
             check_preservation(m, MODE_RADIUS, 10, 3, 1, workers=workers)
         with pytest.raises(ValueError, match="workers must be at least 1"):
             suite_mod.run_acceptance_suite(seed=1, scale=0.01, workers=workers)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.inf, np.nan])
+def test_suite_refuses_a_scale_outside_zero_to_inf(scale):
+    # at -1.0 the suite used to run one trial per criterion and pass; inf
+    # overflowed a trial count
+    with pytest.raises(ValueError, match="scale must be a finite number above 0"):
+        suite_mod.run_acceptance_suite(seed=1, scale=scale, workers=1)
 
 
 def test_pool_size_clamped_to_cpu_count():

@@ -36,6 +36,8 @@ def test_as_matrix_rejects_bad_input():
         matcore.as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(MatrixError):
         matcore.as_matrix(np.array([[np.inf, 0], [0, 1]]))
+    with pytest.raises(MatrixError, match="matrix must have positive dimension"):
+        matcore.as_matrix(np.zeros((0, 0)))
 
 
 def test_hermitian_validates_and_symmetrizes():

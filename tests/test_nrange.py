@@ -224,6 +224,8 @@ def test_rank1_radius_matches_eigensolver():
 def test_rank1_radius_rejects_non_unit():
     with pytest.raises(MatrixError):
         rank1_commutator_radius(np.eye(2), np.array([1.0, 1.0]))
+    with pytest.raises(MatrixError, match="vector length does not match"):
+        rank1_commutator_radius(np.eye(2), np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

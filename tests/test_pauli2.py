@@ -148,6 +148,8 @@ def test_rotation_covariance():
 def test_rotation_rejects_non_unitary():
     with pytest.raises(MatrixError):
         unitary_to_rotation(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(MatrixError, match="expected a 2x2 unitary"):
+        unitary_to_rotation(np.eye(3))
 
 
 def test_stacked_kernels_match_one_matrix_functions_bitwise():

@@ -83,6 +83,9 @@ def test_independence_vector_absent_for_two_level():
 def test_independence_vector_small_dim_rejected():
     with pytest.raises(MatrixError):
         independence_vector(np.eye(2))
+    # the asymmetry witness needs dimension 3 as well
+    with pytest.raises(MatrixError, match="requires dimension >= 3"):
+        asymmetry_witness(np.diag([1.0, 2.0]))
 
 
 def test_asymmetry_witness_diag123():
@@ -320,6 +323,8 @@ def test_equivalence_validates_once(monkeypatch):
         radius_equivalence_check(a, b, n_projections, substream(48, 1))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+    with pytest.raises(ValueError, match="n_projections must be at least 1"):
+        radius_equivalence_check(a, b, 0, substream(48, 1))
 
 
 def _rank1_radius_reference(a, x):
@@ -392,18 +397,15 @@ def test_equivalence_equals_one_vector_at_a_time_bitwise():
 
 
 def _judge_probes_reference(a, u, probes):
-    """Criterion 5's per-probe loop: whether every probe passes, and the
-    residuals of the probes judged before it stopped."""
-    seen = []
+    """Criterion 5's judgement probe by probe: whether every probe gives a
+    symmetric interval and a residual of at most 1e-10, and every residual."""
+    good, residuals = True, []
     for b in probes:
-        if not interval_symmetric(commutator_interval(a, b)):
-            return False, seen
         comm = commutator(a, b)
-        residual = max_abs(u @ comm @ u.conj().T + comm)
-        seen.append(residual)
-        if residual > 1e-10:
-            return False, seen
-    return True, seen
+        residuals.append(max_abs(u @ comm @ u.conj().T + comm))
+        symmetric = interval_symmetric(commutator_interval(a, b))
+        good = good and symmetric and residuals[-1] <= 1e-10
+    return good, residuals
 
 
 def test_criterion_5_probes_equal_the_per_probe_loop():
@@ -422,23 +424,24 @@ def test_criterion_5_probes_equal_the_per_probe_loop():
         assert (good, residuals.tolist()) == _judge_probes_reference(a, u, one_by_one)
 
 
-def test_criterion_5_probes_stop_at_the_first_failure():
+def test_criterion_5_judges_every_probe():
     rng = substream(54, 0)
     a = _random_two_level(4, rng)
     gue = [random_hermitian(4, rng) for _ in range(2)]
-    # U = I fails the residual test on the first non-commuting probe, whose
-    # residual counts; the larger residual of the probe after it does not
+    # U = I fails the residual test on both non-commuting probes, and the
+    # residual of every probe is returned, those after the first failure too
     probes = np.stack([a, 2.0 * a, gue[0], 3.0 * gue[1]])
     good, residuals = _judge_probes(a, np.eye(4), probes)
     assert (good, residuals.tolist()) == _judge_probes_reference(a, np.eye(4), probes)
-    assert not good and residuals.tolist()[:2] == [0.0, 0.0] and len(residuals) == 3
-    # an asymmetric interval stops judging before that probe's residual
+    assert not good and residuals.tolist()[:2] == [0.0, 0.0] and len(residuals) == 4
+    assert residuals[3] > residuals[2] > 1e-10
+    # an asymmetric interval fails the stack without hiding any residual
     d = np.diag([1.0, 2.0, 4.0]).astype(complex)
     witness, _ = asymmetry_witness(d)
     probes = np.stack([np.diag([3.0, 1.0, 2.0]), witness, random_hermitian(3, rng)])
     good, residuals = _judge_probes(d, np.eye(3), probes)
     assert (good, residuals.tolist()) == _judge_probes_reference(d, np.eye(3), probes)
-    assert not good and residuals.tolist() == [0.0]
+    assert not good and len(residuals) == 3 and residuals[0] == 0.0
 
 
 def test_criterion_5_takes_one_eigensolve_per_matrix(monkeypatch):

@@ -38,9 +38,9 @@ from commrange.maps import (
     SSET_EMPTY,
     SSET_RANDOM,
     MapSpec,
-    _block_spectra,
     _Quanta,
     _sample_block,
+    _spectra,
     apply_map,
     check_preservation,
     metric_violation,
@@ -86,10 +86,8 @@ def _modes(n):
 
 def _split_spectra(m, n, seed, trials, size):
     """Per-trial (base, image) spectra from engine blocks of ``size``."""
-    parts = [
-        _block_spectra(n, [(m, seed, lo, min(lo + size, trials))])
-        for lo in range(0, trials, size)
-    ]
+    blocks = [[(m, seed, lo, min(lo + size, trials))] for lo in range(0, trials, size)]
+    parts = [_spectra(*_sample_block(n, [s[1:] for s in b]), b) for b in blocks]
     return tuple(np.concatenate(side) for side in zip(*parts))
 
 
@@ -151,10 +149,10 @@ def test_counterexample_replay_equals_engine_pair():
     m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
     trials, seed = 200, 321
     report = check_preservation(m, MODE_RANGE, trials, 3, seed, tol=1e-9)
-    base, image = _block_spectra(3, [(m, seed, 0, trials)])
+    a, b = _sample_block(3, [(seed, 0, trials)])
+    base, image = _spectra(a, b, [(m, seed, 0, trials)])
     over = np.flatnonzero(metric_violation(base, image, MODE_RANGE) > 1e-9)
     assert report.first_violation_index == over[0]
-    a, b = _sample_block(3, [(seed, 0, trials)])
     ca, cb = report.first_counterexample
     assert ca.tobytes() == a[over[0]].tobytes()
     assert cb.tobytes() == b[over[0]].tobytes()
