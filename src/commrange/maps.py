@@ -15,21 +15,22 @@ seeded-hash rules over the quantized matrix bytes) so that "arbitrary"
 functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
-pairs through a block engine, which lays (map, seed) runs end to end.  For
-a block of 256 trials at once, it draws trial i from the run's (seed, i)
-stream into one float buffer, forms each recipe's matrices (Haar QR,
-products) in stacked calls, validates the inexact ones and symmetrizes the
-block once, applies each run's map to its own trials (one quantization per
-matrix shared by the hash rules, one stacked ``eigh`` for the exceptional
-set) and takes both commutator spectra and the violation metric, each in
-stacked calls; a run's first violating pair is kept from its block.  The
-one-matrix entries ``sample_trial_pair``, ``apply_map`` and the rule
-methods run the same code on a stack of one.  ``workers`` = N splits the
-trials into at most N chunks of whole blocks, so every N forms the same
-blocks and, the fold being ordered by trial index, gives the same report.
-One chunk runs in the calling process and starts no process; two or more
-run on a spawn process pool, which ``worker_pool`` builds on first use
-and keeps for every call inside its block.
+pairs through a block engine, which checks every map of one call on one
+shared trial stream.  For a block of 256 trials at once, it draws trial i
+from the (seed, i) stream into one float buffer, forms each recipe's
+matrices (Haar QR, products) in stacked calls, validates the inexact ones
+and symmetrizes the block once, applies each map to the whole block (one
+quantization per matrix shared by the hash rules, one stacked ``eigh`` for
+the exceptional set), and takes the commutator spectra of the block and of
+every map's images in one stacked call, then the violation metric; a map's
+first violating pair is kept from its block.  The one-matrix entries
+``sample_trial_pair``, ``apply_map`` and the rule methods run the same code
+on a stack of one.  ``workers`` = N splits the trials into at most N chunks
+of whole blocks, so every N forms the same blocks and, the fold being
+ordered by trial index, gives the same report.  One chunk runs in the
+calling process and starts no process; two or more run on a spawn process
+pool, which ``worker_pool`` builds on first use and keeps for every call
+inside its block.
 """
 
 from __future__ import annotations
@@ -452,55 +453,42 @@ def metric_violation(base: np.ndarray, image: np.ndarray, mode: str):
     return float(v) if v.ndim == 0 else v
 
 
-def _spectra(a: np.ndarray, b: np.ndarray, segments):
-    """Commutator spectra of (A, B) and of (Phi(A), Phi(B)), one row per
-    trial, for the stacks ``a`` and ``b`` that :func:`_sample_block` drew
-    for the trials of ``segments``, (map, seed, lo, hi) each."""
-    image_a, image_b, k = [], [], 0
-    for m, _, lo, hi in segments:
-        t = hi - lo
-        images = _images(m, np.concatenate([a[k : k + t], b[k : k + t]]))
-        image_a.append(images[:t])
-        image_b.append(images[t:])
-        k += t
+def _spectra(a: np.ndarray, b: np.ndarray, maps: list):
+    """Commutator spectra of (A, B), one row per trial, and of
+    (Phi(A), Phi(B)) for each map Phi of ``maps``, one stack per map, for
+    the stacks ``a`` and ``b`` of one block: (t, n) and (K, t, n)."""
+    t, ab = len(a), np.concatenate([a, b])
+    images = [_images(m, ab) for m in maps]
     spectra = _commutator_spectrum(
-        np.concatenate([a, *image_a]), np.concatenate([b, *image_b])
+        np.concatenate([a, *(im[:t] for im in images)]),
+        np.concatenate([b, *(im[t:] for im in images)]),
     )
-    return spectra[:k], spectra[k:]
+    return spectra[:t], spectra[t:].reshape(len(maps), t, -1)
 
 
 def _run_chunk(args):
-    """Worst violation and first violation, None or (i, A, B), per run and
-    mode, over fused trials lo .. hi-1, taken block by block: the first
-    trial index above tolerance and its pair, from the block that found it."""
-    runs, modes, n, trials, lo, hi, tols = args
-    worst = [[0.0] * len(modes) for _ in runs]
-    first = [[None] * len(modes) for _ in runs]
+    """Worst violation and first violation, None or (i, A, B), per map and
+    mode, over trials lo .. hi-1 of the seed's stream, taken block by
+    block: the first trial index above tolerance and its pair, from the
+    block that found it."""
+    maps, seed, modes, n, lo, hi, tol = args
+    worst = [[0.0] * len(modes) for _ in maps]
+    first = [[None] * len(modes) for _ in maps]
     for start in range(lo, hi, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, hi)
-        # (run, lo, hi): fused trial v is trial v % trials of run v // trials
-        segments = [
-            (r, max(start - r * trials, 0), min(stop - r * trials, trials))
-            for r in range(start // trials, -(-stop // trials))
-        ]
-        block = [(*runs[r], i0, i1) for r, i0, i1 in segments]
-        a, b = _sample_block(n, [seg[1:] for seg in block])
-        base, image = _spectra(a, b, block)
+        a, b = _sample_block(n, [(seed, start, min(start + _BLOCK_TRIALS, hi))])
+        base, images = _spectra(a, b, maps)
         for j, mode in enumerate(modes):
-            v = metric_violation(base, image, mode)
-            for r, i0, i1 in segments:
-                at = r * trials + i0 - start
-                seg = v[at : at + i1 - i0]
-                worst[r][j] = max(worst[r][j], float(seg.max()))
-                over = np.flatnonzero(seg > tols[j])
+            for r, v in enumerate(metric_violation(base, images, mode)):
+                worst[r][j] = max(worst[r][j], float(v.max()))
+                over = np.flatnonzero(v > tol)
                 if first[r][j] is None and over.size:
-                    k = at + int(over[0])
-                    first[r][j] = (i0 + int(over[0]), a[k].copy(), b[k].copy())
+                    k = int(over[0])
+                    first[r][j] = (start + k, a[k].copy(), b[k].copy())
     return [list(zip(w, f)) for w, f in zip(worst, first)]
 
 
 def _chunks(trials: int, workers: int) -> list:
-    """The [lo, hi) trial ranges of a run: at most ``workers`` chunks of
+    """The [lo, hi) trial ranges of a call: at most ``workers`` chunks of
     whole engine blocks, the last one cut at ``trials``."""
     per = -(-trials // (_BLOCK_TRIALS * workers)) * _BLOCK_TRIALS
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
@@ -620,7 +608,7 @@ def check_preservation(
     mode "radius" compares numerical radii, "range" the full intervals,
     "spectrum" (dim 2 only) the sorted skew spectra, against ``tol`` or
     else the mode's ``TOLERANCES`` entry; the engine call
-    :func:`_preservation_reports` on one run.  ``workers`` = N splits more
+    :func:`_preservation_reports` on one map.  ``workers`` = N splits more
     than 256 trials into at most N chunks of whole 256-trial blocks, run on
     the pool of the open ``worker_pool`` block (a suite run shares one) or
     else on a pool for this call only.  Every N forms the same blocks and
@@ -628,39 +616,38 @@ def check_preservation(
     """
     if tol is None:
         tol = TOLERANCES.get(mode)  # the engine refuses an unknown mode
-    return _preservation_reports([(m, seed)], (mode,), trials, n, (tol,), workers)[0][0]
+    return _preservation_reports([m], seed, (mode,), trials, n, tol, workers)[0][0]
 
 
 def _preservation_reports(
-    runs: list,
+    maps: list,
+    seed: int,
     modes: tuple,
     trials: int,
     n: int,
-    tols: tuple,
+    tol: float,
     workers: int,
 ) -> list:
-    """``check_preservation`` of each (map, seed) run of ``runs`` in each
-    of ``modes`` (with its tolerance in ``tols``), one list per run, from
-    one pass over the runs laid end to end.  If each run fits one block
-    this runs in this process.  A trial's numbers do not depend on the
-    stack they are computed in, so each report is the run's own."""
-    for mode, tol in zip(modes, tols, strict=True):
+    """``check_preservation`` of each map of ``maps`` on ``seed`` in each
+    of ``modes``, one list per map, from one pass over the trial stream:
+    each block is sampled once, with its base spectra, and every map is
+    applied to it.  A trial's numbers do not depend on the stack they are
+    computed in, so each report is the map's own."""
+    for mode in modes:
         if mode not in MODES:
             raise MapConfigError(f"unknown mode {mode!r}")
         if mode == MODE_SPECTRUM and n != 2:
             raise MapConfigError("spectrum mode is defined at dim 2 only")
-        if not 0.0 < tol < np.inf:
-            raise ValueError("tol must be a finite number above 0")
-    if any(m.dim != n for m, _ in runs):
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be a finite number above 0")
+    if any(m.dim != n for m in maps):
         raise MapConfigError("trial dim does not match map dim")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    total = len(runs) * trials
-    bounds = [(0, total)] if trials <= _BLOCK_TRIALS else _chunks(total, workers)
-    chunks = [(runs, modes, n, trials, lo, hi, tols) for lo, hi in bounds]
+    chunks = [(maps, seed, modes, n, lo, hi, tol) for lo, hi in _chunks(trials, workers)]
     if len(chunks) == 1:
         per_chunk = [_run_chunk(chunks[0])]
     else:
@@ -669,9 +656,9 @@ def _preservation_reports(
 
     out = []
     # Chunks are in trial order, so the first index found is the first.
-    for (_, seed), per_run in zip(runs, zip(*per_chunk)):
+    for per_map in zip(*per_chunk):
         out.append([])
-        for mode, tol, found in zip(modes, tols, zip(*per_run)):
+        for mode, found in zip(modes, zip(*per_map)):
             index, *pair = next((f for _, f in found if f is not None), (None,))
             out[-1].append(
                 PreservationReport(

@@ -383,7 +383,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise MatrixError(
             f"matrix JSON shape mismatch: dim={n}, re {re.shape}, im {im.shape}"
         )
-    return as_matrix(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, refused below
+        return as_matrix(re + 1j * im)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -5,9 +5,10 @@ JSON-able result dict.  ``scale`` multiplies the trial counts (1.0 is the
 full battery); reports contain no timing or host information, so a given
 (seed, scale) always produces byte-identical output regardless of worker
 count or execution order.  Criteria 3, 4, 5 and 9 take their trials
-from the one seeded walk :func:`_trials`; criteria 6, 7 and 8 run all
-preserver forms of one dimension in one engine call; calls that ``workers``
-splits into two or more chunks share one process pool per suite run.
+from the one seeded walk :func:`_trials`; criteria 6, 7, 8 and 10 check
+the preserver forms of one dimension in one engine call, every form on the
+call's one shared trial stream; calls that ``workers`` splits into two or
+more chunks share one process pool per suite run.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .maps import (
     _preservation_reports,
     _random_two_level,
     _sample_block,
-    check_preservation,
     metric_violation,
     worker_pool,
 )
@@ -75,6 +75,10 @@ def _derived_seed(seed: int, label: str) -> int:
 
 
 def _count(base: int, scale: float) -> int:
+    """``base`` scaled by ``scale``, at least 1; every criterion reads its
+    scale here, so a scale that is not a finite number above 0 is refused."""
+    if not 0.0 < scale < np.inf:
+        raise ValueError("scale must be a finite number above 0")
     return max(1, int(round(base * scale)))
 
 
@@ -113,13 +117,13 @@ def _seeded_specs(seed: int, forms: list, n: int) -> list:
     ]
 
 
-def _form_reports(seed, forms, n, modes, trials, tol, workers):
+def _form_reports(seed, label, forms, n, modes, trials, tol, workers):
     """The reports, one list per form in mode order, of the seeded map of
-    each (label, rules) of ``forms`` over the trial stream of its label, at
-    tolerance ``tol``, from one engine call."""
-    seeds = [_derived_seed(seed, label + ":trials") for label, _ in forms]
-    runs = list(zip(_seeded_specs(seed, forms, n), seeds))
-    return _preservation_reports(runs, modes, trials, n, (tol,) * len(modes), workers)
+    each (label, rules) of ``forms``, every one on the trial stream of
+    ``label``, at tolerance ``tol``, from one engine call."""
+    run_seed = _derived_seed(seed, label + ":trials")
+    maps = _seeded_specs(seed, forms, n)
+    return _preservation_reports(maps, run_seed, modes, trials, n, tol, workers)
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -332,7 +336,9 @@ def crit_radius_preserver_forms(seed: int, scale: float, workers: int) -> dict:
             for s in (SIGN_PLUS, SIGN_HASH)
             for f in (SHIFT_ZERO, SHIFT_TRACELESS, SHIFT_HASH)
         ]
-        reports = _form_reports(seed, forms, n, (MODE_RADIUS,), trials, 1e-9, workers)
+        reports = _form_reports(
+            seed, f"radius:{n}", forms, n, (MODE_RADIUS,), trials, 1e-9, workers
+        )
         for (_, rules), (report,) in zip(forms, reports):
             runs.append(
                 {
@@ -368,8 +374,9 @@ def crit_range_preserver_forms(seed: int, scale: float, workers: int) -> dict:
         for sset in (SSET_EMPTY, SSET_ALL, SSET_RANDOM)
     ]
     forms.append(("range-transpose", dict(dagger=DAGGER_TRANSPOSE, epsilon=1)))
-    modes = (MODE_RANGE,)
-    *reports, (refute,) = _form_reports(seed, forms, n, modes, trials, 1e-9, workers)
+    *reports, (refute,) = _form_reports(
+        seed, "range-transpose", forms, n, (MODE_RANGE,), trials, 1e-9, workers
+    )
     runs = []
     for (_, rules), (report,) in zip(forms, reports):
         runs.append(
@@ -407,9 +414,9 @@ def crit_dim2_forms(seed: int, scale: float, workers: int) -> dict:
         for d in (DAGGER_IDENTITY, DAGGER_TRANSPOSE)
         for mirror in (False, True)
     ]
-    # One pass over the trial streams gives all three metrics.
+    # One pass over the trial stream gives all three metrics.
     modes = (MODE_SPECTRUM, MODE_RANGE, MODE_RADIUS)
-    reports = _form_reports(seed, forms, 2, modes, trials, 1e-10, workers)
+    reports = _form_reports(seed, "dim2", forms, 2, modes, trials, 1e-10, workers)
     form_runs = []
     for (_, rules), per_mode in zip(forms, reports):
         mode_violations = {r.mode: r.max_violation for r in per_mode}
@@ -545,14 +552,12 @@ def crit_determinism_probe(seed: int, scale: float, workers: int) -> dict:
     across worker counts.  Its 40 trials fit one engine block, so they never
     leave this process: ``tests/test_maps.py`` covers the process split in
     ``test_reports_byte_identical_across_worker_counts``."""
-    label = "determinism"
-    (m,) = _seeded_specs(seed, [(label, dict(sign=SIGN_HASH, shift=SHIFT_HASH))], 3)
-    run_seed = _derived_seed(seed, label + ":trials")
+    forms = [("determinism", dict(sign=SIGN_HASH, shift=SHIFT_HASH))]
     trials = _count(40, scale)
     blobs = []
     for n_workers in (1, 1, max(2, min(workers, 4))):
-        report = check_preservation(
-            m, MODE_RADIUS, trials, 3, run_seed, tol=1e-9, workers=n_workers
+        ((report,),) = _form_reports(
+            seed, "determinism", forms, 3, (MODE_RADIUS,), trials, 1e-9, n_workers
         )
         blobs.append(
             json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
@@ -582,16 +587,16 @@ def run_acceptance_suite(
 ) -> dict:
     """Run the whole battery; the report is deterministic in (seed, scale).
 
-    ``workers`` = N splits the fused trials of each engine call into at
-    most N chunks of whole 256-trial blocks; a call whose runs each fit one
-    block starts no process.  Calls of two or more chunks share one spawn
-    pool of at most ``os.cpu_count()`` processes, built on first use and
-    shut down when the suite ends, also when a criterion raises.
+    ``workers`` = N splits the trials of each engine call, which checks
+    all its forms on one shared trial stream, into at most N chunks of
+    whole 256-trial blocks; a call of at most 256 trials starts no process.
+    Calls of two or more chunks share one spawn pool of at most
+    ``os.cpu_count()`` processes, built on first use and shut down when the
+    suite ends, also when a criterion raises.  The first criterion that
+    reads the scale refuses one that is not a finite number above 0.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if not 0.0 < scale < np.inf:
-        raise ValueError("scale must be a finite number above 0")
     criteria = []
     with worker_pool(workers):
         for cid, name, fn in CRITERIA:

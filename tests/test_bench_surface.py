@@ -4,11 +4,15 @@
 from commrange and read attributes of its modules, private ones included.
 A deletion that breaks one of them would only show when the benchmark
 runs, so this test reads both files with ``ast`` and resolves every such
-name against the package.
+name against the package.  A change of signature would not show there, so
+the bench script's engine sections, which wrap private engine functions,
+also run here on small inputs.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,28 @@ def test_bench_script_private_attributes_are_checked():
     names = _references(ROOT / "scripts/bench_trials.py")
     assert "commrange.maps._Draws.assemble" in names
     assert "commrange.matcore._unit_vectors" in names
+
+
+def test_bench_script_engine_sections_run(monkeypatch):
+    # the script pins BLAS to one thread through the environment and puts
+    # its src on sys.path; both are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "scripts/bench_trials.py"
+    spec = importlib.util.spec_from_file_location("bench_trials", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    maps = importlib.import_module("commrange.maps")
+    run_chunk, assemble = maps._run_chunk, maps._Draws.assemble
+
+    engine = bench.measure_engine(2, 2026, 1)
+    assert engine["trials_per_s"] > 0
+    assert set(engine["phase_us_per_trial"]) == {
+        "draws", "qr_assembly", "map_digests", "spectra"
+    }
+    assert set(engine["kind_us_per_trial"]["draws"]) == {f"kind{k}" for k in range(4)}
+    outside = bench.measure_counterexample(2026, 1)
+    assert set(outside) == {"n3", "n6", "n16"}
+    # the timing wrappers are taken off again
+    assert (maps._run_chunk, maps._Draws.assemble) == (run_chunk, assemble)

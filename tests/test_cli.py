@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commrange.cli import main
-from commrange.matcore import MAX_DIM, matrix_to_json, random_unitary, substream
+from commrange.matcore import (
+    MAX_DIM,
+    TOLERANCES,
+    is_hermitian,
+    matrix_to_json,
+    random_unitary,
+    substream,
+)
 from commrange.pauli2 import PAULI_X
 from commrange.structure import classify_two_level
 
@@ -419,10 +426,11 @@ def test_classify_takes_one_eigensolve(matrix_file, capsys, monkeypatch):
 
 
 @st.composite
-def _scaled_shifted_hermitian(draw):
+def _scaled_shifted_hermitian(draw, dims=st.integers(1, MAX_DIM)):
     """c A + d I for a Hermitian A with spectrum in [-1, 1], repeated
-    eigenvalues allowed, c in +/-10^[-300, 300] and finite |d| <= 1e300."""
-    n = draw(st.integers(1, MAX_DIM))
+    eigenvalues allowed, c in +/-10^[-300, 300] and finite |d| <= 1e300,
+    of a dimension drawn from ``dims``."""
+    n = draw(dims)
     levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=n))
     picks = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
     u = random_unitary(n, substream(draw(st.integers(0, 2**32 - 1)), 0))
@@ -461,6 +469,90 @@ def test_classify_exits_zero_with_one_eigensolve_at_every_scale(a):
     assert (code, err.getvalue(), len(calls)) == (0, "", 1)
     report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
     assert report["two_level"] == classify_two_level(a).two_level
+
+
+@st.composite
+def _matrix_file_case(draw, dims, general=False):
+    """A matrix for a matrix file and whether the file is valid input: a
+    matrix of ``_scaled_shifted_hermitian`` (plus i times a second one when
+    ``general``), that matrix with one non-finite entry, or a matrix of
+    dimension 0 or MAX_DIM + 1."""
+    kind = draw(st.sampled_from(["valid", "valid", "non-finite", "bad-dim"]))
+    if kind == "bad-dim":
+        n = draw(st.sampled_from([0, MAX_DIM + 1]))
+        return np.ones((n, n), dtype=complex), False
+    a = draw(_scaled_shifted_hermitian(dims)).astype(complex)
+    if general:
+        a = a + 1j * draw(_scaled_shifted_hermitian(st.just(len(a))))
+    if kind == "non-finite":
+        i, j = draw(st.tuples(*[st.integers(0, len(a) - 1)] * 2))
+        part = a.real if draw(st.booleans()) else a.imag
+        part[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a, kind == "valid"
+
+
+def _run_on_matrix(argv, a):
+    """Exit code, stdout and stderr of ``main(argv + [file])`` on a file
+    holding ``a`` as matrix JSON; Python's json writes a non-finite entry as
+    NaN or Infinity."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        text = json.dumps({"dim": len(a), "re": a.real.tolist(), "im": a.imag.tolist()})
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused_in_one_line(code, out, err):
+    # exit 2 is a usage error and exit 4 an internal one, each one line of
+    # stderr; exit 3 (falsification) never occurs for these subcommands
+    assert code in (2, 4), (code, err)
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert code == 2 or err.startswith("commrange: internal error: ")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    _matrix_file_case(st.sampled_from([1, 2, 2, 2, 3])),
+    st.sampled_from([None, 0.5, 0.9, 1.1, 2.0]),
+)
+def test_pauli_exit_codes_on_any_input(case, asymmetry):
+    # a 2x2 Hermitian matrix at any scale and shift exits 0 with a finite
+    # report; any other input, a 2x2 matrix whose off-diagonal asymmetry is
+    # a multiple of the symmetry threshold included, exits 2 in one line
+    a, valid = case
+    if asymmetry is not None and valid and a.shape == (2, 2):
+        a[0, 1] += asymmetry * TOLERANCES["hermitian"] * max(1.0, np.abs(a).max())
+    code, out, err = _run_on_matrix(["pauli"], a)
+    if valid and a.shape == (2, 2) and is_hermitian(a):
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert len(report["a"]) == 3 and np.isfinite([*report["a"], report["t"]]).all()
+    else:
+        _assert_refused_in_one_line(code, out, err)
+        assert code == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_matrix_file_case(st.integers(1, MAX_DIM), general=True), st.integers(8, 41))
+def test_boundary_exit_codes_on_any_input(case, angles):
+    # any square matrix with finite entries, at any scale and shift, exits 0
+    # with one finite CSV row per angle, odd or even, or else exits 4 in one
+    # line if a boundary point leaves the float range; any other input exits
+    # 2 in one line
+    a, valid = case
+    code, out, err = _run_on_matrix(["boundary", "--angles", str(angles)], a)
+    if valid and code == 0:
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "theta,re,im" and len(lines) == angles + 1
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert np.isfinite(rows).all()
+    else:
+        _assert_refused_in_one_line(code, out, err)
+        assert (code == 2) != valid
 
 
 # Each option `verify` once declared on all three forms, with valid values,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from commrange import maps as maps_mod
 from commrange import suite as suite_mod
 from commrange.cli import main
 from commrange.matcore import (
@@ -304,6 +305,33 @@ def test_suite_refuses_a_scale_outside_zero_to_inf(scale):
         suite_mod.run_acceptance_suite(seed=1, scale=scale, workers=1)
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, np.inf, np.nan])
+def test_criteria_called_alone_refuse_a_scale_outside_zero_to_inf(scale):
+    # called directly, criterion 3 used to run one trial at -1.0 and pass,
+    # and a nan or inf scale failed inside the conversion of a trial count;
+    # criteria 1 and 2 read no scale
+    for *_, crit in suite_mod.CRITERIA[2:]:
+        with pytest.raises(ValueError, match="scale must be a finite number above 0"):
+            crit(seed=1, scale=scale, workers=1)
+
+
+def test_radius_forms_share_one_trial_stream_per_dimension(monkeypatch):
+    # the 12 forms of each dimension are checked on one stream, so scale
+    # 0.02 samples 20 pairs for each of 3 dimensions, not 20 for each of
+    # 36 forms (720)
+    drawn = []
+    draw_pair = maps_mod._Draws.draw_pair
+
+    def counting(draws, rng, kind):
+        drawn.append(draws.n)
+        return draw_pair(draws, rng, kind)
+
+    monkeypatch.setattr(maps_mod._Draws, "draw_pair", counting)
+    out = suite_mod.crit_radius_preserver_forms(seed=2026, scale=0.02, workers=1)
+    assert out["passed"] and out["details"]["trials_per_config"] == 20
+    assert sorted(drawn) == [3] * 20 + [4] * 20 + [6] * 20
+
+
 def test_pool_size_clamped_to_cpu_count():
     # a pure function: asking for 10,000 workers starts no process here
     assert pool_size(10_000, 2) == 2
@@ -399,9 +427,10 @@ def _pool_criteria(*ids):
 
 
 def test_suite_run_builds_one_pool(pool_log, monkeypatch):
-    # at scale 0.3 criterion 7 runs its 7 forms of 300 trials in one fused
-    # call and criterion 8 its 4 forms of 600 trials in another; each run
-    # is more than one engine block, so each call goes to the pool
+    # at scale 0.3 criterion 7 checks its 7 forms on one stream of 300
+    # trials in one call and criterion 8 its 4 forms on one of 600 trials in
+    # another; each stream is more than one engine block, so each call goes
+    # to the pool
     monkeypatch.setattr(suite_mod, "CRITERIA", _pool_criteria(7, 8))
     report = suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
     assert report["passed"] is True
@@ -415,8 +444,8 @@ def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
     def boom(seed, scale, workers):
         raise RuntimeError("criterion failed mid-run")
 
-    # criterion 7's fused call of seven multi-block runs goes to the pool
-    # before the next criterion raises
+    # criterion 7's call of seven forms on one multi-block stream goes to
+    # the pool before the next criterion raises
     criteria = _pool_criteria(7) + ((8, "boom", boom),)
     monkeypatch.setattr(suite_mod, "CRITERIA", criteria)
     with pytest.raises(RuntimeError, match="criterion failed mid-run"):
@@ -457,17 +486,17 @@ def test_reports_byte_identical_across_worker_counts():
         shift_seed=7,
     )
     cases = [
-        (radius, (MODE_RADIUS,), 4, (1e-9,)),
-        (transpose, (MODE_RANGE,), 3, (1e-9,)),
-        (dim2, MODES, 2, (1e-10,) * 3),
+        (radius, (MODE_RADIUS,), 4, 1e-9),
+        (transpose, (MODE_RANGE,), 3, 1e-9),
+        (dim2, MODES, 2, 1e-10),
     ]
     outcomes = []
     with worker_pool(3):
-        for index, (m, modes, n, tols) in enumerate(cases):
+        for index, (m, modes, n, tol) in enumerate(cases):
             blobs = set()
             for workers in (1, 2, 3):
                 (reports,) = _preservation_reports(
-                    [(m, 50 + index)], modes, _MULTI_BLOCK, n, tols, workers
+                    [m], 50 + index, modes, _MULTI_BLOCK, n, tol, workers
                 )
                 blobs.add(tuple(json.dumps(r.to_json()) for r in reports))
             assert len(blobs) == 1, modes
@@ -480,44 +509,49 @@ def test_reports_byte_identical_across_worker_counts():
     assert outcomes[1][0].first_counterexample is not None
 
 
-def _fused_runs():
-    # three n = 3 runs of one call: a passing range form, the failing
-    # range-transpose form and a hash-sign radius form, each on its own seed
+# the seed of the one trial stream that the maps of a call share
+_SHARED_SEED = 62
+
+
+def _one_call_maps():
+    # three n = 3 maps of one call: a passing range form, the failing
+    # range-transpose form and a hash-sign radius form
     return [
-        (MapSpec(dim=3, unitary=random_unitary(3, substream(92, 0)), epsilon=-1,
-                 sset=SSET_RANDOM, sset_seed=8, shift=SHIFT_HASH, shift_seed=9), 61),
-        (MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1), 62),
-        (MapSpec(dim=3, unitary=random_unitary(3, substream(92, 1)), sign=SIGN_HASH,
-                 sign_seed=10, shift=SHIFT_TRACELESS), 63),
+        MapSpec(dim=3, unitary=random_unitary(3, substream(92, 0)), epsilon=-1,
+                sset=SSET_RANDOM, sset_seed=8, shift=SHIFT_HASH, shift_seed=9),
+        MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1),
+        MapSpec(dim=3, unitary=random_unitary(3, substream(92, 1)), sign=SIGN_HASH,
+                sign_seed=10, shift=SHIFT_TRACELESS),
     ]
 
 
 @pytest.mark.parametrize("trials", (1, 20, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 600))
 def test_fused_runs_report_as_their_own_calls(trials):
-    # fused trial v is trial v % trials of run v // trials: engine blocks
-    # and chunks cut across runs, yet every run folds to the bytes of its
-    # own check_preservation, first index and counterexample included
-    runs = _fused_runs()
-    modes, tols = (MODE_RANGE, MODE_RADIUS), (1e-9, 1e-9)
+    # the maps of one call are fused onto one trial stream: each block is
+    # sampled once for all of them, yet every map folds to the bytes of its
+    # own check_preservation on that seed, first index and counterexample
+    # included, for any worker count
+    maps, seed = _one_call_maps(), _SHARED_SEED
+    modes, tol = (MODE_RANGE, MODE_RADIUS), 1e-9
     own = [
         [json.dumps(check_preservation(m, mode, trials, 3, seed, tol).to_json())
-         for mode, tol in zip(modes, tols)]
-        for m, seed in runs
+         for mode in modes]
+        for m in maps
     ]
     with worker_pool(3):
         for workers in (1, 2, 3):
-            fused = _preservation_reports(runs, modes, trials, 3, tols, workers)
-            assert [[json.dumps(r.to_json()) for r in run] for run in fused] == own
-    assert [[r.passed for r in run] for run in fused][1] == [False, True]
+            shared = _preservation_reports(maps, seed, modes, trials, 3, tol, workers)
+            assert [[json.dumps(r.to_json()) for r in run] for run in shared] == own
+    assert [[r.passed for r in run] for run in shared][1] == [False, True]
 
 
 def test_fused_call_of_one_block_runs_starts_no_process(pool_log):
-    # three runs of 200 trials are 600 fused trials, but each run fits one
-    # engine block, so the call stays in this process for any worker count
-    runs = _fused_runs()
-    serial = _preservation_reports(runs, (MODE_RANGE,), 200, 3, (1e-9,), 1)
+    # three maps on one stream of 200 trials: the stream fits one engine
+    # block, so the call stays in this process for any worker count
+    maps, seed = _one_call_maps(), _SHARED_SEED
+    serial = _preservation_reports(maps, seed, (MODE_RANGE,), 200, 3, 1e-9, 1)
     for workers in (2, 3, 64):
-        split = _preservation_reports(runs, (MODE_RANGE,), 200, 3, (1e-9,), workers)
+        split = _preservation_reports(maps, seed, (MODE_RANGE,), 200, 3, 1e-9, workers)
         assert [[r.to_json() for r in run] for run in split] == [
             [r.to_json() for r in run] for run in serial
         ]

@@ -86,8 +86,11 @@ def _modes(n):
 
 def _split_spectra(m, n, seed, trials, size):
     """Per-trial (base, image) spectra from engine blocks of ``size``."""
-    blocks = [[(m, seed, lo, min(lo + size, trials))] for lo in range(0, trials, size)]
-    parts = [_spectra(*_sample_block(n, [s[1:] for s in b]), b) for b in blocks]
+    parts = []
+    for lo in range(0, trials, size):
+        a, b = _sample_block(n, [(seed, lo, min(lo + size, trials))])
+        base, (image,) = _spectra(a, b, [m])
+        parts.append((base, image))
     return tuple(np.concatenate(side) for side in zip(*parts))
 
 
@@ -150,7 +153,7 @@ def test_counterexample_replay_equals_engine_pair():
     trials, seed = 200, 321
     report = check_preservation(m, MODE_RANGE, trials, 3, seed, tol=1e-9)
     a, b = _sample_block(3, [(seed, 0, trials)])
-    base, image = _spectra(a, b, [(m, seed, 0, trials)])
+    base, (image,) = _spectra(a, b, [m])
     over = np.flatnonzero(metric_violation(base, image, MODE_RANGE) > 1e-9)
     assert report.first_violation_index == over[0]
     ca, cb = report.first_counterexample
@@ -160,7 +163,7 @@ def test_counterexample_replay_equals_engine_pair():
     # the pair of that trial taken from its block
     for lo in (over[0] + 1, 37):
         (((worst, (first, ca, cb)),),) = maps_mod._run_chunk(
-            ([(m, seed)], (MODE_RANGE,), 3, trials, int(lo), trials, (1e-9,))
+            ([m], seed, (MODE_RANGE,), 3, int(lo), trials, 1e-9)
         )
         assert first == over[over >= lo][0]
         assert ca.tobytes() == a[first].tobytes()
@@ -200,7 +203,7 @@ def _per_trial_stacks(n, segments):
 @example(6, 2**63 + 5, 0, 40, (17, 40, 1))
 @example(16, 2**64 + 7, 2**20, 9, (-7, 2**20 + 9, 3))
 def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count, other):
-    # two segments of two seeds laid end to end, as the engine fuses runs
+    # two segments of two seeds laid end to end in one block
     seed2, lo2, count2 = other
     segments = [(seed, lo, lo + count), (seed2, lo2, lo2 + count2)]
     got = _sample_block(n, segments)
