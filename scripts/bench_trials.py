@@ -12,7 +12,8 @@ trial:
   assembly);
 * ``qr_assembly``: ``_Draws.assemble`` inside that call: stacked Haar QR,
   forming and validating the samples;
-* ``map_digests``: the map on the A and B stacks, with the hash digests;
+* ``map_digests``: the map step on the A and B stacks, with its sign and
+  shift rules' stacked integer hash;
 * ``spectra``: both commutator spectra and the violation metric.
 
 ``kind_us_per_trial`` gives ``draws`` and ``qr_assembly`` for each pool
@@ -143,7 +144,7 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     """Seconds of each engine phase over trials 0 .. BLOCK-1."""
     wall, assembly, a, b = _timed_sample(n, [(seed, 0, BLOCK)])
     t1 = perf_counter()
-    images = maps._images(m, np.concatenate([a, b]))
+    (images,) = maps._images([m], np.concatenate([a, b]))
     t2 = perf_counter()
     spectra = _commutator_spectrum(
         np.concatenate([a, images[:BLOCK]]), np.concatenate([b, images[BLOCK:]])

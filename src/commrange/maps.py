@@ -11,7 +11,7 @@ sign epsilon that may flip on an exceptional subset of the two-level
 matrices (where the flip is invisible to commutator ranges).
 
 Sign, shift and exceptional-set rules are named presets (optionally
-seeded-hash rules over the quantized matrix bytes) so that "arbitrary"
+seeded integer hashes of the quantized matrix entries) so that "arbitrary"
 functions are exercised reproducibly and specs stay serializable.
 
 ``check_preservation`` runs seeded trials over a mixed pool of matrix
@@ -19,15 +19,15 @@ pairs through a block engine, which checks every map of one call on one
 shared trial stream.  For a block of 256 trials at once, it draws trial i
 from the (seed, i) stream into one float buffer, forms each recipe's
 matrices (Haar QR, products) in stacked calls, validates the inexact ones
-and symmetrizes the block once, applies each map to the whole block (one
-quantization per matrix shared by the hash rules, one stacked ``eigh`` for
-the exceptional set), and takes the commutator spectra of the block and of
-every map's images in one stacked call, then the violation metric; a map's
-first violating pair is kept from its block.  The one-matrix entries
-``sample_trial_pair``, ``apply_map`` and the rule methods run the same code
-on a stack of one.  ``workers`` = N splits the trials into at most N chunks
-of whole blocks, so every N forms the same blocks and, the fold being
-ordered by trial index, gives the same report.  One chunk runs in the
+and symmetrizes the block once, applies all maps to it in one map step
+(one quantization, one stacked integer hash per rule kind, one stacked
+``eigh`` for every exceptional set, one broadcast conjugation), and takes
+the commutator spectra of the block and of every map's images in one
+stacked call, then the violation metric; a map's first violating pair is
+kept from its block.  ``sample_trial_pair`` and ``apply_map`` run the same
+code on one matrix and one map.  ``workers`` = N splits the trials into at
+most N chunks of whole blocks, so every N forms the same blocks and, the
+fold being ordered by trial index, gives the same report.  One chunk runs in the
 calling process and starts no process; two or more run on a spawn process
 pool, which ``worker_pool`` builds on first use and keeps for every call
 inside its block.
@@ -35,12 +35,12 @@ inside its block.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -85,9 +85,9 @@ MODES = (MODE_RADIUS, MODE_RANGE, MODE_SPECTRUM)
 # the indices 0 .. trials-1, so the two never share a stream.
 UNITARY_STREAM = 1 << 62
 
-# Hash rules quantize entries at 1e-9 before digesting, so the rule value
-# is stable under symmetrization-level noise in the input.  Quantized parts
-# are int64, so hash rules accept entries up to 2**63 quanta (about 9.2e9).
+# Hash rules quantize entries at 1e-9 before hashing, so the rule value is
+# stable under symmetrization-level noise in the input.  Quanta are int64,
+# so hash rules accept entries up to 2**63 quanta (about 9.2e9).
 _QUANTUM = 1e-9
 _QUANTA_LIMIT = 2.0**63
 
@@ -99,57 +99,57 @@ class MapConfigError(ValueError):
     """Raised for inconsistent map specifications."""
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mixer on a uint64 array, modulo 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=64)
+def _hash_keys(seeds: tuple, salt: str, width: int) -> tuple:
+    """The odd multipliers (S, width) and keys (S, 1) of each seed's hash:
+    its SplitMix64 stream from mix(mix(seed mod 2**64) xor ASCII salt)."""
+    start = np.array([int(s) % (1 << 64) for s in seeds], dtype=np.uint64)
+    start = _mix64(_mix64(start) ^ int.from_bytes(salt.encode("ascii"), "little"))
+    steps = np.arange(1, width + 2, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    words = _mix64(start[:, None] + steps)
+    return words[:, :-1] | 1, words[:, -1:]
+
+
 class _Quanta:
     """The 1e-9 quantization of a stack of matrices, made once on first use
-    and shared by every hash rule evaluated on the stack.
-
-    The digest of matrix k under (seed, salt) is blake2b-128 over the ASCII
-    salt, the seed as 8 little-endian bytes and the int64 bytes of the
-    rounded stack [Re A_k, Im A_k] / 1e-9.
-    """
+    and shared by every hash rule evaluated on the stack.  The hash of
+    matrix k is mix(key + sum_j m_j q_j) modulo 2**64, with q_j the int64
+    quanta of A_k's interleaved real and imaginary parts read as uint64,
+    and m_j and key from ``_hash_keys``: one uint64 matmul for all rows and
+    seeds, and a row's value does not depend on the stack around it."""
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        self._blob = None
+        self._words = None
 
-    def _quantize(self) -> None:
-        parts = np.stack([self.a.real, self.a.imag], axis=-3) / _QUANTUM
-        # Out-of-range rows are zeroed so the int64 cast stays defined;
-        # ``digests`` refuses them.
-        self._refused = np.abs(parts).max(axis=(-3, -2, -1)) >= _QUANTA_LIMIT
-        parts[self._refused] = 0.0
-        self._width = parts[0].nbytes
-        self._blob = memoryview(np.round(parts).astype(np.int64).tobytes())
-
-    def digests(self, seed: int, salt: str, rows) -> list:
-        """The digests of the matrices ``rows``; a ``MatrixError`` if one
-        of them has an entry part at or beyond 2**63 quanta."""
-        if self._blob is None:
-            self._quantize()
+    def hashes(self, seeds: list, salt: str, rows=slice(None)) -> np.ndarray:
+        """The uint64 hashes (S, rows) of the matrices ``rows`` under each
+        seed; a ``MatrixError`` if one of those matrices has an entry part
+        at or beyond 2**63 quanta."""
+        if self._words is None:
+            q = self.a.reshape(len(self.a), -1).view(float) / _QUANTUM
+            # out-of-range rows are zeroed so that the int64 cast stays defined
+            self._refused = np.maximum(q.max(axis=1), -q.min(axis=1)) >= _QUANTA_LIMIT
+            q[self._refused] = 0.0
+            np.rint(q, out=q.view(np.int64), casting="unsafe")  # quanta, in place
+            self._words = q.view(np.uint64)
         refused = np.flatnonzero(self._refused[rows])
         if refused.size:
-            bad = self.a[np.asarray(rows)[refused[0]]]
+            bad = self.a[rows][refused[0]]
             raise MatrixError(
                 f"hash rules need entries below {_QUANTA_LIMIT * _QUANTUM:.3e} "
                 f"in real and imaginary part, got {max_abs(bad):.3e}"
             )
-        head = hashlib.blake2b(digest_size=16)
-        head.update(salt.encode("ascii"))
-        head.update(int(seed % (1 << 64)).to_bytes(8, "little"))
-        out = []
-        w = self._width
-        for k in rows:
-            h = head.copy()
-            h.update(self._blob[k * w : (k + 1) * w])
-            out.append(h.digest())
-        return out
-
-
-def _digest_bytes(digests: list, offset: int, dtype) -> np.ndarray:
-    """Byte ``offset`` (uint8) or bytes offset..offset+7 (little-endian
-    uint64) of each 16-byte digest."""
-    words = np.frombuffer(b"".join(digests), dtype=dtype)
-    return words[offset :: 16 // words.itemsize]
+        words = self._words[rows]
+        mult, key = _hash_keys(tuple(seeds), salt, words.shape[1])
+        return _mix64(mult @ words.T + key)
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ class MapSpec:
     the other's rule: a range form takes only the ``plus`` sign rule and a
     radius form only the ``empty`` set.  Exceptional-set presets only ever
     admit two-level matrices, so the required inclusion holds by
-    construction.  The rule methods take a Hermitian matrix that
-    ``apply_map`` has already validated.
+    construction.
     """
 
     dim: int
@@ -206,34 +205,6 @@ class MapSpec:
         if self.epsilon is None and self.sset != SSET_EMPTY:
             raise MapConfigError(f"a radius form reads no set rule, got {self.sset!r}")
 
-    def _signs(self, q: _Quanta) -> np.ndarray:
-        """The sign rule on each matrix of ``q``'s stack, as +1/-1 ints."""
-        if self.sign == SIGN_PLUS:
-            return np.ones(len(q.a), dtype=np.int64)
-        digests = q.digests(self.sign_seed, "sign", range(len(q.a)))
-        return 1 - 2 * (_digest_bytes(digests, 0, np.uint8) & 1).astype(np.int64)
-
-    def _shifts(self, q: _Quanta) -> np.ndarray:
-        """The shift rule on each matrix of ``q``'s stack."""
-        if self.shift == SHIFT_ZERO:
-            return np.zeros(len(q.a))
-        if self.shift == SHIFT_TRACELESS:
-            return -np.trace(q.a, axis1=-2, axis2=-1).real / self.dim
-        digests = q.digests(self.shift_seed, "shift", range(len(q.a)))
-        words = _digest_bytes(digests, 0, "<u8")
-        return words / float(1 << 64) * 2.0 - 1.0
-
-    def _sset_members(self, q: _Quanta) -> np.ndarray:
-        """Exceptional-set membership of each matrix of ``q``'s stack."""
-        if self.sset == SSET_EMPTY:
-            return np.zeros(len(q.a), dtype=bool)
-        member = _split(q.a, TOLERANCES["gap"]).two_level
-        if self.sset == SSET_RANDOM:
-            rows = np.flatnonzero(member)
-            digests = q.digests(self.sset_seed, "sset", rows)
-            member[rows] = _digest_bytes(digests, 1, np.uint8) & 1 == 0
-        return member
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -251,34 +222,76 @@ def apply_map(m: MapSpec, a) -> np.ndarray:
     """Evaluate the map on a Hermitian matrix.
 
     A is validated here, once, with ``hermitian``, and its dimension is
-    checked against the map's; the result is the engine's map step on a
-    stack of one matrix.
+    checked against the map's; the result is the engine's map step for one
+    map on a stack of one matrix.
     """
     a = hermitian(a)
     if a.shape[0] != m.dim:
         raise MatrixError(f"matrix dim {a.shape[0]} does not match map dim {m.dim}")
-    return _images(m, a[None])[0]
+    return _images([m], a[None])[0, 0]
 
 
-def _images(m: MapSpec, a: np.ndarray) -> np.ndarray:
-    """The map on each matrix of a stack of validated Hermitian matrices.
+def _rules(maps: list, a: np.ndarray) -> tuple:
+    """The sign s and shift f of each map of ``maps`` on each matrix A of a
+    validated Hermitian stack, (K, t) each, read from A.  Each hash rule is
+    one ``_Quanta.hashes`` call over all maps, salted with the rule's name;
+    every set rule reads one ``_split``, and a random set hashes only the
+    two-level rows."""
+    q, shape = _Quanta(a), (len(maps), len(a))
+    signs, shifts = np.ones(shape), np.zeros(shape)
 
-    Sign, shift and set rules are evaluated on A, not on the conjugated
-    core, and share one quantization of the stack.  The images
-    s * U core U* + f * I are formed inexactly, so each is validated with
-    the symmetry test before the stack is returned.
-    """
-    q = _Quanta(a)
-    core = _psi(a) if m.psi else a
-    if m.dagger == DAGGER_TRANSPOSE:
-        core = core.swapaxes(-1, -2)
-    core = m.unitary @ core @ m.unitary.conj().T
-    if m.epsilon is None:
-        s = m._signs(q)
-    else:
-        s = m.epsilon * np.where(m._sset_members(q), -1, 1)
-    f = m._shifts(q)
-    return _hermitian_stack(s[:, None, None] * core + f[:, None, None] * np.eye(m.dim))
+    def hashed(rule: str, value: str, rows=slice(None)) -> tuple:
+        """The maps whose ``rule`` is ``value``, and their hashes of ``rows``."""
+        ks = [k for k, m in enumerate(maps) if getattr(m, rule) == value]
+        seeds = [getattr(maps[k], rule + "_seed") for k in ks]
+        return ks, q.hashes(seeds, rule, rows) if ks else None
+
+    ks, h = hashed("sign", SIGN_HASH)
+    if ks:
+        signs[ks] = 1.0 - 2.0 * (h >> 63)
+    ks, h = hashed("shift", SHIFT_HASH)
+    if ks:
+        shifts[ks] = (h >> 11) * 2.0**-52 - 1.0
+    ks = [k for k, m in enumerate(maps) if m.shift == SHIFT_TRACELESS]
+    if ks:
+        shifts[ks] = -np.trace(a, axis1=-2, axis2=-1).real / a.shape[-1]
+    sets = [k for k, m in enumerate(maps) if m.sset != SSET_EMPTY]
+    if sets:
+        member = np.zeros(shape, dtype=bool)
+        member[sets] = _split(a, TOLERANCES["gap"]).two_level
+        rows = np.flatnonzero(member[sets[0]])
+        ks, h = hashed("sset", SSET_RANDOM, rows)
+        if ks:
+            member[np.ix_(ks, rows)] = h >> 63 == 0
+        signs[member] = -1.0
+    # a range form's sign is epsilon, flipped on its exceptional set
+    ks = [k for k, m in enumerate(maps) if m.epsilon == -1]
+    if ks:
+        signs[ks] *= -1.0
+    return signs, shifts
+
+
+def _images(maps: list, a: np.ndarray) -> np.ndarray:
+    """Each map of ``maps`` on each matrix of a validated Hermitian stack of
+    t: (K, t, n, n) for K maps.  Each distinct core (mirror map, transpose)
+    is formed once and the stacked unitaries conjugate it in one broadcast
+    matmul.  The images s * U core U* + f * I are formed inexactly, so all
+    K * t pass one symmetry test, which names image i of map k as matrix
+    k * t + i of the stack."""
+    signs, shifts = _rules(maps, a)
+    cores = {}
+    for m in maps:
+        if (m.psi, m.dagger) not in cores:
+            core = _psi(a) if m.psi else a
+            swap = m.dagger == DAGGER_TRANSPOSE
+            cores[m.psi, m.dagger] = core.swapaxes(-1, -2) if swap else core
+    core = next(iter(cores.values()))
+    if len(cores) > 1:
+        core = np.stack([cores[m.psi, m.dagger] for m in maps])
+    u = np.array([m.unitary for m in maps])[:, None]
+    core = u @ core @ u.conj().swapaxes(-1, -2)
+    out = signs[..., None, None] * core + shifts[..., None, None] * np.eye(a.shape[-1])
+    return _hermitian_stack(out.reshape(-1, *a.shape[1:])).reshape(out.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +470,10 @@ def _spectra(a: np.ndarray, b: np.ndarray, maps: list):
     """Commutator spectra of (A, B), one row per trial, and of
     (Phi(A), Phi(B)) for each map Phi of ``maps``, one stack per map, for
     the stacks ``a`` and ``b`` of one block: (t, n) and (K, t, n)."""
-    t, ab = len(a), np.concatenate([a, b])
-    images = [_images(m, ab) for m in maps]
+    t = len(a)
+    images = _images(maps, np.concatenate([a, b]))
     spectra = _commutator_spectrum(
-        np.concatenate([a, *(im[:t] for im in images)]),
-        np.concatenate([b, *(im[t:] for im in images)]),
+        np.concatenate([a, *images[:, :t]]), np.concatenate([b, *images[:, t:]])
     )
     return spectra[:t], spectra[t:].reshape(len(maps), t, -1)
 
@@ -631,7 +643,7 @@ def _preservation_reports(
     """``check_preservation`` of each map of ``maps`` on ``seed`` in each
     of ``modes``, one list per map, from one pass over the trial stream:
     each block is sampled once, with its base spectra, and every map is
-    applied to it.  A trial's numbers do not depend on the stack they are
+    applied to it in one map step.  A trial's numbers do not depend on the stack they are
     computed in, so each report is the map's own."""
     for mode in modes:
         if mode not in MODES:

@@ -710,6 +710,47 @@ def test_equiv_near_the_float_limit_is_related(matrix_file, capsys):
     assert np.isfinite(report["worst_gap"])
 
 
+# ``suite --scale``: small valid scales (a subnormal among them), then
+# values the scale check refuses, and text that is no number.
+_SUITE_SCALES = st.one_of(
+    st.floats(1e-300, 0.03).map(repr),
+    st.sampled_from(["1e-320", "0", "-0.0", "-0.01", "nan", "inf", "-inf", "x"]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    _SUITE_SCALES,
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0, 1, 2**63, 2**64 - 1, 2**64, -1]),
+)
+@example("0.02", 2, 2026)
+@example("nan", 1, 0)
+@example("0.01", 0, 0)
+@example("0.01", 1, 2**64)
+def test_suite_exit_codes_on_any_scale_workers_and_seed(scale, workers, seed):
+    # a scale that is not a finite number above 0, --workers 0 and a seed
+    # outside [0, 2**64) exit 2 with one stderr line and no report; any
+    # other run exits 0 or 1, as its report's verdict says, with a finite
+    # report and nothing on stderr
+    refused = (
+        not 0.0 < float(scale if scale != "x" else "nan") < np.inf
+        or workers == 0
+        or not 0 <= seed < 2**64
+    )
+    argv = ["suite", "--scale", scale, "--workers", str(workers), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if refused:
+        assert (code, out.getvalue(), err.getvalue().count("\n")) == (2, "", 1)
+        return
+    assert code in (0, 1) and err.getvalue() == ""
+    report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    assert code == 1 - report["passed"]
+    assert {c["id"] for c in report["criteria"]} == set(range(1, 11))
+
+
 def test_suite_smoke(tmp_path):
     out = tmp_path / "suite.json"
     code = main(

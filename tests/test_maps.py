@@ -37,9 +37,9 @@ from commrange.maps import (
     MapConfigError,
     MapSpec,
     _BLOCK_TRIALS,
-    _Quanta,
     _chunks,
     _preservation_reports,
+    _rules,
     apply_map,
     check_preservation,
     metric_violation,
@@ -136,7 +136,12 @@ def test_check_preservation_refuses_bad_arguments(trials, n, tol, error, message
 
 def _sign(m: MapSpec, a: np.ndarray) -> int:
     """The map's sign rule on one matrix, as a stack of one."""
-    return int(m._signs(_Quanta(a[None]))[0])
+    return int(_rules([m], a[None])[0][0, 0])
+
+
+def _shift(m: MapSpec, a: np.ndarray) -> float:
+    """The map's shift rule on one matrix, as a stack of one."""
+    return float(_rules([m], a[None])[1][0, 0])
 
 
 def test_hash_rules_deterministic_and_stable():
@@ -151,9 +156,9 @@ def test_hash_rules_deterministic_and_stable():
     a = random_hermitian(3, substream(84, 0))
     assert _sign(m, a) == _sign(m, a.copy())
     assert _sign(m, a) in (-1, 1)
-    f = m._shifts(_Quanta(a[None]))[0]
-    assert -1.0 <= f <= 1.0
-    assert f == m._shifts(_Quanta(a.copy()[None]))[0]
+    f = _shift(m, a)
+    assert -1.0 <= f < 1.0
+    assert f == _shift(m, a.copy())
     # quantization makes the rules blind to sub-1e-9-scale noise
     noisy = a + 1e-13 * np.eye(3)
     assert _sign(m, noisy) == _sign(m, a)
@@ -169,7 +174,7 @@ def test_hash_rules_deterministic_and_stable():
 
 def test_hash_rules_reject_entries_beyond_quantization_range():
     # int64 quantization holds entries below 2**63 quanta (about 9.2e9);
-    # beyond that hash rules refuse the input rather than let digests collide
+    # beyond that hash rules refuse the input rather than let hashes collide
     huge = [np.diag([1e11, 2.0, 3.0]), np.diag([5e11, 2.0, 3.0])]
     hashed = [
         MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=7),
@@ -182,7 +187,7 @@ def test_hash_rules_reject_entries_beyond_quantization_range():
     plain = MapSpec(dim=3, unitary=np.eye(3))
     for a in huge:
         assert np.array_equal(apply_map(plain, a), a)
-    # just inside the range the digest is still defined
+    # just inside the range the hash is still defined
     assert _sign(hashed[0], np.diag([9e9, 2.0, 3.0])) in (-1, 1)
 
 
@@ -256,7 +261,7 @@ def test_exceptional_set_members_are_two_level():
     members = 0
     for i in range(200):
         a, _ = sample_trial_pair(3, substream(94, i), i)
-        if m._sset_members(_Quanta(a[None]))[0]:
+        if _sign(m, a) == -1:  # epsilon 1: flipped exactly on the set
             members += 1
             assert classify_two_level(a).two_level
     assert members > 0  # the pool feeds the set

@@ -1,9 +1,8 @@
 """The block trial engine of ``maps``: stacked sampling, mapping, hashing
-and measuring must give, trial by trial, the numbers of the stack-of-one
-route, whatever the split into blocks."""
+and measuring must give, trial by trial and map by map, the numbers of the
+stack-of-one route, whatever the split into blocks and the maps beside."""
 
 import collections
-import hashlib
 import itertools
 import json
 
@@ -17,9 +16,11 @@ from commrange.matcore import (
     TOLERANCES,
     MatrixError,
     _hermitian_stack,
+    _sym,
     commutator_spectrum,
     hermitian,
     is_hermitian,
+    random_hermitian,
     random_unitary,
     substream,
 )
@@ -39,6 +40,7 @@ from commrange.maps import (
     SSET_RANDOM,
     MapSpec,
     _Quanta,
+    _rules,
     _sample_block,
     _spectra,
     apply_map,
@@ -360,73 +362,162 @@ def test_failing_run_takes_its_counterexample_from_the_block(monkeypatch):
     assert replays == []
 
 
-def _quantized_digest(a, seed, salt):
-    """The one-matrix hash-rule digest as the rules defined it before the
-    engine batched it: the reference the batched digests must equal."""
-    parts = np.stack([a.real, a.imag]) / 1e-9
-    if np.abs(parts).max() >= 2.0**63:
+_MASK = (1 << 64) - 1
+_SALTS = ("sign", "shift", "sset")
+
+
+def _reference_mix(z):
+    """SplitMix64's output mixer in Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_hash(a, seed, salt):
+    """The hash rules' 64-bit value of one matrix, in Python integers: the
+    reference the stacked uint64 kernel must equal.  The quanta are the
+    rounded real and imaginary parts / 1e-9 in row-major order, real part
+    first; the odd multipliers and the key follow them in the SplitMix64
+    stream of (seed mod 2**64, salt)."""
+    parts = [x / 1e-9 for z in np.ravel(a) for x in (z.real, z.imag)]
+    if max(abs(x) for x in parts) >= 2.0**63:
         raise MatrixError("out of the quantization range")
-    h = hashlib.blake2b(digest_size=16)
-    h.update(salt.encode("ascii"))
-    h.update(int(seed % (1 << 64)).to_bytes(8, "little"))
-    h.update(np.round(parts).astype(np.int64).tobytes())
-    return h.digest()
+    salt_word = int.from_bytes(salt.encode("ascii"), "little")
+    state = _reference_mix(_reference_mix(seed % (1 << 64)) ^ salt_word)
+    stream = [
+        _reference_mix((state + j * 0x9E3779B97F4A7C15) & _MASK)
+        for j in range(1, len(parts) + 2)
+    ]
+    total = stream[-1] + sum((w | 1) * round(x) for w, x in zip(stream, parts))
+    return _reference_mix(total & _MASK)
 
 
 def test_batched_digests_equal_single_digests():
+    # every row of a stacked hash is the one-matrix reference, for any
+    # rows, order or set of seeds asked for at once
     for n in (1, 2, 3, 16):
         a, b = _sample_block(n if n > 1 else 2, [(60 + n, 0, 12)])
         stack = np.concatenate([a, b]) if n > 1 else np.ones((5, 1, 1)) * 0.25j
         q = _Quanta(stack)
-        for seed, salt in ((0, "sign"), (2**64 + 5, "shift"), (-3, "sset")):
-            rows = range(len(stack))
-            batch = q.digests(seed, salt, rows)
-            assert batch == [_quantized_digest(x, seed, salt) for x in stack]
-            assert q.digests(seed, salt, [4, 1]) == [batch[4], batch[1]]
+        cases = ((0, "sign"), (2**64 + 5, "shift"), (-3, "sset"))
+        for seed, salt in cases:
+            batch = q.hashes([seed], salt)[0]
+            assert batch.tolist() == [_reference_hash(x, seed, salt) for x in stack]
+            assert q.hashes([seed], salt, [4, 1])[0].tolist() == [batch[4], batch[1]]
+            other = q.hashes([7], salt)[0].tolist()
+            assert q.hashes([seed, 7, seed], salt).tolist() == [
+                batch.tolist(), other, batch.tolist()
+            ]
 
 
 def test_rule_values_follow_the_digest():
     a, b = _sample_block(3, [(61, 0, 8)])
     stack = np.concatenate([a, b])
     m = _spec(3, 1, sign=SIGN_HASH, shift=SHIFT_HASH)
-    q = _Quanta(stack)
-    signs = m._signs(q)
-    shifts = m._shifts(q)
+    (signs,), (shifts,) = _rules([m], stack)
     for k, x in enumerate(stack):
-        sign_digest = _quantized_digest(x, m.sign_seed, "sign")
-        shift_digest = _quantized_digest(x, m.shift_seed, "shift")
-        one = _Quanta(x[None])
-        assert signs[k] == m._signs(one)[0] == (1 if sign_digest[0] & 1 == 0 else -1)
-        word = int.from_bytes(shift_digest[:8], "little")
-        assert shifts[k] == m._shifts(one)[0] == word / float(1 << 64) * 2.0 - 1.0
+        sign_hash = _reference_hash(x, m.sign_seed, "sign")
+        shift_hash = _reference_hash(x, m.shift_seed, "shift")
+        (one_sign,), (one_shift,) = _rules([m], x[None])
+        assert signs[k] == one_sign[0] == (1 if sign_hash >> 63 == 0 else -1)
+        assert shifts[k] == one_shift[0] == (shift_hash >> 11) * 2.0**-52 - 1.0
     traceless = _spec(3, 2, shift=SHIFT_TRACELESS)
     expected = [-float(np.trace(x).real) / 3 for x in stack]
-    assert traceless._shifts(q).tolist() == expected
+    assert _rules([traceless], stack)[1][0].tolist() == expected
 
 
 def test_batched_digests_refuse_out_of_range_rows():
     stack = np.stack([np.eye(3), np.diag([1e11, 2.0, 3.0]), 2 * np.eye(3)]) + 0j
     q = _Quanta(stack)
     with pytest.raises(MatrixError, match="hash rules need entries below"):
-        q.digests(1, "sign", range(3))
-    # rows that are not digested are not refused
-    assert q.digests(1, "sign", [0, 2]) == [
-        _quantized_digest(stack[0], 1, "sign"),
-        _quantized_digest(stack[2], 1, "sign"),
+        q.hashes([1], "sign")
+    # rows that are not hashed are not refused
+    assert q.hashes([1], "sign", [0, 2])[0].tolist() == [
+        _reference_hash(stack[0], 1, "sign"),
+        _reference_hash(stack[2], 1, "sign"),
     ]
     m = MapSpec(dim=3, unitary=np.eye(3), shift=SHIFT_HASH, shift_seed=8)
     with pytest.raises(MatrixError):
-        maps_mod._images(m, stack)
+        maps_mod._images([m], stack)
     # the bound sits at 2**63 quanta, about 9.22e9, as for one matrix
     for entry, refused in ((9.3e9, True), (9.2e9, False)):
         edge = _Quanta(np.diag([entry, 2.0, 3.0])[None] + 0j)
         if refused:
             with pytest.raises(MatrixError):
-                _quantized_digest(edge.a[0], 1, "sign")
+                _reference_hash(edge.a[0], 1, "sign")
             with pytest.raises(MatrixError):
-                edge.digests(1, "sign", [0])
+                edge.hashes([1], "sign")
         else:
-            assert edge.digests(1, "sign", [0]) == [_quantized_digest(edge.a[0], 1, "sign")]
+            assert edge.hashes([1], "sign")[0].tolist() == [
+                _reference_hash(edge.a[0], 1, "sign")
+            ]
+
+
+def test_random_set_refuses_only_the_rows_it_hashes():
+    # the random set hashes only two-level rows: a generic matrix beyond
+    # the quantization range passes it, a two-level one is refused
+    generic = 1e11 * random_hermitian(3, substream(67, 0))
+    two_level = np.diag([1e11, 1e11, 0.0]) + 0j
+    drawn = MapSpec(dim=3, unitary=np.eye(3), epsilon=1, sset=SSET_RANDOM)
+    assert np.array_equal(apply_map(drawn, generic), generic)
+    with pytest.raises(MatrixError, match="hash rules need entries below"):
+        apply_map(drawn, two_level)
+    every = MapSpec(dim=3, unitary=np.eye(3), epsilon=1, sset=SSET_ALL)
+    assert np.array_equal(apply_map(every, two_level), -two_level)
+
+
+def _gue_stack(seed, count=10_000):
+    """``count`` stacked Hermitian 3 x 3 matrices with Gaussian entries."""
+    g = substream(seed, 0).standard_normal((count, 2, 3, 3))
+    return _sym(g[:, 0] + 1j * g[:, 1])
+
+
+def test_hash_rules_are_balanced_and_spread():
+    count = 10_000
+    stack = _gue_stack(69, count)
+    m = _spec(3, 3, sign=SIGN_HASH, shift=SHIFT_HASH)
+    (signs,), (shifts,) = _rules([m], stack)
+    # the sign is a fair coin to within 5 sigma
+    assert abs(int((signs == -1).sum()) - count / 2) <= 5 * np.sqrt(count) / 2
+    # shifts lie in [-1, 1) and fill ten equal bins to within 5 sigma
+    assert -1.0 <= shifts.min() and shifts.max() < 1.0
+    bins = np.histogram(shifts, bins=10, range=(-1.0, 1.0))[0]
+    assert np.abs(bins - count / 10).max() <= 5 * np.sqrt(count * 0.1 * 0.9)
+
+
+def test_hash_bits_of_neighbouring_seeds_and_salts_are_uncorrelated():
+    # ``verify`` draws its rule seeds as s + 1, s + 2 and s + 3, so
+    # neighbouring seeds and the three salts must give independent bits
+    q = _Quanta(_gue_stack(68))
+    for s in (0, 2026, 2**64 - 2):
+        seeds = [s, s + 1, s + 2, s + 3]
+        bits = np.concatenate([q.hashes(seeds, salt) >> 63 for salt in _SALTS])
+        r = np.corrcoef(bits.astype(float))[np.triu_indices(len(bits), 1)]
+        assert np.abs(r).max() < 5 / np.sqrt(bits.shape[1])
+
+
+def test_hash_seeds_reduce_modulo_two_to_the_64():
+    a, b = _sample_block(3, [(70, 0, 6)])
+    q = _Quanta(np.concatenate([a, b]))
+    for seed, residue in ((-3, 2**64 - 3), (0, 2**64), (2**64 - 1, -1), (2**64 + 5, 5)):
+        for salt in _SALTS:
+            assert q.hashes([seed], salt).tolist() == q.hashes([residue], salt).tolist()
+    assert q.hashes([1], "sign").tolist() != q.hashes([2], "sign").tolist()
+
+
+def test_one_quantum_changes_the_hash():
+    # row j + 1 moves part j of row 0 by one quantum; the hash is the mixer
+    # (a bijection) of key + sum m_j q_j with odd m_j, so every row differs
+    for n in (2, 3, 16):
+        width = 2 * n * n
+        base = substream(71, n).integers(-(10**6), 10**6, width)
+        quanta = np.tile(base, (width + 1, 1))
+        quanta[np.arange(1, width + 1), np.arange(width)] += 1
+        stack = (quanta * 1e-9).view(complex).reshape(-1, n, n)
+        assert np.array_equal(np.rint(stack.view(float) / 1e-9).reshape(quanta.shape), quanta)
+        for salt in _SALTS:
+            (h,) = _Quanta(stack).hashes([5], salt)
+            assert len(set(h.tolist())) == width + 1
 
 
 def test_images_equal_one_matrix_maps():
@@ -435,9 +526,63 @@ def test_images_equal_one_matrix_maps():
         stack = np.concatenate([a, b])
         for index, rules in enumerate(_presets(n)):
             m = _spec(n, index, **rules)
-            images = maps_mod._images(m, stack)
+            (images,) = maps_mod._images([m], stack)
             for k, x in enumerate(stack):
                 assert images[k].tobytes() == apply_map(m, x).tobytes(), rules
+
+
+@pytest.mark.parametrize("n", (2, 3, 16))
+def test_map_step_over_many_maps_equals_one_map_steps(n):
+    # mirror on and off, both daggers, every sign, shift and set rule in one
+    # call: each map's images and image spectra are its own call's, bitwise
+    a, b = _sample_block(n, [(72 + n, 0, 20)])
+    stack = np.concatenate([a, b])
+    maps = [_spec(n, index, **rules) for index, rules in enumerate(_presets(n))]
+    images = maps_mod._images(maps, stack)
+    base, spectra = _spectra(a, b, maps)
+    for k, m in enumerate(maps):
+        assert images[k].tobytes() == maps_mod._images([m], stack)[0].tobytes()
+        one_base, (one,) = _spectra(a, b, [m])
+        assert base.tobytes() == one_base.tobytes()
+        assert spectra[k].tobytes() == one.tobytes()
+
+
+def test_map_step_quantizes_and_splits_once_per_block(monkeypatch):
+    # four set-rule forms and both hash rules on one trial stream: each
+    # block makes one quantization, one hash per rule kind and one split
+    made, hashed, splits = [], [], []
+    split, quanta = maps_mod._split, maps_mod._Quanta
+
+    class CountingQuanta(quanta):
+        def __init__(self, a):
+            made.append(len(a))
+            super().__init__(a)
+
+        def hashes(self, seeds, salt, rows=slice(None)):
+            hashed.append((len(made), salt, len(seeds)))
+            return super().hashes(seeds, salt, rows)
+
+    def counting_split(a, gap_tol):
+        splits.append(len(a))
+        return split(a, gap_tol)
+
+    monkeypatch.setattr(maps_mod, "_Quanta", CountingQuanta)
+    monkeypatch.setattr(maps_mod, "_split", counting_split)
+    forms = [
+        dict(epsilon=eps, sset=sset, shift=SHIFT_HASH)
+        for eps in (1, -1)
+        for sset in (SSET_ALL, SSET_RANDOM)
+    ]
+    forms += [dict(sign=SIGN_HASH), dict(dagger=DAGGER_TRANSPOSE, sign=SIGN_HASH)]
+    maps = [_spec(3, index, **rules) for index, rules in enumerate(forms)]
+    reports = maps_mod._preservation_reports(maps, 73, (MODE_RANGE,), 600, 3, 1e-9, 1)
+    assert all(report.passed for report, in reports[:4])
+    assert made == splits == [512, 512, 176]
+    assert hashed == [
+        (block, salt, count)
+        for block in (1, 2, 3)
+        for salt, count in (("sign", 2), ("shift", 4), ("sset", 2))
+    ]
 
 
 def test_validation_names_the_corrupt_matrix_of_a_block(monkeypatch):
