@@ -41,11 +41,12 @@ per call; and the wall time in seconds of acceptance criterion 9 at scale
 50 matrices at each n.
 
 ``suite``: the wall time in seconds of ``run_acceptance_suite`` at scales
-0.02 and 0.05 with ``workers`` 1 and 2.  Each run opens its own process
-pool, as one ``commrange suite`` command does.  Also the wall time in
-seconds of acceptance criteria 6, 7 and 8, which run the preserver forms
-through the trial engine, each called alone at scales 0.02 and 1.0 with
-``workers`` 1.
+0.02, 0.05 and 1.0 with ``workers`` 1 and 2.  An engine call opens a
+process pool of its own only when its estimated work pays for one, which
+no call at these scales does, so ``workers`` 2 runs the same code as 1.
+Also the wall time in seconds of acceptance criteria 6, 7 and 8, which run
+the preserver forms through the trial engine, each called alone at scales
+0.02 and 1.0 with ``workers`` 1.
 
 Every figure is the median over ``--reps`` runs after one warm-up run.
 BLAS runs on one thread.  The JSON names the host, Python and NumPy
@@ -97,7 +98,7 @@ CRITERIA = {
     "crit05_two_level_dichotomy": suite.crit_two_level_dichotomy,
 }
 RADIUS_CRITERIA = {"crit09_sweep_vs_sampling": suite.crit_sweep_vs_sampling}
-SUITE_SCALES = (0.02, 0.05)
+SUITE_SCALES = (0.02, 0.05, 1.0)
 SUITE_WORKERS = (1, 2)
 FORM_CRITERIA = {
     "crit06_radius_preserver_forms": suite.crit_radius_preserver_forms,

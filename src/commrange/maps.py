@@ -25,23 +25,21 @@ and symmetrizes the block once, applies all maps to it in one map step
 the commutator spectra of the block and of every map's images in one
 stacked call, then the violation metric; a map's first violating pair is
 kept from its block.  ``sample_trial_pair`` and ``apply_map`` run the same
-code on one matrix and one map.  ``workers`` = N splits the trials into at
-most N chunks of whole blocks, so every N forms the same blocks and, the
-fold being ordered by trial index, gives the same report.  One chunk runs in the
-calling process and starts no process; two or more run on a spawn process
-pool, which ``worker_pool`` builds on first use and keeps for every call
-inside its block.
+code on one matrix and one map.  A call whose estimated work pays for a
+process pool splits its trials into at most ``workers`` chunks of whole
+blocks, run on a spawn pool that the call opens and shuts down before it
+returns; any other call runs in the calling process and starts no process.
+Every split forms the same blocks and, the fold being ordered by trial
+index, gives the same report.
 """
 
 from __future__ import annotations
 
 import os
 from collections import defaultdict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,6 +91,18 @@ _QUANTA_LIMIT = 2.0**63
 
 # Trials the engine samples, maps and measures per stacked step.
 _BLOCK_TRIALS = 256
+
+# A call splits its trials over a process pool only when its estimated
+# serial work W exceeds twice the pool's start-up S, so that a split into
+# c >= 2 chunks ends in about W/c + S < W.  Work is counted in units of
+# about 0.25 us: a trial of K maps at dim n costs (1 + K)(40 + n**2) units,
+# and S is about 2,000,000 units.  Measured on a 2-core x86-64 host (numpy
+# 2.4.6, Python 3.11.7, one BLAS thread): ``_preservation_reports`` took
+# 0.17-0.39 us per unit over n = 2, 3, 6, 16 and K = 1, 4, 12 (best of 3
+# over 1,024 trials), and a spawn pool of two that ran one engine chunk
+# each and shut down took 0.57-0.61 s.  Both scale with the host's speed,
+# so the limit is kept in work units, not seconds.
+_POOL_START_WORK = 2_000_000
 
 
 class MapConfigError(ValueError):
@@ -499,72 +509,20 @@ def _run_chunk(args):
     return [list(zip(w, f)) for w, f in zip(worst, first)]
 
 
-def _chunks(trials: int, workers: int) -> list:
-    """The [lo, hi) trial ranges of a call: at most ``workers`` chunks of
-    whole engine blocks, the last one cut at ``trials``."""
+def _chunks(trials: int, workers: int, n: int, k: int) -> list:
+    """The [lo, hi) trial ranges of a call of ``k`` maps at dim ``n``: the
+    whole run when its work is at most twice a pool's start-up, else at most
+    ``workers`` chunks of whole engine blocks, the last one cut at ``trials``."""
+    if trials * (1 + k) * (40 + n * n) <= 2 * _POOL_START_WORK:
+        workers = 1
     per = -(-trials // (_BLOCK_TRIALS * workers)) * _BLOCK_TRIALS
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-
-
-class _Pool:
-    """The spawn process pool of a ``worker_pool`` block, built on first use
-    (and imported then: serial runs never pay the pool's import time)."""
-
-    def __init__(self, workers: int):
-        self.workers, self.executor = workers, None
-
-    def map(self, fn, args: list) -> list:
-        if self.executor is None:
-            from concurrent import futures
-            from multiprocessing import current_process, get_context
-
-            # A spawn worker importing an unguarded main module cannot start
-            # processes; SystemExit passes ``except Exception`` and ends it.
-            if getattr(current_process(), "_inheriting", False):
-                raise SystemExit(
-                    "commrange: a spawn worker re-ran a script that opens a process "
-                    'pool; put its calls under if __name__ == "__main__":'
-                )
-            self.executor = futures.ProcessPoolExecutor(
-                max_workers=pool_size(self.workers, os.cpu_count()),
-                mp_context=get_context("spawn"),
-            )
-        return list(self.executor.map(fn, args))
-
-
-# The pool of the outermost open ``worker_pool`` block, if any.
-_ACTIVE_POOL: ContextVar[Optional[_Pool]] = ContextVar(
-    "commrange_worker_pool", default=None
-)
 
 
 def pool_size(workers: int, cpu_count: Optional[int]) -> int:
     """Processes in a pool asked for ``workers``: at most one per CPU (an
     unknown ``cpu_count`` counts as one)."""
     return min(workers, cpu_count or 1)
-
-
-@contextmanager
-def worker_pool(workers: int) -> Iterator[_Pool]:
-    """Open one spawn process pool for every engine call in the block
-    that runs two or more chunks; one-chunk calls never use it.
-
-    The pool has ``pool_size(workers, os.cpu_count())`` processes, built by
-    the first call that uses it.  Nested blocks share the outermost pool;
-    its block shuts it down and joins its workers on every way out.
-    """
-    active = _ACTIVE_POOL.get()
-    if active is not None:
-        yield active
-        return
-    pool = _Pool(workers)
-    token = _ACTIVE_POOL.set(pool)
-    try:
-        yield pool
-    finally:
-        _ACTIVE_POOL.reset(token)
-        if pool.executor is not None:
-            pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -620,11 +578,13 @@ def check_preservation(
     mode "radius" compares numerical radii, "range" the full intervals,
     "spectrum" (dim 2 only) the sorted skew spectra, against ``tol`` or
     else the mode's ``TOLERANCES`` entry; the engine call
-    :func:`_preservation_reports` on one map.  ``workers`` = N splits more
-    than 256 trials into at most N chunks of whole 256-trial blocks, run on
-    the pool of the open ``worker_pool`` block (a suite run shares one) or
-    else on a pool for this call only.  Every N forms the same blocks and
-    the fold is ordered by trial index, so the report is the same for any N.
+    :func:`_preservation_reports` on one map.  ``workers`` = N is an upper
+    bound: a run whose estimated work pays for a process pool (see
+    ``_POOL_START_WORK``) is split into at most N chunks of whole 256-trial
+    blocks, run on a spawn pool of at most one process per chunk and per CPU
+    that this call opens and shuts down before it returns; any other run
+    starts no process.  Every split forms the same blocks and the fold is
+    ordered by trial index, so the report is the same for any N.
     """
     if tol is None:
         tol = TOLERANCES.get(mode)  # the engine refuses an unknown mode
@@ -659,12 +619,29 @@ def _preservation_reports(
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    chunks = [(maps, seed, modes, n, lo, hi, tol) for lo, hi in _chunks(trials, workers)]
+    chunks = [
+        (maps, seed, modes, n, lo, hi, tol)
+        for lo, hi in _chunks(trials, workers, n, len(maps))
+    ]
     if len(chunks) == 1:
         per_chunk = [_run_chunk(chunks[0])]
     else:
-        with worker_pool(len(chunks)) as pool:
-            per_chunk = pool.map(_run_chunk, chunks)
+        # imported here: serial runs never pay the pool's import time
+        from concurrent import futures
+        from multiprocessing import current_process, get_context
+
+        # A spawn worker importing an unguarded main module cannot start
+        # processes; SystemExit passes ``except Exception`` and ends it.
+        if getattr(current_process(), "_inheriting", False):
+            raise SystemExit(
+                "commrange: a spawn worker re-ran a script that opens a process "
+                'pool; put its calls under if __name__ == "__main__":'
+            )
+        with futures.ProcessPoolExecutor(
+            max_workers=pool_size(len(chunks), os.cpu_count()),
+            mp_context=get_context("spawn"),
+        ) as pool:
+            per_chunk = list(pool.map(_run_chunk, chunks))
 
     out = []
     # Chunks are in trial order, so the first index found is the first.

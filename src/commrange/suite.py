@@ -7,8 +7,9 @@ full battery); reports contain no timing or host information, so a given
 count or execution order.  Criteria 3, 4, 5 and 9 take their trials
 from the one seeded walk :func:`_trials`; criteria 6, 7, 8 and 10 check
 the preserver forms of one dimension in one engine call, every form on the
-call's one shared trial stream; calls that ``workers`` splits into two or
-more chunks share one process pool per suite run.
+call's one shared trial stream.  The suite shares no process pool: an
+engine call opens its own only when its work pays for one, which no call
+of a run at scale 1.0 or below does.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .maps import (
     _random_two_level,
     _sample_block,
     metric_violation,
-    worker_pool,
 )
 
 
@@ -587,21 +587,19 @@ def run_acceptance_suite(
 ) -> dict:
     """Run the whole battery; the report is deterministic in (seed, scale).
 
-    ``workers`` = N splits the trials of each engine call, which checks
-    all its forms on one shared trial stream, into at most N chunks of
-    whole 256-trial blocks; a call of at most 256 trials starts no process.
-    Calls of two or more chunks share one spawn pool of at most
-    ``os.cpu_count()`` processes, built on first use and shut down when the
-    suite ends, also when a criterion raises.  The first criterion that
+    ``workers`` = N is an upper bound on the chunks of each engine call,
+    which checks all its forms on one shared trial stream.  A call splits
+    only when its estimated work pays for a spawn process pool, which it
+    then opens and shuts down before it returns; at scale 1.0 or below no
+    call does, so the run starts no process.  The first criterion that
     reads the scale refuses one that is not a finite number above 0.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     criteria = []
-    with worker_pool(workers):
-        for cid, name, fn in CRITERIA:
-            out = fn(seed=seed, scale=scale, workers=workers)
-            criteria.append({"id": cid, "name": name, **out})
+    for cid, name, fn in CRITERIA:
+        out = fn(seed=seed, scale=scale, workers=workers)
+        criteria.append({"id": cid, "name": name, **out})
     return {
         "seed": seed,
         "scale": scale,

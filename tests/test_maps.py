@@ -7,7 +7,7 @@ from concurrent import futures
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commrange import maps as maps_mod
@@ -44,7 +44,6 @@ from commrange.maps import (
     check_preservation,
     metric_violation,
     pool_size,
-    worker_pool,
 )
 from commrange.pauli2 import psi
 from commrange.structure import asymmetry_witness, radius_equivalence_check
@@ -356,7 +355,7 @@ def pool_log(monkeypatch):
     """Record every pool the maps module builds, every batch of chunks
     sent to a pool and every shutdown.
 
-    ``worker_pool`` looks the executor up in ``concurrent.futures`` when it
+    An engine call looks the executor up in ``concurrent.futures`` when it
     opens a pool, so the counting class is installed there."""
     log = {"max_workers": [], "maps": 0, "shutdowns": 0}
 
@@ -377,7 +376,14 @@ def pool_log(monkeypatch):
     return log
 
 
-def test_check_preservation_worker_count_invariant(pool_log):
+@pytest.fixture
+def split_every_call(monkeypatch):
+    """Make every engine call of more than one block with ``workers`` > 1
+    split onto a pool, whatever its estimated work."""
+    monkeypatch.setattr(maps_mod, "_POOL_START_WORK", 0)
+
+
+def test_check_preservation_worker_count_invariant(pool_log, split_every_call):
     # 513 trials are three engine blocks, so workers=3 runs three chunks on
     # the pool
     m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
@@ -390,22 +396,37 @@ def test_check_preservation_worker_count_invariant(pool_log):
     assert pool_log["maps"] == 1
 
 
-def test_chunks_are_runs_of_whole_blocks():
-    assert _chunks(1000, 2) == _chunks(1000, 3) == [(0, 512), (512, 1000)]
-    assert _chunks(256, 64) == [(0, 256)]
-    assert _chunks(257, 64) == [(0, 256), (256, 257)]
+def test_chunks_are_runs_of_whole_blocks(split_every_call):
+    assert _chunks(1000, 2, 3, 1) == _chunks(1000, 3, 3, 1) == [(0, 512), (512, 1000)]
+    assert _chunks(256, 64, 3, 1) == [(0, 256)]
+    assert _chunks(257, 64, 3, 1) == [(0, 256), (256, 257)]
 
 
-@given(st.integers(1, 10**5), st.integers(1, 10**4))
-def test_chunk_bounds_cover_the_trials_in_blocks(trials, workers):
-    bounds = _chunks(trials, workers)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 10**5), st.integers(1, 10**4), st.integers(2, 16), st.integers(1, 12)
+)
+@example(trials=20_000, workers=2, n=3, k=1)
+@example(trials=20_000, workers=2, n=6, k=1)
+@example(trials=1_000, workers=2, n=6, k=12)
+@example(trials=60_000, workers=2, n=16, k=1)
+@example(trials=60_000, workers=10**4, n=16, k=12)
+def test_chunk_bounds_cover_the_trials_in_blocks(trials, workers, n, k):
+    # a run splits only when its estimated work exceeds twice a pool's
+    # start-up, and then into at most `workers` runs of whole blocks, in
+    # order, and into two or more when it has two blocks and two workers
+    bounds = _chunks(trials, workers, n, k)
+    if trials * (1 + k) * (40 + n * n) <= 2 * maps_mod._POOL_START_WORK:
+        assert bounds == [(0, trials)]
+    elif workers > 1 and trials > _BLOCK_TRIALS:
+        assert len(bounds) >= 2
     assert 1 <= len(bounds) <= workers
     assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
     assert bounds[0][0] == 0 and bounds[-1][1] == trials
     assert all(lo % _BLOCK_TRIALS == 0 and hi > lo for lo, hi in bounds)
 
 
-def test_one_block_call_starts_no_pool(pool_log):
+def test_one_block_call_starts_no_pool(pool_log, split_every_call):
     m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
     serial = check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS, 3, 999, workers=1)
     split = check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS, 3, 999, workers=64)
@@ -414,7 +435,7 @@ def test_one_block_call_starts_no_pool(pool_log):
     assert multiprocessing.active_children() == []
 
 
-def test_lone_call_pool_capped_at_chunk_count(pool_log):
+def test_lone_call_pool_capped_at_chunk_count(pool_log, split_every_call):
     m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
     trials = _BLOCK_TRIALS + 1
     serial = check_preservation(m, MODE_RADIUS, trials, 3, 999, workers=1)
@@ -431,43 +452,30 @@ def _pool_criteria(*ids):
     return tuple(c for c in suite_mod.CRITERIA if c[0] in ids)
 
 
-def test_suite_run_builds_one_pool(pool_log, monkeypatch):
-    # at scale 0.3 criterion 7 checks its 7 forms on one stream of 300
-    # trials in one call and criterion 8 its 4 forms on one of 600 trials in
-    # another; each stream is more than one engine block, so each call goes
-    # to the pool
-    monkeypatch.setattr(suite_mod, "CRITERIA", _pool_criteria(7, 8))
-    report = suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
-    assert report["passed"] is True
-    assert len(pool_log["max_workers"]) == 1
-    assert pool_log["maps"] == 1 + 1
-    assert pool_log["shutdowns"] == 1
+def test_form_criteria_at_full_scale_build_no_pool(pool_log):
+    # every engine call of criteria 6, 7 and 8 at scale 1.0 (1,000 to
+    # 2,000 trials) costs less than twice a pool's start-up, so none splits
+    for _, _, crit in _pool_criteria(6, 7, 8):
+        assert crit(seed=2026, scale=1.0, workers=2)["passed"]
+    assert pool_log["max_workers"] == []
     assert multiprocessing.active_children() == []
 
 
-def test_suite_pool_shut_down_when_a_criterion_raises(pool_log, monkeypatch):
-    def boom(seed, scale, workers):
-        raise RuntimeError("criterion failed mid-run")
-
-    # criterion 7's call of seven forms on one multi-block stream goes to
-    # the pool before the next criterion raises
-    criteria = _pool_criteria(7) + ((8, "boom", boom),)
-    monkeypatch.setattr(suite_mod, "CRITERIA", criteria)
-    with pytest.raises(RuntimeError, match="criterion failed mid-run"):
-        suite_mod.run_acceptance_suite(seed=2026, scale=0.3, workers=2)
-    assert len(pool_log["max_workers"]) == 1
+def test_call_pool_shut_down_when_a_chunk_raises(pool_log, split_every_call):
+    # a unitary corrupted past MapSpec's validation makes every image
+    # non-finite, so each chunk raises MatrixError inside its worker; the
+    # error reaches the caller and the call's pool is shut down
+    m = MapSpec(dim=3, unitary=np.eye(3))
+    object.__setattr__(m, "unitary", np.full((3, 3), np.nan))
+    with pytest.raises(MatrixError, match="matrix 0 of the stack is not self-adjoint"):
+        check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS + 1, 3, 1, workers=2)
+    assert pool_log["max_workers"] == [pool_size(2, os.cpu_count())]
     assert pool_log["maps"] == 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
-    # the closed pool is not handed to later calls
-    m = MapSpec(dim=3, unitary=np.eye(3))
-    check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS + 1, 3, 1, workers=2)
-    assert len(pool_log["max_workers"]) == 2
-    assert pool_log["maps"] == 2
-    assert multiprocessing.active_children() == []
 
 
-def test_reports_byte_identical_across_worker_counts():
+def test_reports_byte_identical_across_worker_counts(pool_log, split_every_call):
     # every worker count forms the same engine blocks, so chunks run in
     # other processes fold to the serial bytes: a passing radius form, the
     # failing range-transpose form (first index and counterexample) and one
@@ -496,22 +504,23 @@ def test_reports_byte_identical_across_worker_counts():
         (dim2, MODES, 2, 1e-10),
     ]
     outcomes = []
-    with worker_pool(3):
-        for index, (m, modes, n, tol) in enumerate(cases):
-            blobs = set()
-            for workers in (1, 2, 3):
-                (reports,) = _preservation_reports(
-                    [m], 50 + index, modes, _MULTI_BLOCK, n, tol, workers
-                )
-                blobs.add(tuple(json.dumps(r.to_json()) for r in reports))
-            assert len(blobs) == 1, modes
-            outcomes.append(reports)
+    for index, (m, modes, n, tol) in enumerate(cases):
+        blobs = set()
+        for workers in (1, 2, 3):
+            (reports,) = _preservation_reports(
+                [m], 50 + index, modes, _MULTI_BLOCK, n, tol, workers
+            )
+            blobs.add(tuple(json.dumps(r.to_json()) for r in reports))
+        assert len(blobs) == 1, modes
+        outcomes.append(reports)
     assert [[r.passed for r in reports] for reports in outcomes] == [
         [True],
         [False],
         [True, True, True],
     ]
     assert outcomes[1][0].first_counterexample is not None
+    # workers 2 and 3 of each case ran on a pool of their own
+    assert len(pool_log["max_workers"]) == pool_log["shutdowns"] == 2 * len(cases)
 
 
 # the seed of the one trial stream that the maps of a call share
@@ -531,7 +540,7 @@ def _one_call_maps():
 
 
 @pytest.mark.parametrize("trials", (1, 20, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 600))
-def test_fused_runs_report_as_their_own_calls(trials):
+def test_fused_runs_report_as_their_own_calls(trials, pool_log, split_every_call):
     # the maps of one call are fused onto one trial stream: each block is
     # sampled once for all of them, yet every map folds to the bytes of its
     # own check_preservation on that seed, first index and counterexample
@@ -543,14 +552,15 @@ def test_fused_runs_report_as_their_own_calls(trials):
          for mode in modes]
         for m in maps
     ]
-    with worker_pool(3):
-        for workers in (1, 2, 3):
-            shared = _preservation_reports(maps, seed, modes, trials, 3, tol, workers)
-            assert [[json.dumps(r.to_json()) for r in run] for run in shared] == own
+    for workers in (1, 2, 3):
+        shared = _preservation_reports(maps, seed, modes, trials, 3, tol, workers)
+        assert [[json.dumps(r.to_json()) for r in run] for run in shared] == own
     assert [[r.passed for r in run] for run in shared][1] == [False, True]
+    # a stream of more than one block ran on a pool at workers 2 and 3
+    assert len(pool_log["max_workers"]) == (2 if trials > _BLOCK_TRIALS else 0)
 
 
-def test_fused_call_of_one_block_runs_starts_no_process(pool_log):
+def test_fused_call_of_one_block_runs_starts_no_process(pool_log, split_every_call):
     # three maps on one stream of 200 trials: the stream fits one engine
     # block, so the call stays in this process for any worker count
     maps, seed = _one_call_maps(), _SHARED_SEED
@@ -700,12 +710,13 @@ def test_trials_validate_only_inexact_matrices(validated_stacks):
 def test_unguarded_script_fails_and_guarded_script_matches_one_worker(tmp_path):
     # a spawn worker re-imports the main script; without the __main__
     # guard its own call would open a pool while it bootstraps, which the
-    # pool refuses by ending the worker, so the calling run fails
+    # pool refuses by ending the worker, so the calling run fails.  The
+    # script lowers the split limit so that its 600 trials go to a pool.
     call = (
         "sys.exit(cli.main(['verify', 'radius', '--trials', '600', "
         "'--workers', '2', '--out', sys.argv[1]]))"
     )
-    head = "import sys\nfrom commrange import cli\n"
+    head = "import sys\nfrom commrange import cli, maps\nmaps._POOL_START_WORK = 0\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     runs = {}
     for name, body in (
