@@ -17,7 +17,8 @@ trial:
 * ``spectra``: both commutator spectra and the violation metric.
 
 ``kind_us_per_trial`` gives ``draws`` and ``qr_assembly`` for each pool
-kind alone, over 64 trials of that kind in one block.
+kind alone: the 64 trials of that kind among trials 0 .. 255, drawn by
+``_Draws.draw_pair`` into one block and then assembled.
 ``failing_run_outside_chunk_us``: at n = 3, 6 and 16, the microseconds a
 failing ``check_preservation`` run (range mode, transpose dagger, 25
 trials) spends outside the trial pass ``maps._run_chunk``: its checks, its
@@ -119,9 +120,9 @@ def _spec(n: int, seed: int) -> maps.MapSpec:
     )
 
 
-def _timed_sample(n: int, segments: list) -> tuple:
-    """Seconds of ``maps._sample_block`` on ``segments`` and of the
-    ``_Draws.assemble`` call inside it."""
+def _timed_sample(n: int, seed: int, lo: int, hi: int) -> tuple:
+    """Seconds of ``maps._sample_block`` on trials lo .. hi-1 of ``seed``
+    and of the ``_Draws.assemble`` call inside it."""
     assembly = []
     assemble = maps._Draws.assemble
 
@@ -134,7 +135,7 @@ def _timed_sample(n: int, segments: list) -> tuple:
     maps._Draws.assemble = timed_assemble
     try:
         t0 = perf_counter()
-        a, b = maps._sample_block(n, segments)
+        a, b = maps._sample_block(n, seed, lo, hi)
         wall = perf_counter() - t0
     finally:
         maps._Draws.assemble = assemble
@@ -143,7 +144,7 @@ def _timed_sample(n: int, segments: list) -> tuple:
 
 def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
     """Seconds of each engine phase over trials 0 .. BLOCK-1."""
-    wall, assembly, a, b = _timed_sample(n, [(seed, 0, BLOCK)])
+    wall, assembly, a, b = _timed_sample(n, seed, 0, BLOCK)
     t1 = perf_counter()
     (images,) = maps._images([m], np.concatenate([a, b]))
     t2 = perf_counter()
@@ -162,16 +163,23 @@ def _phases(m: maps.MapSpec, n: int, seed: int) -> dict:
 
 def measure_kinds(n: int, seed: int, reps: int) -> dict:
     """Microseconds per trial of phase-1 draws and of assembly for each
-    pool kind alone: KIND_TRIALS trials of the kind, one block, each trial
-    its own one-trial segment."""
+    pool kind alone: one block of the KIND_TRIALS trials of the kind among
+    the first 4 * KIND_TRIALS, each drawn by ``_Draws.draw_pair`` from its
+    (seed, i) stream, then assembled."""
     out = {"draws": {}, "qr_assembly": {}}
     for kind in range(4):
         runs = []
         for r in range(reps + 1):
-            segments = [(seed + r, i, i + 1) for i in range(kind, 4 * KIND_TRIALS, 4)]
-            runs.append(_timed_sample(n, segments)[:2])
-        wall, assembly = np.median(runs[1:], axis=0)
-        out["draws"][f"kind{kind}"] = float(wall - assembly) / KIND_TRIALS * 1e6
+            keys = [(seed + r, i) for i in range(kind, 4 * KIND_TRIALS, 4)]
+            t0 = perf_counter()
+            draws = maps._Draws(n, KIND_TRIALS)
+            for (_, i), rng in zip(keys, matcore._streams(keys)):
+                draws.draw_pair(rng, i)
+            t1 = perf_counter()
+            draws.assemble()
+            runs.append((t1 - t0, perf_counter() - t1))
+        draw_s, assembly = np.median(runs[1:], axis=0)
+        out["draws"][f"kind{kind}"] = float(draw_s) / KIND_TRIALS * 1e6
         out["qr_assembly"][f"kind{kind}"] = float(assembly) / KIND_TRIALS * 1e6
     return out
 

@@ -26,11 +26,11 @@ the commutator spectra of the block and of every map's images in one
 stacked call, then the violation metric; a map's first violating pair is
 kept from its block.  ``sample_trial_pair`` and ``apply_map`` run the same
 code on one matrix and one map.  A call whose estimated work pays for a
-process pool splits its trials into at most ``workers`` chunks of whole
-blocks, run on a spawn pool that the call opens and shuts down before it
-returns; any other call runs in the calling process and starts no process.
-Every split forms the same blocks and, the fold being ordered by trial
-index, gives the same report.
+process pool splits its trials into at most min(``workers``, CPU count)
+chunks of whole blocks, run on a spawn pool of one process per chunk that
+the call opens and shuts down before it returns; any other call runs in
+the calling process and starts no process.  Every split forms the same
+blocks and, the fold being ordered by trial index, gives the same report.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def _images(maps: list, a: np.ndarray) -> np.ndarray:
 # own (seed, i) stream, in a fixed order, into the block's float buffer,
 # each run of consecutive normal draws in one ``standard_normal`` call, and
 # files each matrix by recipe, (form, group), with its slot, buffer offsets
-# and scalars; ``_sample_block`` walks the streams with ``_streams``.
+# and scalars; ``_sample_block`` walks one run's streams with ``_streams``.
 # ``_Draws.assemble`` then forms each recipe from the buffer in stacked
 # calls (QR, products), validates the inexact rows and symmetrizes once.
 # No draw depends on a QR or a product, so the split changes no number.
@@ -446,13 +446,12 @@ def sample_trial_pair(n: int, rng: np.random.Generator, kind: int):
     return a, b
 
 
-def _sample_block(n: int, segments):
-    """The A and B stacks of the trials of ``segments``, (seed, lo, hi)
-    each, end to end: trial i drawn from the (seed, i) stream with pool
-    kind i."""
-    keys = [(seed, i) for seed, lo, hi in segments for i in range(lo, hi)]
-    draws = _Draws(n, len(keys))
-    for (_, i), rng in zip(keys, _streams(keys)):
+def _sample_block(n: int, seed: int, lo: int, hi: int):
+    """The A and B stacks of trials lo .. hi-1 of one run: trial i drawn
+    from the (seed, i) stream with pool kind i."""
+    trials = range(lo, hi)
+    draws = _Draws(n, len(trials))
+    for i, rng in zip(trials, _streams((seed, i) for i in trials)):
         draws.draw_pair(rng, i)
     out = draws.assemble()
     return out[0::2], out[1::2]
@@ -497,7 +496,7 @@ def _run_chunk(args):
     worst = [[0.0] * len(modes) for _ in maps]
     first = [[None] * len(modes) for _ in maps]
     for start in range(lo, hi, _BLOCK_TRIALS):
-        a, b = _sample_block(n, [(seed, start, min(start + _BLOCK_TRIALS, hi))])
+        a, b = _sample_block(n, seed, start, min(start + _BLOCK_TRIALS, hi))
         base, images = _spectra(a, b, maps)
         for j, mode in enumerate(modes):
             for r, v in enumerate(metric_violation(base, images, mode)):
@@ -517,12 +516,6 @@ def _chunks(trials: int, workers: int, n: int, k: int) -> list:
         workers = 1
     per = -(-trials // (_BLOCK_TRIALS * workers)) * _BLOCK_TRIALS
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-
-
-def pool_size(workers: int, cpu_count: Optional[int]) -> int:
-    """Processes in a pool asked for ``workers``: at most one per CPU (an
-    unknown ``cpu_count`` counts as one)."""
-    return min(workers, cpu_count or 1)
 
 
 @dataclass(frozen=True)
@@ -580,11 +573,12 @@ def check_preservation(
     else the mode's ``TOLERANCES`` entry; the engine call
     :func:`_preservation_reports` on one map.  ``workers`` = N is an upper
     bound: a run whose estimated work pays for a process pool (see
-    ``_POOL_START_WORK``) is split into at most N chunks of whole 256-trial
-    blocks, run on a spawn pool of at most one process per chunk and per CPU
-    that this call opens and shuts down before it returns; any other run
-    starts no process.  Every split forms the same blocks and the fold is
-    ordered by trial index, so the report is the same for any N.
+    ``_POOL_START_WORK``) is split into at most min(N, CPU count) chunks of
+    whole 256-trial blocks, run on a spawn pool of one process per chunk
+    that this call opens and shuts down before it returns; any other run,
+    and every run on one CPU, starts no process.  Every split forms the
+    same blocks and the fold is ordered by trial index, so the report is
+    the same for any N.
     """
     if tol is None:
         tol = TOLERANCES.get(mode)  # the engine refuses an unknown mode
@@ -619,6 +613,10 @@ def _preservation_reports(
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
+    # at most one chunk per CPU, an unknown CPU count counting as one; a
+    # serial call skips the lookup, which costs microseconds per call
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     chunks = [
         (maps, seed, modes, n, lo, hi, tol)
         for lo, hi in _chunks(trials, workers, n, len(maps))
@@ -638,7 +636,7 @@ def _preservation_reports(
                 'pool; put its calls under if __name__ == "__main__":'
             )
         with futures.ProcessPoolExecutor(
-            max_workers=pool_size(len(chunks), os.cpu_count()),
+            max_workers=len(chunks),
             mp_context=get_context("spawn"),
         ) as pool:
             per_chunk = list(pool.map(_run_chunk, chunks))

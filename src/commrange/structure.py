@@ -84,7 +84,7 @@ class TwoLevelDecomposition:
 
 
 class _Split(NamedTuple):
-    """The two-level split of each matrix of a stack (see :func:`_split`)."""
+    """The two-level split of a matrix or of a stack (see :func:`_split`)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -99,8 +99,9 @@ class _Split(NamedTuple):
 
 
 def _split(a: np.ndarray, gap_tol: float) -> _Split:
-    """Cluster the spectrum of each matrix of a validated stack, from one
-    stacked ``eigh``; the package's one two-level rule.
+    """Cluster the spectrum of a validated matrix, or of each matrix of a
+    stack (leading axes), from one ``eigh``; the package's one two-level
+    rule.
 
     ``distance[..., i]`` is the gap between eigenvalues i and i + 1 minus
     the threshold gap_tol * diameter.  A positive distance starts a new
@@ -109,8 +110,8 @@ def _split(a: np.ndarray, gap_tol: float) -> _Split:
     clusters.
     """
     eigs, vectors = np.linalg.eigh(a)
-    diameter = eigs[:, -1] - eigs[:, 0]
-    distance = eigs[:, 1:] - eigs[:, :-1] - (gap_tol * diameter)[:, None]
+    diameter = eigs[..., -1] - eigs[..., 0]
+    distance = eigs[..., 1:] - eigs[..., :-1] - (gap_tol * diameter)[..., None]
     starts = distance > 0.0
     clusters = 1 + starts.sum(axis=-1)
     return _Split(eigs, vectors, diameter, distance, starts, clusters)
@@ -131,26 +132,26 @@ def classify_two_level(a, gap_tol: float = TOLERANCES["gap"]) -> TwoLevelDecompo
     clustering).  For two clusters with means m1 < m2 the decomposition is
     shift = m1, coeff = m2 - m1 and the projection spans the upper cluster.
     """
-    return _decomposition(_split(_validated(a, gap_tol)[None], gap_tol))
+    return _decomposition(_split(_validated(a, gap_tol), gap_tol))
 
 
 def _decomposition(s: _Split) -> TwoLevelDecomposition:
-    """The two-level decomposition of the matrix of a split stack of one,
-    with its upper-cluster projection checked for idempotency."""
-    eigs, diameter, clusters = s.eigenvalues[0], float(s.diameter[0]), s.clusters[0]
+    """The two-level decomposition of the split matrix, with its
+    upper-cluster projection checked for idempotency."""
+    eigs, diameter, clusters = s.eigenvalues, float(s.diameter), s.clusters
     # the smallest relative distance of a gap from the threshold
-    margin = float(np.abs(s.distance[0]).min() / diameter) if diameter > 0.0 else np.inf
+    margin = float(np.abs(s.distance).min() / diameter) if diameter > 0.0 else np.inf
     if clusters > 2:
         return TwoLevelDecomposition(False, None, 0.0, 0.0, margin)
     if clusters == 1:
         return TwoLevelDecomposition(True, None, 0.0, float(eigs.mean()), margin)
-    k = 1 + int(s.starts[0].argmax())
-    upper = s.vectors[:, :, k:]
-    proj = _sym(upper @ upper.conj().swapaxes(-1, -2))
+    k = 1 + int(s.starts.argmax())
+    upper = s.vectors[:, k:]
+    proj = _sym(upper @ upper.conj().T)
     if max_abs(proj @ proj - proj) > TOLERANCES["idempotency"]:
         raise WitnessSearchError("spectral projection failed idempotency check")
     low, high = float(eigs[:k].mean()), float(eigs[k:].mean())
-    return TwoLevelDecomposition(True, proj[0], high - low, low, margin)
+    return TwoLevelDecomposition(True, proj, high - low, low, margin)
 
 
 class _Certificate(NamedTuple):
@@ -168,8 +169,8 @@ def _certificate(a, gap_tol: float) -> _Certificate:
     witness of :func:`asymmetry_witness`, from one validation and one split.
     """
     a = _validated(a, gap_tol)
-    s = _split(a[None], gap_tol)
-    decomp, diameter = _decomposition(s), float(s.diameter[0])
+    s = _split(a, gap_tol)
+    decomp, diameter = _decomposition(s), float(s.diameter)
     if decomp.two_level:
         eye, p = np.eye(a.shape[0], dtype=complex), decomp.projection
         return _Certificate(decomp, -eye if p is None else 2.0 * p - eye, None, diameter)
@@ -191,22 +192,22 @@ def independence_vector(a, gap_tol: float = TOLERANCES["gap"]) -> Optional[np.nd
     a = _validated(a, gap_tol)
     if a.shape[0] < 3:
         raise MatrixError("independence vector requires dimension >= 3")
-    basis = _witness_basis(_split(a[None], gap_tol))
+    basis = _witness_basis(_split(a, gap_tol))
     return None if basis is None else basis[0]
 
 
 def _witness_basis(s: _Split) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The orthonormal pair e1 = (v_lo + v_hi + v_m)/sqrt(3) and
-    e2 = (v_lo - v_m)/sqrt(2) of a split stack of one, or None when A is
+    e2 = (v_lo - v_m)/sqrt(2) of a split matrix, or None when A is
     two-level.
 
     v_lo and v_hi belong to the lowest and highest eigenvalues, v_m to the
     eigenvalue outside their clusters nearest the spectral midpoint.
     """
-    if s.clusters[0] <= 2:
+    if s.clusters <= 2:
         return None
-    eigs, vectors = s.eigenvalues[0], s.vectors[0]
-    starts = s.starts[0].nonzero()[0]
+    eigs, vectors = s.eigenvalues, s.vectors
+    starts = s.starts.nonzero()[0]
     middle = eigs[starts[0] + 1 : starts[-1] + 1]
     m = starts[0] + 1 + int(np.argmin(np.abs(middle - (eigs[0] + eigs[-1]) / 2)))
     v_lo, v_hi, v_m = vectors[:, 0], vectors[:, -1], vectors[:, m]

@@ -43,7 +43,6 @@ from commrange.maps import (
     apply_map,
     check_preservation,
     metric_violation,
-    pool_size,
 )
 from commrange.pauli2 import psi
 from commrange.structure import asymmetry_witness, radius_equivalence_check
@@ -336,37 +335,24 @@ def test_radius_forms_share_one_trial_stream_per_dimension(monkeypatch):
     assert sorted(drawn) == [3] * 20 + [4] * 20 + [6] * 20
 
 
-def test_pool_size_clamped_to_cpu_count():
-    # a pure function: asking for 10,000 workers starts no process here
-    assert pool_size(10_000, 2) == 2
-    assert pool_size(3, 8) == 3
-    assert pool_size(5, None) == 1
-
-
-@given(st.integers(1, 10**6), st.one_of(st.none(), st.integers(1, 512)))
-def test_pool_size_bounds(workers, cpu_count):
-    size = pool_size(workers, cpu_count)
-    assert 1 <= size <= workers
-    assert size <= (cpu_count or 1)
-
-
 @pytest.fixture
 def pool_log(monkeypatch):
     """Record every pool the maps module builds, every batch of chunks
-    sent to a pool and every shutdown.
+    sent to a pool with its number of chunks, and every shutdown.
 
     An engine call looks the executor up in ``concurrent.futures`` when it
     opens a pool, so the counting class is installed there."""
-    log = {"max_workers": [], "maps": 0, "shutdowns": 0}
+    log = {"max_workers": [], "maps": 0, "chunks": [], "shutdowns": 0}
 
     class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             log["max_workers"].append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-        def map(self, *args, **kwargs):
+        def map(self, fn, chunks, **kwargs):
             log["maps"] += 1
-            return super().map(*args, **kwargs)
+            log["chunks"].append(len(chunks))
+            return super().map(fn, chunks, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             log["shutdowns"] += 1
@@ -376,11 +362,18 @@ def pool_log(monkeypatch):
     return log
 
 
+def _set_cpu_count(monkeypatch, count):
+    """Make the maps module read ``count`` as the host's CPU count."""
+    monkeypatch.setattr(maps_mod.os, "cpu_count", lambda: count)
+
+
 @pytest.fixture
 def split_every_call(monkeypatch):
     """Make every engine call of more than one block with ``workers`` > 1
-    split onto a pool, whatever its estimated work."""
+    split onto a pool, whatever its estimated work, into up to three
+    chunks on any host."""
     monkeypatch.setattr(maps_mod, "_POOL_START_WORK", 0)
+    _set_cpu_count(monkeypatch, 3)
 
 
 def test_check_preservation_worker_count_invariant(pool_log, split_every_call):
@@ -392,8 +385,32 @@ def test_check_preservation_worker_count_invariant(pool_log, split_every_call):
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
         r2.to_json(), sort_keys=True
     )
-    assert pool_log["max_workers"] == [pool_size(3, os.cpu_count())]
+    assert pool_log["max_workers"] == pool_log["chunks"] == [3]
     assert pool_log["maps"] == 1
+
+
+def test_split_capped_once_at_the_cpu_count(pool_log, split_every_call, monkeypatch):
+    # three blocks at workers=3 on two CPUs are cut into two chunks, one
+    # process each, not three chunks queued on two processes
+    _set_cpu_count(monkeypatch, 2)
+    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
+    serial = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=1)
+    split = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=3)
+    assert json.dumps(split.to_json()) == json.dumps(serial.to_json())
+    assert pool_log["max_workers"] == pool_log["chunks"] == [2]
+
+
+@pytest.mark.parametrize("count", (1, None))
+def test_call_on_one_cpu_builds_no_pool(count, pool_log, split_every_call, monkeypatch):
+    # on one CPU, or when the count is unknown, a pool would only add its
+    # start-up, so the call runs in this process
+    _set_cpu_count(monkeypatch, count)
+    m = MapSpec(dim=3, unitary=np.eye(3), sign=SIGN_HASH, sign_seed=5)
+    serial = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=1)
+    split = check_preservation(m, MODE_RADIUS, _MULTI_BLOCK, 3, 999, workers=3)
+    assert json.dumps(split.to_json()) == json.dumps(serial.to_json())
+    assert pool_log["max_workers"] == []
+    assert multiprocessing.active_children() == []
 
 
 def test_chunks_are_runs_of_whole_blocks(split_every_call):
@@ -442,7 +459,7 @@ def test_lone_call_pool_capped_at_chunk_count(pool_log, split_every_call):
     split = check_preservation(m, MODE_RADIUS, trials, 3, 999, workers=64)
     assert split.to_json() == serial.to_json()
     # two blocks, two chunks: the pool asks for two processes, not 64
-    assert pool_log["max_workers"] == [pool_size(2, os.cpu_count())]
+    assert pool_log["max_workers"] == pool_log["chunks"] == [2]
     assert pool_log["maps"] == 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
@@ -469,7 +486,7 @@ def test_call_pool_shut_down_when_a_chunk_raises(pool_log, split_every_call):
     object.__setattr__(m, "unitary", np.full((3, 3), np.nan))
     with pytest.raises(MatrixError, match="matrix 0 of the stack is not self-adjoint"):
         check_preservation(m, MODE_RADIUS, _BLOCK_TRIALS + 1, 3, 1, workers=2)
-    assert pool_log["max_workers"] == [pool_size(2, os.cpu_count())]
+    assert pool_log["max_workers"] == [2]
     assert pool_log["maps"] == 1
     assert pool_log["shutdowns"] == 1
     assert multiprocessing.active_children() == []
@@ -711,12 +728,16 @@ def test_unguarded_script_fails_and_guarded_script_matches_one_worker(tmp_path):
     # a spawn worker re-imports the main script; without the __main__
     # guard its own call would open a pool while it bootstraps, which the
     # pool refuses by ending the worker, so the calling run fails.  The
-    # script lowers the split limit so that its 600 trials go to a pool.
+    # script lowers the split limit and reads two CPUs, so that its 600
+    # trials go to a pool on any host.
     call = (
         "sys.exit(cli.main(['verify', 'radius', '--trials', '600', "
         "'--workers', '2', '--out', sys.argv[1]]))"
     )
-    head = "import sys\nfrom commrange import cli, maps\nmaps._POOL_START_WORK = 0\n"
+    head = (
+        "import sys\nfrom commrange import cli, maps\nmaps._POOL_START_WORK = 0\n"
+        "maps.os.cpu_count = lambda: 2\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     runs = {}
     for name, body in (

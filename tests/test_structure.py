@@ -464,6 +464,26 @@ def test_criterion_5_takes_one_eigensolve_per_matrix(monkeypatch):
     assert counts == {"eigh": 10, "draws": 10}
 
 
+def test_criterion_5_counts_a_two_level_witness_draw_as_missing(monkeypatch):
+    # each witness trial draws one GUE matrix; the first one is replaced by
+    # a two-level matrix after its draws are made, and is not redrawn
+    from commrange import suite
+
+    draw, calls = suite.random_hermitian, []
+
+    def first_two_level(n, rng):
+        a = draw(n, rng)
+        calls.append(n)
+        return np.diag([1.0] * (n - 1) + [2.0]) + 0j if len(calls) == 1 else a
+
+    monkeypatch.setattr(suite, "random_hermitian", first_two_level)
+    out = suite.crit_two_level_dichotomy(2026, 0.02, 1)
+    d = out["details"]
+    assert len(calls) == d["witness_total"] == 5
+    assert d["witness_found"] == d["witness_total"] - 1
+    assert not out["passed"]
+
+
 def test_every_dim2_hermitian_is_two_level():
     # at dim 2 the spectrum has at most two points, so the class is all of
     # the Hermitian matrices and symmetry of commutator ranges is automatic

@@ -90,7 +90,7 @@ def _split_spectra(m, n, seed, trials, size):
     """Per-trial (base, image) spectra from engine blocks of ``size``."""
     parts = []
     for lo in range(0, trials, size):
-        a, b = _sample_block(n, [(seed, lo, min(lo + size, trials))])
+        a, b = _sample_block(n, seed, lo, min(lo + size, trials))
         base, (image,) = _spectra(a, b, [m])
         parts.append((base, image))
     return tuple(np.concatenate(side) for side in zip(*parts))
@@ -154,7 +154,7 @@ def test_counterexample_replay_equals_engine_pair():
     m = MapSpec(dim=3, unitary=np.eye(3), dagger=DAGGER_TRANSPOSE, epsilon=1)
     trials, seed = 200, 321
     report = check_preservation(m, MODE_RANGE, trials, 3, seed, tol=1e-9)
-    a, b = _sample_block(3, [(seed, 0, trials)])
+    a, b = _sample_block(3, seed, 0, trials)
     base, (image,) = _spectra(a, b, [m])
     over = np.flatnonzero(metric_violation(base, image, MODE_RANGE) > 1e-9)
     assert report.first_violation_index == over[0]
@@ -174,7 +174,7 @@ def test_counterexample_replay_equals_engine_pair():
 
 def test_sampled_stacks_are_exactly_hermitian_per_trial():
     for n in (2, 3, 6, 16):
-        a, b = _sample_block(n, [(40 + n, 3, 15)])
+        a, b = _sample_block(n, 40 + n, 3, 15)
         for k, i in enumerate(range(3, 15)):
             ra, rb = sample_trial_pair(n, substream(40 + n, i), i)
             assert a[k].tobytes() == ra.tobytes()
@@ -182,12 +182,11 @@ def test_sampled_stacks_are_exactly_hermitian_per_trial():
             assert hermitian(a[k]).tobytes() == a[k].tobytes()
 
 
-def _per_trial_stacks(n, segments):
+def _per_trial_stacks(n, seed, lo, hi):
     """``_sample_block`` with a fresh ``substream`` per trial."""
     draws = maps_mod._Draws(n)
-    for seed, lo, hi in segments:
-        for i in range(lo, hi):
-            draws.draw_pair(substream(seed, i), i)
+    for i in range(lo, hi):
+        draws.draw_pair(substream(seed, i), i)
     out = draws.assemble()
     return out[0::2], out[1::2]
 
@@ -205,13 +204,12 @@ def _per_trial_stacks(n, segments):
 @example(6, 2**63 + 5, 0, 40, (17, 40, 1))
 @example(16, 2**64 + 7, 2**20, 9, (-7, 2**20 + 9, 3))
 def test_reopened_phase_one_equals_per_trial_substreams(n, seed, lo, count, other):
-    # two segments of two seeds laid end to end in one block
-    seed2, lo2, count2 = other
-    segments = [(seed, lo, lo + count), (seed2, lo2, lo2 + count2)]
-    got = _sample_block(n, segments)
-    want = _per_trial_stacks(n, segments)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    # a block of each of two runs of two seeds
+    for s, i0, k in ((seed, lo, count), other):
+        got = _sample_block(n, s, i0, i0 + k)
+        want = _per_trial_stacks(n, s, i0, i0 + k)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def _ref_ginibre(rng, n):
@@ -283,7 +281,7 @@ def _ref_pair(n, rng, kind):
     st.integers(1, 12),
     st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 300), st.integers(1, 12)),
 )
-@example(3, 11, 0, 1, (12, 4, 1))  # kind 0 in both segments
+@example(3, 11, 0, 1, (12, 4, 1))  # kind 0 in both runs
 @example(4, 11, 1, 1, (12, 5, 1))  # kind 1
 @example(6, 11, 2, 1, (12, 6, 1))  # kind 2
 @example(2, 11, 3, 1, (12, 7, 1))  # kind 3
@@ -295,20 +293,21 @@ def test_sampling_routes_equal_the_one_call_per_quantity_reference(
     n, seed, lo, count, other
 ):
     # the block buffer, the merged normal draws and the one symmetrization
-    # of the block give, byte for byte, the matrices of the reference
-    seed2, lo2, count2 = other
-    segments = [(seed, lo, lo + count), (seed2, lo2, lo2 + count2)]
-    want = [
-        _ref_pair(n, substream(s, i), i)
-        for s, i0, i1 in segments
-        for i in range(i0, i1)
+    # of the block give, byte for byte, the matrices of the reference, for
+    # a block of each of two runs
+    runs = [(seed, lo, count), other]
+    wants = [
+        [_ref_pair(n, substream(s, i), i) for i in range(i0, i0 + k)]
+        for s, i0, k in runs
     ]
-    a, b = _sample_block(n, segments)
-    assert a.tobytes() == np.array([p[0] for p in want]).tobytes()
-    assert b.tobytes() == np.array([p[1] for p in want]).tobytes()
-    for i in range(lo, lo + count):
+    for (s, i0, k), want in zip(runs, wants):
+        a, b = _sample_block(n, s, i0, i0 + k)
+        assert a.tobytes() == np.array([p[0] for p in want]).tobytes()
+        assert b.tobytes() == np.array([p[1] for p in want]).tobytes()
+    seed2 = other[0]
+    for i, ref in zip(range(lo, lo + count), wants[0]):
         pair = sample_trial_pair(n, substream(seed, i), i)
-        assert [x.tobytes() for x in pair] == [x.tobytes() for x in want[i - lo]]
+        assert [x.tobytes() for x in pair] == [x.tobytes() for x in ref]
         got = maps_mod._random_two_level(n, substream(seed2, i))
         assert got.tobytes() == _ref_two_level(n, substream(seed2, i)).tobytes()
 
@@ -341,7 +340,7 @@ def test_each_run_of_normal_draws_is_one_generator_call(monkeypatch):
         # and both eigenvalue vectors, in one standard_normal call
         for kind in (0, 3):
             calls.clear()
-            _sample_block(n, [(40 + n, kind, kind + 1)])
+            _sample_block(n, 40 + n, kind, kind + 1)
             assert calls["standard_normal"] == 1, (n, kind)
         # a low-rank matrix draws its unitary and its coefficients in one
         calls.clear()
@@ -396,7 +395,7 @@ def test_batched_digests_equal_single_digests():
     # every row of a stacked hash is the one-matrix reference, for any
     # rows, order or set of seeds asked for at once
     for n in (1, 2, 3, 16):
-        a, b = _sample_block(n if n > 1 else 2, [(60 + n, 0, 12)])
+        a, b = _sample_block(n if n > 1 else 2, 60 + n, 0, 12)
         stack = np.concatenate([a, b]) if n > 1 else np.ones((5, 1, 1)) * 0.25j
         q = _Quanta(stack)
         cases = ((0, "sign"), (2**64 + 5, "shift"), (-3, "sset"))
@@ -411,7 +410,7 @@ def test_batched_digests_equal_single_digests():
 
 
 def test_rule_values_follow_the_digest():
-    a, b = _sample_block(3, [(61, 0, 8)])
+    a, b = _sample_block(3, 61, 0, 8)
     stack = np.concatenate([a, b])
     m = _spec(3, 1, sign=SIGN_HASH, shift=SHIFT_HASH)
     (signs,), (shifts,) = _rules([m], stack)
@@ -497,7 +496,7 @@ def test_hash_bits_of_neighbouring_seeds_and_salts_are_uncorrelated():
 
 
 def test_hash_seeds_reduce_modulo_two_to_the_64():
-    a, b = _sample_block(3, [(70, 0, 6)])
+    a, b = _sample_block(3, 70, 0, 6)
     q = _Quanta(np.concatenate([a, b]))
     for seed, residue in ((-3, 2**64 - 3), (0, 2**64), (2**64 - 1, -1), (2**64 + 5, 5)):
         for salt in _SALTS:
@@ -522,7 +521,7 @@ def test_one_quantum_changes_the_hash():
 
 def test_images_equal_one_matrix_maps():
     for n in (2, 3, 16):
-        a, b = _sample_block(n, [(62 + n, 0, 9)])
+        a, b = _sample_block(n, 62 + n, 0, 9)
         stack = np.concatenate([a, b])
         for index, rules in enumerate(_presets(n)):
             m = _spec(n, index, **rules)
@@ -535,7 +534,7 @@ def test_images_equal_one_matrix_maps():
 def test_map_step_over_many_maps_equals_one_map_steps(n):
     # mirror on and off, both daggers, every sign, shift and set rule in one
     # call: each map's images and image spectra are its own call's, bitwise
-    a, b = _sample_block(n, [(72 + n, 0, 20)])
+    a, b = _sample_block(n, 72 + n, 0, 20)
     stack = np.concatenate([a, b])
     maps = [_spec(n, index, **rules) for index, rules in enumerate(_presets(n))]
     images = maps_mod._images(maps, stack)
@@ -628,7 +627,7 @@ def test_stacked_symmetry_test_matches_one_matrix_test():
 def test_stacked_two_level_mask_matches_classifier():
     gap = TOLERANCES["gap"]
     for n in (2, 3, 6):
-        a, b = _sample_block(n, [(64 + n, 0, 40)])
+        a, b = _sample_block(n, 64 + n, 0, 40)
         stack = np.concatenate([a, b])
         mask = _split(stack, gap).two_level
         assert mask.tolist() == [classify_two_level(x).two_level for x in stack]
@@ -673,7 +672,7 @@ def test_all_two_level_set_rule_forms_no_projection(monkeypatch):
 
 
 def test_stacked_mirror_map_matches_one_matrix_map():
-    a, b = _sample_block(2, [(65, 0, 8)])
+    a, b = _sample_block(2, 65, 0, 8)
     stack = np.concatenate([a, b])
     mirrored = _psi(stack)
     for k, x in enumerate(stack):
