@@ -34,9 +34,9 @@ seconds of acceptance criteria 3, 4 and 5 at scale 1.0.
 
 ``radius``: at n = 3, 6 and 16, microseconds per ``numerical_radius``
 call on 50 Ginibre matrices scaled by 1/sqrt(2), as criterion 9 draws them,
-and the mean number of 2n x 2n level-set eigenproblems (``eigvals`` calls)
-per call; and the wall time in seconds of acceptance criterion 9 at scale
-1.0.
+the mean number of 2n x 2n level-set eigenproblems (``eigvals`` calls) per
+call and of Newton steps (one-matrix ``eigh`` calls) per call; and the wall
+time in seconds of acceptance criterion 9 at scale 1.0.
 
 ``boundary``: microseconds per ``range_boundary(A, 360)`` call on the same
 50 matrices at each n.
@@ -332,30 +332,31 @@ def _us_per_matrix(fn, mats: list, reps: int) -> float:
     return float(np.median(runs[1:]))
 
 
-def _eigvals_per_call(fn, mats: list) -> float:
-    """Mean number of ``np.linalg.eigvals`` calls per fn(A), untimed."""
+def _linalg_calls_per_call(fn, mats: list, name: str) -> float:
+    """Mean number of ``np.linalg.<name>`` calls per fn(A), untimed."""
     calls = []
-    eigvals = np.linalg.eigvals
+    original = getattr(np.linalg, name)
 
-    def counting(m):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return eigvals(m)
+        return original(*args, **kwargs)
 
-    np.linalg.eigvals = counting
+    setattr(np.linalg, name, counting)
     try:
         for a in mats:
             fn(a)
     finally:
-        np.linalg.eigvals = eigvals
+        setattr(np.linalg, name, original)
     return len(calls) / len(mats)
 
 
 def measure_radius(seed: int, reps: int) -> dict:
-    out = {"us_per_call": {}, "solves_per_call": {}}
+    out = {"us_per_call": {}, "solves_per_call": {}, "newton_steps_per_call": {}}
     for n in ORACLE_DIMS:
         mats = _ginibre_mats(n, seed)
         out["us_per_call"][f"n{n}"] = _us_per_matrix(numerical_radius, mats, reps)
-        out["solves_per_call"][f"n{n}"] = _eigvals_per_call(numerical_radius, mats)
+        for key, name in (("solves_per_call", "eigvals"), ("newton_steps_per_call", "eigh")):
+            out[key][f"n{n}"] = _linalg_calls_per_call(numerical_radius, mats, name)
     out["criteria_s"] = _criteria_s(RADIUS_CRITERIA, seed, reps)
     return out
 

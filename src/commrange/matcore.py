@@ -41,6 +41,7 @@ TOLERANCES = {
     "symmetry": 1e-8,  # of max(1, |t_min|, |t_max|); nrange._symmetric (criterion 5)
     "newton_step": 1e-8,  # absolute, in radians; nrange._newton_support
     "unimodular": 1e-6,  # absolute, ||z| - 1|; nrange._level_set_radius
+    "level_rise": 1e-13,  # of the level r; nrange._level_set_radius
     "gap": 1e-6,  # of the spectral diameter; structure defaults, maps sset, --tol.gap
     "idempotency": 1e-9,  # absolute, ||P^2 - P||_max; structure._decomposition
     "witness": 1e-6,  # of d ||B||_2, d the spectral diameter of A; --tol.witness

@@ -6,15 +6,18 @@ A deletion that breaks one of them would only show when the benchmark
 runs, so this test reads both files with ``ast`` and resolves every such
 name against the package.  A change of signature would not show there, so
 the bench script's engine sections, which wrap private engine functions,
-also run here on small inputs.
+and its radius section's call counters, which wrap ``np.linalg``, also run
+here on small inputs.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +96,7 @@ def test_bench_script_engine_sections_run(monkeypatch):
     spec.loader.exec_module(bench)
     maps = importlib.import_module("commrange.maps")
     run_chunk, assemble = maps._run_chunk, maps._Draws.assemble
+    eigvals, eigh = np.linalg.eigvals, np.linalg.eigh
 
     engine = bench.measure_engine(2, 2026, 1)
     assert engine["trials_per_s"] > 0
@@ -102,5 +106,12 @@ def test_bench_script_engine_sections_run(monkeypatch):
     assert set(engine["kind_us_per_trial"]["draws"]) == {f"kind{k}" for k in range(4)}
     outside = bench.measure_counterexample(2026, 1)
     assert set(outside) == {"n3", "n6", "n16"}
+    # the radius section's counters, on two of its matrices per n: a general
+    # call makes 1 to 20 level-set solves and 1 to 6 Newton steps
+    for n in bench.ORACLE_DIMS:
+        mats = bench._ginibre_mats(n, 2026)[:2]
+        count = functools.partial(bench._linalg_calls_per_call, bench.numerical_radius, mats)
+        assert 1 <= count("eigvals") <= 20 and 1 <= count("eigh") <= 6
+    assert np.linalg.eigvals is eigvals and np.linalg.eigh is eigh
     # the timing wrappers are taken off again
     assert (maps._run_chunk, maps._Draws.assemble) == (run_chunk, assemble)

@@ -710,6 +710,18 @@ def test_equiv_near_the_float_limit_is_related(matrix_file, capsys):
     assert np.isfinite(report["worst_gap"])
 
 
+def test_equiv_at_subnormal_scale_is_finite(matrix_file, capsys):
+    # A/||A||_max divides each part by the real scale; a complex division
+    # would multiply by 1/||A||_max = inf and fill the report with NaN
+    a = 1e-310 * np.array([[1.0, 2.0], [2.0, -1.0]])
+    path_a = matrix_file("a.json", a)
+    path_b = matrix_file("b.json", a + 3e-310 * np.eye(2))
+    assert main(["equiv", path_a, path_b]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "related"
+    assert np.isfinite(report["beta"]) and np.isfinite(report["worst_gap"])
+
+
 # ``suite --scale``: small valid scales (a subnormal among them), then
 # values the scale check refuses, and text that is no number.
 _SUITE_SCALES = st.one_of(
@@ -782,6 +794,7 @@ def test_tolerance_table_pinned_and_read_by_every_default(matrix_file, capsys):
         "symmetry": 1e-8,
         "newton_step": 1e-8,
         "unimodular": 1e-6,
+        "level_rise": 1e-13,
         "gap": 1e-6,
         "idempotency": 1e-9,
         "witness": 1e-6,

@@ -339,11 +339,31 @@ def test_boundary_rejects_few_angles():
 
 def test_radius_scale_invariant_for_tiny_matrices():
     # the branch is chosen on A/||A||_max, so 1e-13 A stays on the general
-    # path instead of falling below is_hermitian's max(1, ||M||) floor
+    # path instead of falling below is_hermitian's max(1, ||M||) floor; at a
+    # subnormal scale 1/||A||_max is inf, so each part is divided by it
     a = np.array([[1.0, 2.0], [0.0, 1j]])
     w = numerical_radius(a)
-    for c in (1.0, 1e-6, 1e-12, 1e-13):
+    for c in (1.0, 1e-6, 1e-12, 1e-13, 1e-310, 1e-312):
         assert abs(numerical_radius(c * a) / c - w) <= 1e-9 * w
+
+
+def _golden_max(top, lo, hi, inv_phi, width):
+    # golden-section search for a maximum of top on [lo, hi] down to a
+    # bracket of ``width``: the largest value met, in top's arithmetic
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = top(c), top(d)
+    best = max(fc, fd)
+    while hi - lo > width:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = top(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = top(d)
+        best = max(best, fc, fd)
+    return best
 
 
 def _sweep_radius_reference(a):
@@ -357,23 +377,28 @@ def _sweep_radius_reference(a):
     thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     vals = top(thetas)
     k = int(np.argmax(vals))
-    best = float(vals[k])
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = thetas[k] - 2.0 * np.pi / 720, thetas[k] + 2.0 * np.pi / 720
-    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fc, fd = float(top(c)), float(top(d))
-    best = max(best, fc, fd)
-    while hi - lo > 1e-10:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = float(top(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = float(top(d))
-        best = max(best, fc, fd)
-    return best
+    return max(float(vals[k]), _golden_max(lambda t: float(top(t)), lo, hi, inv_phi, 1e-10))
+
+
+def _mp_radius_reference(a, digits=40, grid=32):
+    # the same maximum of h(theta) in mpmath at ``digits`` digits: a coarse
+    # grid, then golden-section search on its best bracket down to 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(digits):
+        am = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a])
+        adj = am.transpose_conj()
+
+        def top(theta):
+            e = mpmath.exp(mpmath.mpc(0, -theta))
+            return max(mpmath.eighe((e * am + mpmath.conj(e) * adj) / 2, eigvals_only=True))
+
+        step = 2 * mpmath.pi / grid
+        vals = [top(k * step) for k in range(grid)]
+        k = max(range(grid), key=vals.__getitem__)
+        inv_phi = (mpmath.sqrt(5) - 1) / 2
+        return max(vals[k], _golden_max(top, (k - 1) * step, (k + 1) * step, inv_phi, 1e-12))
 
 
 def _ginibre(n, seed):
@@ -388,8 +413,8 @@ def _scaled_ginibre(draw):
     return 10.0 ** draw(st.floats(-8.0, 8.0)) * g, None
 
 
-# At this n = 16 Ginibre matrix, Newton steps from the best grid angle end
-# at a local maximum of h 0.76% below w(A); the level set has to climb.
+# At this n = 16 Ginibre matrix, Newton steps from the vertex start end at
+# a local maximum of h 0.72% below w(A); the level set has to climb.
 _NEWTON_LOCAL_MAX_SEED = 85
 
 
@@ -454,13 +479,44 @@ def test_newton_start_stalls_below_radius_on_pinned_matrix():
     # the pinned matrix really needs the level set after the Newton start
     a = _ginibre(16, _NEWTON_LOCAL_MAX_SEED)
     unit = a / np.abs(a).max()
-    grid = nrange._LEVEL_GRID
     parts = nrange._hermitian_parts(unit)
-    k = int(np.argmax(np.linalg.eigvalsh(nrange._support_matrices(parts, grid))[:, -1]))
-    start = nrange._newton_support(parts, grid[k]) * np.abs(a).max()
+    tops = np.linalg.eigvalsh(nrange._support_matrices(parts, nrange._LEVEL_GRID))[:, -1]
+    start = nrange._newton_support(parts, nrange._newton_start(tops)) * np.abs(a).max()
     w = numerical_radius(a)
     assert start < w * (1.0 - 1e-3)
     assert abs(w - _sweep_radius_reference(a)) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("n", [3, 6, 16])
+def test_level_set_solves_and_newton_steps_per_call(n, monkeypatch):
+    # the rise rule lets one 2n x 2n eigenproblem certify most starts, and
+    # the vertex start saves Newton steps: over these 40 matrices a call
+    # makes 1.0 solves and 3.15-3.2 steps, against 1.43-1.58 and 3.68-3.93
+    # without the two
+    calls = {"eigvals": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(m, name=name, original=original):
+            calls[name] += 1
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for seed in range(40):
+        numerical_radius(_ginibre(n, seed))
+    assert calls["eigvals"] / 40 <= 1.2
+    assert calls["eigh"] / 40 <= 3.4
+
+
+@pytest.mark.parametrize("n, seed", [(2, 9), (3, 0), (2, 2904), (4, 983)])
+def test_radius_matches_high_precision_reference(n, seed):
+    # the first two level sets end on a midpoint 4.4e-16 r above r, which
+    # the rise rule takes for rounding; the last two climb from a poor
+    # Newton start through rises down to 2e-12 r and 5e-11 r, where a rise
+    # rule of 1e-6 would stop short
+    a = _ginibre(n, seed)
+    w = numerical_radius(a)
+    assert abs(w - float(_mp_radius_reference(a))) <= 1e-13 * w
 
 
 _NEAR_LIMIT = np.array([[1.0, 0.9], [0.0, 1j]])
